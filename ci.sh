@@ -55,10 +55,10 @@ mv results/fault-sweep-a.md results/fault-sweep.md
 mv results/fault-report-a.json results/fault-report.json
 rm -f results/fault-sweep-b.json results/fault-sweep-b.md results/fault-report-b.json
 
-echo "==> recovery determinism (self-healing sweeps at 1 vs 4 threads must match modulo the threads field)"
+echo "==> recovery determinism (self-healing sweeps at 1 vs 4 threads must match byte for byte)"
 # With a retry budget armed, the guard/rollback/escalation ladder must
-# reproduce bit-for-bit across thread counts. The RunReport legitimately
-# records its thread count, so that one field is normalised before the diff.
+# reproduce bit-for-bit across thread counts. Deterministic RunReports
+# omit the thread count, so the reports are a plain cmp too.
 ./target/release/fault_sweep --seed 7 --small --threads 1 --recovery 2 \
     --json results/recovery-sweep-1t.json \
     --report results/recovery-report-1t.json >/dev/null
@@ -66,35 +66,32 @@ echo "==> recovery determinism (self-healing sweeps at 1 vs 4 threads must match
     --json results/recovery-sweep-4t.json \
     --report results/recovery-report-4t.json >/dev/null
 cmp results/recovery-sweep-1t.json results/recovery-sweep-4t.json
-sed 's/"threads":[0-9]*/"threads":X/' results/recovery-report-1t.json \
-    > results/recovery-report-1t.norm.json
-sed 's/"threads":[0-9]*/"threads":X/' results/recovery-report-4t.json \
-    > results/recovery-report-4t.norm.json
-cmp results/recovery-report-1t.norm.json results/recovery-report-4t.norm.json
+cmp results/recovery-report-1t.json results/recovery-report-4t.json
 mv results/recovery-sweep-1t.json results/recovery-sweep.json
 mv results/recovery-report-1t.json results/recovery-report.json
-rm -f results/recovery-sweep-4t.json results/recovery-report-4t.json \
-    results/recovery-report-1t.norm.json results/recovery-report-4t.norm.json
+rm -f results/recovery-sweep-4t.json results/recovery-report-4t.json
 
-echo "==> benchmark seed (BENCH_7.json must regenerate byte for byte from the workload)"
+echo "==> benchmark seed (BENCH_10.json must regenerate byte for byte from every mode, thread count and kernel)"
 # The committed seed pins the per-size label checksums, operation counters,
 # and modeled hw traffic. Any engine change that shifts them must update
-# the seed in the same commit, keeping the perf trajectory auditable.
-./target/release/throughput --sizes 160x120,320x240 --superpixels 150 \
-    --iterations 5 --frames 1 --threads 1 \
-    --bench-json results/bench-seed.json >/dev/null
-cmp BENCH_7.json results/bench-seed.json
+# the seed in the same commit, keeping the perf trajectory auditable. The
+# seed frame is cold, so every entry point, engine thread count and assign
+# kernel must reproduce it exactly. BENCH_7..9 are kept only as history for
+# the `insight bench` step below.
+for mode in oneshot session fleet; do
+    for threads in 1 4; do
+        for kernel in scalar swar; do
+            ./target/release/throughput --sizes 160x120,320x240 --superpixels 150 \
+                --iterations 5 --frames 1 --threads "$threads" --mode "$mode" \
+                --kernel "$kernel" --bench-json results/bench-seed.json >/dev/null
+            cmp BENCH_10.json results/bench-seed.json || {
+                echo "seed mismatch: mode=$mode threads=$threads kernel=$kernel"
+                exit 1
+            }
+        done
+    done
+done
 rm -f results/bench-seed.json
-
-echo "==> benchmark seed (BENCH_8.json: the fleet mode must reproduce the same seed byte for byte)"
-# Same workload regenerated through a SessionFleet: the fleet's cold frame
-# is bit-identical to a one-shot run, so the fleet seed equals BENCH_7.
-./target/release/throughput --sizes 160x120,320x240 --superpixels 150 \
-    --iterations 5 --frames 1 --threads 1 --mode fleet \
-    --bench-json results/bench-seed-fleet.json >/dev/null
-cmp BENCH_8.json results/bench-seed-fleet.json
-cmp BENCH_7.json BENCH_8.json
-rm -f results/bench-seed-fleet.json
 
 echo "==> thread-count invariance (throughput JSON at 1 vs 4 threads must match byte for byte)"
 ./target/release/throughput --threads 1 --sizes 160x120,320x240 --frames 1 \
@@ -157,13 +154,12 @@ mv results/trace-1a.chrome.json results/trace.chrome.json
 rm -rf results/trace-ds results/trace-1b.jsonl results/trace-1b.chrome.json \
     results/trace-4t.jsonl results/trace-4t.chrome.json
 
-echo "==> fleet determinism (serve RunReport stream at 1 vs 4 threads must match modulo the threads field)"
+echo "==> fleet determinism (serve RunReport stream at 1 vs 4 threads must match byte for byte)"
 # A multi-stream wire session — two interleaved streams, a close, and a
-# rebind — pumped through `sslic serve` at two engine thread counts. The
-# emitted report lines legitimately record the thread count; that one
-# field is normalised before the diff, everything else (per-stream label
-# checksums, counters, admission tallies, queue events) must be
-# byte-identical.
+# rebind — pumped through `sslic serve` at two engine thread counts.
+# Deterministic report lines omit the thread count, so everything
+# (per-stream label checksums, counters, admission tallies, queue events)
+# must be byte-identical.
 ./target/release/sslic dataset results/fleet-ds --count 3 --width 160 --height 120 >/dev/null
 ./target/release/sslic framepack --out results/fleet-stream.bin \
     0:results/fleet-ds/000.ppm 1:results/fleet-ds/001.ppm \
@@ -177,17 +173,11 @@ fleet_serve() {
 }
 fleet_serve 1
 fleet_serve 4
-sed 's/"threads":[0-9]*/"threads":X/' results/fleet-serve-1t.jsonl \
-    > results/fleet-serve-1t.norm.jsonl
-sed 's/"threads":[0-9]*/"threads":X/' results/fleet-serve-4t.jsonl \
-    > results/fleet-serve-4t.norm.jsonl
-cmp results/fleet-serve-1t.norm.jsonl results/fleet-serve-4t.norm.jsonl
+cmp results/fleet-serve-1t.jsonl results/fleet-serve-4t.jsonl
 
-echo "==> telemetry determinism (Prometheus exposition and serve analysis must match byte for byte, no normalisation)"
-# Stats replies, heartbeats, the summary, and the metrics file carry no
-# thread-dependent field; neither does the insight analysis of the serve
-# stream (it never reads the threads field) — so all of these are plain
-# cmp, a stronger pin than the sed-normalised report diff above.
+echo "==> telemetry determinism (Prometheus exposition and serve analysis must match byte for byte)"
+# The metrics file and the insight analysis of the serve stream carry no
+# thread-dependent field either, so both are plain cmp.
 cmp results/fleet-metrics-1t.prom results/fleet-metrics-4t.prom
 grep sslic_fleet_frame_latency_bucket results/fleet-metrics-1t.prom >/dev/null
 ./target/release/sslic insight results/fleet-serve-1t.jsonl \
@@ -199,7 +189,6 @@ mv results/fleet-metrics-1t.prom results/fleet-metrics.prom
 mv results/fleet-insight-1t.txt results/fleet-insight.txt
 mv results/fleet-serve-1t.jsonl results/fleet-serve.jsonl
 rm -rf results/fleet-ds results/fleet-stream.bin results/fleet-serve-4t.jsonl \
-    results/fleet-serve-1t.norm.jsonl results/fleet-serve-4t.norm.jsonl \
     results/fleet-metrics-4t.prom results/fleet-insight-4t.txt
 
 echo "==> kernel identity (scalar and SWAR assign kernels must emit byte-identical labels)"
@@ -217,29 +206,6 @@ kernel_seg scalar
 kernel_seg swar
 cmp results/kernel-ds/seg-scalar.labels.pgm results/kernel-ds/seg-swar.labels.pgm
 rm -rf results/kernel-ds
-
-echo "==> benchmark seed (BENCH_9.json: fleet mode at 4 threads must reproduce the seed byte for byte)"
-# Thread-count invariance of the committed perf trajectory itself: the
-# fleet-mode seed regenerated at 4 engine threads must equal BENCH_9,
-# which must equal BENCH_8 (this PR changes no datapath arithmetic).
-./target/release/throughput --sizes 160x120,320x240 --superpixels 150 \
-    --iterations 5 --frames 1 --threads 4 --mode fleet \
-    --bench-json results/bench-seed-9.json >/dev/null
-cmp BENCH_9.json results/bench-seed-9.json
-cmp BENCH_8.json BENCH_9.json
-rm -f results/bench-seed-9.json
-
-echo "==> benchmark seed (BENCH_10.json: the forced-SWAR kernel must reproduce the seed byte for byte)"
-# The strongest end-to-end pin on the SWAR rewrite: the perf-trajectory
-# seed regenerated entirely through the packed kernel must equal BENCH_10,
-# which must equal BENCH_9 (the kernel changes no workload shape — same
-# checksums, same counters, same modeled traffic).
-./target/release/throughput --sizes 160x120,320x240 --superpixels 150 \
-    --iterations 5 --frames 1 --threads 1 --kernel swar \
-    --bench-json results/bench-seed-10.json >/dev/null
-cmp BENCH_10.json results/bench-seed-10.json
-cmp BENCH_9.json BENCH_10.json
-rm -f results/bench-seed-10.json
 
 echo "==> bench trajectory (insight bench must see no counter regression across PR seeds)"
 ./target/release/sslic insight bench BENCH_7.json BENCH_8.json BENCH_9.json \

@@ -51,8 +51,8 @@ fn main() {
             t += start.elapsed().as_secs_f64() * 1e3;
             u += undersegmentation_error(out.labels(), &img.ground_truth);
             br += boundary_recall(out.labels(), &img.ground_truth, sslic_bench::BR_TOLERANCE);
-            dc += out.counters().distance_calcs;
-            frozen += out.frozen_clusters();
+            dc += out.report().counters().distance_calcs;
+            frozen += out.report().frozen_clusters();
         }
         let n = data.len() as f64;
         println!(

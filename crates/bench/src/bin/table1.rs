@@ -27,6 +27,7 @@ fn main() {
         for img in data.iter() {
             total.merge(
                 seg.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new())
+                    .report()
                     .breakdown(),
             );
         }

@@ -28,7 +28,7 @@ fn main() {
     let mut rows = Vec::new();
     for (name, algorithm) in [("CPA", Algorithm::SlicCpa), ("PPA", Algorithm::SlicPpa)] {
         let seg = Segmenter::new(params, algorithm).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-        let c = *seg.counters();
+        let c = *seg.report().counters();
         let bytes = model.bytes(&c);
         rows.push((name, c, bytes));
     }

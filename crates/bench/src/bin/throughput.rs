@@ -43,9 +43,12 @@
 //! `--bench-json` writes the *performance-trajectory seed*: per-size
 //! label checksums, operation counters, and modeled DRAM traffic — every
 //! field a pure function of the workload, no wall-clock anywhere. The
-//! repo commits one (`BENCH_7.json`) and CI regenerates and byte-diffs
-//! it, so any change to the engine's workload shape (more distance
-//! calculations, more traffic) must be committed deliberately.
+//! seed frame runs through the selected mode and kernel at the largest
+//! swept thread count, and every such choice must emit the same bytes.
+//! CI regenerates it across the mode × threads × kernel matrix and
+//! byte-diffs each result against the committed `BENCH_10.json`, so any
+//! change to the engine's workload shape (more distance calculations,
+//! more traffic) must be committed deliberately.
 
 use std::env;
 use std::fs;
@@ -321,9 +324,10 @@ fn main() -> ExitCode {
         }
     }
     if let Some(path) = &bench_json_path {
-        // The perf-trajectory seed: 1-thread runs so the counters (already
-        // thread-invariant by the determinism contract) come off the
-        // simplest schedule. No timings — the seed is byte-reproducible.
+        // The perf-trajectory seed. No timings — the seed is
+        // byte-reproducible, and by the determinism contract it is the
+        // same at every thread count.
+        let seed_threads = threads.iter().copied().max().unwrap_or(1);
         let mut out = String::new();
         out.push_str("{\n  \"schema\": \"sslic-bench-seed-v1\",\n");
         out.push_str(&format!(
@@ -336,17 +340,17 @@ fn main() -> ExitCode {
             let img = SyntheticImage::builder(w, h).seed(2024).regions(12).build();
             let params = SlicParams::builder(superpixels)
                 .iterations(iterations)
-                .threads(1)
+                .threads(seed_threads)
                 .kernel(kernel)
                 .build();
             let seg =
                 Segmenter::sslic_ppa(params, 2).with_distance_mode(DistanceMode::quantized(8));
             // The seed frame is cold in every mode, so the counters and
-            // checksum below are mode-invariant — the committed seeds stay
-            // byte-identical whether regenerated via oneshot or fleet. The
-            // kernel flag is honored too: the SWAR path's bit-identity
-            // contract means a `--kernel swar` regeneration must reproduce
-            // the scalar seed exactly (CI pins this).
+            // checksum below are mode-invariant — the committed seed stays
+            // byte-identical whichever API regenerates it. The kernel flag
+            // is honored too: the SWAR path's bit-identity contract means a
+            // `--kernel swar` regeneration must reproduce the scalar seed
+            // exactly (CI pins this).
             let (sum, c) = match mode {
                 Mode::Fleet => {
                     let mut fl = SessionFleet::new(&seg, w, h, FleetConfig::default());
@@ -358,9 +362,14 @@ fn main() -> ExitCode {
                         c,
                     )
                 }
-                _ => {
+                Mode::Session => {
+                    let mut session = seg.session(w, h);
+                    let report = session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+                    (label_checksum(session.labels()), *report.counters())
+                }
+                Mode::Oneshot => {
                     let res = seg.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-                    (label_checksum(res.labels()), *res.counters())
+                    (label_checksum(res.labels()), *res.report().counters())
                 }
             };
             let hw = sslic_core::instrument::TrafficModel::hw_8bit().bytes(&c);

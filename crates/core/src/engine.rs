@@ -4,10 +4,7 @@ use sslic_obs::Recorder;
 
 use crate::cluster::Cluster;
 use crate::distance::DistanceMode;
-use crate::instrument::RunCounters;
-use crate::kernel::Kernel;
-use crate::profile::PhaseBreakdown;
-use crate::recovery::{RecoveryPolicy, RecoveryReport};
+use crate::recovery::RecoveryPolicy;
 use crate::session::FrameReport;
 use crate::subsample::SubsetStrategy;
 use crate::SlicParams;
@@ -179,13 +176,6 @@ pub struct RunOptions<'a> {
     /// of merely flagging [`SegmentationStatus::Degraded`]. `None`
     /// preserves the detect-and-flag behavior exactly.
     pub recovery: Option<&'a RecoveryPolicy>,
-    /// Per-run assign-kernel override. `None` defers to the
-    /// configuration-level [`SlicParams::kernel`] preference; `Some`
-    /// takes precedence for this run only. Every choice produces
-    /// bit-identical labels (see [`Kernel`]).
-    ///
-    /// [`SlicParams::kernel`]: crate::SlicParams::kernel
-    pub kernel: Option<Kernel>,
 }
 
 impl<'a> RunOptions<'a> {
@@ -218,13 +208,6 @@ impl<'a> RunOptions<'a> {
         self.recovery = Some(policy);
         self
     }
-
-    /// Overrides the assign-kernel selection for this run (see
-    /// [`RunOptions::kernel`]).
-    pub fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = Some(kernel);
-        self
-    }
 }
 
 impl std::fmt::Debug for RunOptions<'_> {
@@ -234,7 +217,6 @@ impl std::fmt::Debug for RunOptions<'_> {
             .field("faults", &self.faults.is_some())
             .field("recorder", &self.recorder.is_some())
             .field("recovery", &self.recovery)
-            .field("kernel", &self.kernel)
             .finish()
     }
 }
@@ -384,21 +366,14 @@ impl Segmenter {
 
 }
 
-/// The result of a segmentation run: the label map, final cluster centers,
-/// and the recorded instrumentation.
+/// The result of a segmentation run: the label map, the final cluster
+/// centers, and the frame's [`FrameReport`] (iterations, phase breakdown,
+/// counters, status, recovery record, kernel).
 #[derive(Debug, Clone)]
 pub struct Segmentation {
     labels: Plane<u32>,
     clusters: Vec<Cluster>,
-    iterations_run: u32,
-    breakdown: PhaseBreakdown,
-    counters: RunCounters,
-    spacing: f32,
-    frozen_clusters: usize,
-    status: SegmentationStatus,
-    repairs: u64,
-    recovery: RecoveryReport,
-    kernel: Kernel,
+    report: FrameReport,
 }
 
 impl Segmentation {
@@ -412,15 +387,7 @@ impl Segmentation {
         Segmentation {
             labels,
             clusters,
-            iterations_run: report.iterations_run,
-            breakdown: report.breakdown,
-            counters: report.counters,
-            spacing: report.spacing,
-            frozen_clusters: report.frozen_clusters,
-            status: report.status,
-            repairs: report.repairs,
-            recovery: report.recovery,
-            kernel: report.kernel,
+            report,
         }
     }
 
@@ -444,59 +411,10 @@ impl Segmentation {
         self.clusters.len()
     }
 
-    /// Center-update steps actually executed (≤ `params.iterations()` when
-    /// early exit triggered).
-    pub fn iterations_run(&self) -> u32 {
-        self.iterations_run
-    }
-
-    /// Wall-clock time per pipeline phase (Table 1).
-    pub fn breakdown(&self) -> &PhaseBreakdown {
-        &self.breakdown
-    }
-
-    /// Recorded event counts (Table 2 inputs).
-    pub fn counters(&self) -> &RunCounters {
-        &self.counters
-    }
-
-    /// Grid spacing `S` used by this run.
-    pub fn spacing(&self) -> f32 {
-        self.spacing
-    }
-
-    /// Number of clusters frozen by Preemptive-SLIC halting (0 unless
-    /// [`Segmenter::with_preemption`] was used).
-    pub fn frozen_clusters(&self) -> usize {
-        self.frozen_clusters
-    }
-
-    /// Health of the run — [`SegmentationStatus::Degraded`] when invariant
-    /// repairs fired or a configured convergence threshold went unmet.
-    pub fn status(&self) -> SegmentationStatus {
-        self.status
-    }
-
-    /// Number of invariant repairs applied (center clamps / non-finite
-    /// replacements plus out-of-range label fixes). Always 0 on fault-free
-    /// runs.
-    pub fn invariant_repairs(&self) -> u64 {
-        self.repairs
-    }
-
-    /// Per-frame recovery record: guard firings, retries, escalations,
-    /// outcome, and the final center-table checksum. With no
-    /// [`RecoveryPolicy`] active this still carries the guard totals and
-    /// checksum of the single attempt (outcome `Clean` or `Failed`).
-    pub fn recovery(&self) -> &RecoveryReport {
-        &self.recovery
-    }
-
-    /// The assign-kernel backend that actually ran: [`Kernel::Swar`] or
-    /// [`Kernel::Scalar`], never [`Kernel::Auto`]. Informational only —
-    /// labels are bit-identical across backends.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
+    /// Everything else the run recorded: iterations, phase breakdown,
+    /// counters, health, recovery record, and the kernel that ran.
+    pub fn report(&self) -> &FrameReport {
+        &self.report
     }
 }
 
@@ -529,7 +447,7 @@ mod tests {
             assert_eq!(out.labels().height(), 48);
             let k = out.cluster_count() as u32;
             assert!(out.labels().iter().all(|&l| l < k), "labels in range");
-            assert_eq!(out.iterations_run(), seg.params().iterations());
+            assert_eq!(out.report().iterations_run(), seg.params().iterations());
         }
     }
 
@@ -582,14 +500,14 @@ mod tests {
             .convergence_threshold(Some(1000.0)) // absurdly lax: exit after 1 step
             .build();
         let out = Segmenter::slic_ppa(p).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-        assert_eq!(out.iterations_run(), 1);
+        assert_eq!(out.report().iterations_run(), 1);
     }
 
     #[test]
     fn sslic_counts_sub_iterations() {
         let img = test_image();
         let out = Segmenter::sslic_ppa(params(60, 6), 3).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-        assert_eq!(out.counters().sub_iterations, 6);
+        assert_eq!(out.report().counters().sub_iterations, 6);
     }
 
     #[test]
@@ -600,8 +518,8 @@ mod tests {
         let half = Segmenter::sslic_ppa(params(60, 2), 2).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
         // Same number of steps, but each S-SLIC step assigns half the
         // pixels: distance calcs are ~half.
-        assert_eq!(full.counters().distance_calcs, 2 * n * 9);
-        assert_eq!(half.counters().distance_calcs, n * 9);
+        assert_eq!(full.report().counters().distance_calcs, 2 * n * 9);
+        assert_eq!(half.report().counters().distance_calcs, n * 9);
     }
 
     #[test]
@@ -615,7 +533,7 @@ mod tests {
             .enforce_connectivity(false)
             .build();
         let out = Segmenter::slic(p).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-        let per_pixel = out.counters().distance_calcs as f64 / (96.0 * 96.0);
+        let per_pixel = out.report().counters().distance_calcs as f64 / (96.0 * 96.0);
         assert!(
             (3.0..=4.6).contains(&per_pixel),
             "CPA visits/pixel = {per_pixel}"
@@ -630,7 +548,7 @@ mod tests {
             .enforce_connectivity(false)
             .build();
         let out = Segmenter::slic_ppa(p).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-        assert_eq!(out.counters().distance_calcs, 64 * 48 * 9);
+        assert_eq!(out.report().counters().distance_calcs, 64 * 48 * 9);
     }
 
     fn label_agreement(a: &Segmentation, b: &Segmentation) -> f64 {
@@ -723,7 +641,7 @@ mod tests {
         let out = Segmenter::slic_ppa(p).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
         // With connectivity off the connectivity phase records zero time.
         assert_eq!(
-            out.breakdown().phase_time(crate::profile::Phase::Connectivity),
+            out.report().breakdown().phase_time(crate::profile::Phase::Connectivity),
             std::time::Duration::ZERO
         );
     }
@@ -733,8 +651,9 @@ mod tests {
         let img = test_image();
         let out = Segmenter::slic_ppa(params(60, 3)).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
         use crate::profile::Phase;
-        assert!(out.breakdown().phase_time(Phase::DistanceMin) > std::time::Duration::ZERO);
-        assert!(out.breakdown().phase_time(Phase::CenterUpdate) > std::time::Duration::ZERO);
+        let breakdown = out.report().breakdown();
+        assert!(breakdown.phase_time(Phase::DistanceMin) > std::time::Duration::ZERO);
+        assert!(breakdown.phase_time(Phase::CenterUpdate) > std::time::Duration::ZERO);
     }
 
     #[test]
@@ -759,13 +678,13 @@ mod tests {
         let preempted = Segmenter::slic_ppa(params(60, 10))
             .with_preemption(0.5)
             .run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-        assert_eq!(plain.frozen_clusters(), 0);
+        assert_eq!(plain.report().frozen_clusters(), 0);
         assert!(
-            preempted.frozen_clusters() > 0,
+            preempted.report().frozen_clusters() > 0,
             "some clusters should converge and freeze within 10 iterations"
         );
         assert!(
-            preempted.counters().distance_calcs < plain.counters().distance_calcs,
+            preempted.report().counters().distance_calcs < plain.report().counters().distance_calcs,
             "frozen neighborhoods skip distance computations"
         );
     }
@@ -795,7 +714,10 @@ mod tests {
             .with_preemption(0.5)
             .run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
         let sslic_only = Segmenter::sslic_ppa(params(60, 12), 2).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-        assert!(combined.counters().distance_calcs <= sslic_only.counters().distance_calcs);
+        assert!(
+            combined.report().counters().distance_calcs
+                <= sslic_only.report().counters().distance_calcs
+        );
         let k = combined.cluster_count() as u32;
         assert!(combined.labels().iter().all(|&l| l < k));
     }
@@ -821,10 +743,10 @@ mod tests {
                     predict_ppa_distance_calcs(64, 48, 5, subsets, strategy);
                 if subsets == 1 {
                     // Strategy irrelevant for one subset.
-                    assert_eq!(out.counters().distance_calcs, 64 * 48 * 5 * 9);
+                    assert_eq!(out.report().counters().distance_calcs, 64 * 48 * 5 * 9);
                 } else {
                     assert_eq!(
-                        out.counters().distance_calcs,
+                        out.report().counters().distance_calcs,
                         predicted,
                         "P={subsets} {strategy:?}"
                     );
@@ -889,9 +811,9 @@ mod tests {
             &RunOptions::new().with_warm_start(cold.clusters()),
         );
         assert!(
-            warm.iterations_run() <= 3,
+            warm.report().iterations_run() <= 3,
             "warm start on an identical frame converges fast: {} steps",
-            warm.iterations_run()
+            warm.report().iterations_run()
         );
     }
 
@@ -972,8 +894,8 @@ mod tests {
             );
             assert_eq!(clean.labels(), hooked.labels());
             assert_eq!(clean.clusters(), hooked.clusters());
-            assert_eq!(hooked.status(), SegmentationStatus::Ok);
-            assert_eq!(hooked.invariant_repairs(), 0);
+            assert_eq!(hooked.report().status(), SegmentationStatus::Ok);
+            assert_eq!(hooked.report().invariant_repairs(), 0);
         }
     }
 
@@ -981,8 +903,8 @@ mod tests {
     fn fault_free_runs_report_ok_status() {
         let img = test_image();
         let out = Segmenter::slic_ppa(params(60, 3)).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-        assert_eq!(out.status(), SegmentationStatus::Ok);
-        assert_eq!(out.invariant_repairs(), 0);
+        assert_eq!(out.report().status(), SegmentationStatus::Ok);
+        assert_eq!(out.report().invariant_repairs(), 0);
     }
 
     #[test]
@@ -1002,8 +924,8 @@ mod tests {
             SegmentRequest::Rgb(&img.rgb),
             &RunOptions::new().with_faults(&Smash),
         );
-        assert_eq!(out.status(), SegmentationStatus::Degraded);
-        assert!(out.invariant_repairs() >= 3);
+        assert_eq!(out.report().status(), SegmentationStatus::Degraded);
+        assert!(out.report().invariant_repairs() >= 3);
         for c in out.clusters() {
             assert!(c.x.is_finite() && (0.0..64.0).contains(&c.x));
             assert!(c.y.is_finite() && (0.0..48.0).contains(&c.y));
@@ -1059,8 +981,8 @@ mod tests {
             .convergence_threshold(Some(0.0))
             .build();
         let out = Segmenter::slic_ppa(p).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-        assert_eq!(out.iterations_run(), 1);
-        assert_eq!(out.status(), SegmentationStatus::Degraded);
+        assert_eq!(out.report().iterations_run(), 1);
+        assert_eq!(out.report().status(), SegmentationStatus::Degraded);
     }
 
     #[test]

@@ -54,19 +54,16 @@ const LANE_ONES: u64 = 0x0001_0001_0001_0001;
 
 /// Which backend executes the assign phase's 9-candidate distance scan.
 ///
-/// Selected per configuration via [`SlicParamsBuilder::kernel`], per run
-/// via [`RunOptions::with_kernel`], or fleet-wide via
-/// [`FleetConfigBuilder::with_kernel`]; parsed from `--kernel` on the CLI.
-/// The resolved backend of each frame is reported by
-/// [`FrameReport::kernel`] / `RunReport`.
+/// Selected once per configuration via [`SlicParamsBuilder::kernel`] —
+/// the only setter — and parsed from `--kernel` on the CLI. The resolved
+/// backend of each frame is reported by [`FrameReport::kernel`] /
+/// `RunReport`.
 ///
 /// All three choices produce **bit-identical labels**: the SWAR kernel is
 /// an exact replay of the scalar comparisons (see the module docs), so
 /// this knob only selects the execution strategy, never the result.
 ///
 /// [`SlicParamsBuilder::kernel`]: crate::SlicParamsBuilder::kernel
-/// [`RunOptions::with_kernel`]: crate::RunOptions::with_kernel
-/// [`FleetConfigBuilder::with_kernel`]: crate::FleetConfigBuilder::with_kernel
 /// [`FrameReport::kernel`]: crate::FrameReport::kernel
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Kernel {

@@ -49,6 +49,7 @@ mod kernel;
 mod parallel;
 mod params;
 mod recovery;
+mod serve;
 mod session;
 
 pub mod features;
@@ -71,9 +72,8 @@ pub use engine::{
     Algorithm, RunOptions, SegmentRequest, Segmentation, SegmentationStatus, Segmenter, StepFaults,
 };
 pub use fleet::{
-    label_checksum, serve, write_wire_close, write_wire_frame, write_wire_stats, FleetConfig,
-    FleetConfigBuilder, FleetError, FleetStats, ServeOptions, ServeSummary, SessionFleet,
-    StreamFrame, StreamId, StreamStats, WIRE_CLOSE, WIRE_FRAME, WIRE_MAX_PAYLOAD, WIRE_STATS,
+    label_checksum, FleetConfig, FleetConfigBuilder, FleetError, FleetStats, SessionFleet,
+    StreamId, StreamStats,
 };
 pub use grid::SeedGrid;
 pub use kernel::Kernel;
@@ -82,4 +82,8 @@ pub use recovery::{
     center_checksum, GuardVerdict, RecoveryAction, RecoveryOutcome, RecoveryPolicy, RecoveryReport,
 };
 pub use report::{build_run_report, report_recovery};
+pub use serve::{
+    serve, write_wire_close, write_wire_frame, write_wire_stats, ServeOptions, ServeSummary,
+    WIRE_CLOSE, WIRE_FRAME, WIRE_MAX_PAYLOAD, WIRE_STATS,
+};
 pub use session::{FrameReport, SegmentError, SegmenterSession};

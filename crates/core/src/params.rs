@@ -243,11 +243,8 @@ impl SlicParamsBuilder {
     }
 
     /// Sets the assign-phase kernel preference (see
-    /// [`SlicParams::kernel`]). Any choice yields bit-identical labels;
-    /// the per-run [`RunOptions::with_kernel`] override, when present,
-    /// takes precedence over this configuration-level default.
-    ///
-    /// [`RunOptions::with_kernel`]: crate::RunOptions::with_kernel
+    /// [`SlicParams::kernel`]) — the one place a kernel is chosen. Any
+    /// choice yields bit-identical labels.
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.params.kernel = kernel;
         self

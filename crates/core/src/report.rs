@@ -45,6 +45,10 @@ pub fn report_counters(c: &RunCounters) -> ReportCounters {
 /// report does not carry: `width`/`height` are left at 0 for the caller
 /// to fill in (a session fleet knows its geometry; the report does not),
 /// histograms are empty, and `injected_words` is 0.
+///
+/// With `deterministic = true` the phase timings are zeroed and the
+/// thread count is omitted, so the report bytes are a pure function of
+/// the workload (the mode CI byte-diffs across thread counts).
 pub fn frame_run_report(seg: &Segmenter, frame: &FrameReport, deterministic: bool) -> RunReport {
     let params = seg.params();
     let phases = PHASES
@@ -80,7 +84,7 @@ pub fn frame_run_report(seg: &Segmenter, frame: &FrameReport, deterministic: boo
         superpixels: params.superpixels() as u64,
         iterations: u64::from(params.iterations()),
         subsets: u64::from(seg.algorithm().steps_per_full_pass()),
-        threads: params.threads().get() as u64,
+        threads: (!deterministic).then(|| params.threads().get() as u64),
         compactness: f64::from(params.compactness()),
         distance_mode: if seg.distance_mode().is_quantized() {
             "quantized".to_string()
@@ -105,11 +109,10 @@ pub fn frame_run_report(seg: &Segmenter, frame: &FrameReport, deterministic: boo
     }
 }
 
-/// Builds a [`RunReport`] for a completed run of `seg`.
+/// Builds a [`RunReport`] for a completed run of `seg`: the
+/// [`frame_run_report`] of its frame plus the image geometry.
 ///
-/// With `deterministic = true` every timing field is zeroed so the report
-/// bytes are a pure function of the workload (the mode CI byte-diffs);
-/// otherwise the phase times carry real nanoseconds. `recorder`, when
+/// `deterministic` is as for [`frame_run_report`]. `recorder`, when
 /// given, contributes its histogram snapshots; `injected_words` is the
 /// fault-campaign tally (0 for clean runs).
 pub fn build_run_report(
@@ -119,64 +122,10 @@ pub fn build_run_report(
     recorder: Option<&Recorder>,
     injected_words: u64,
 ) -> RunReport {
-    let params = seg.params();
-    let phases = PHASES
-        .iter()
-        .map(|&p| PhaseNanos {
-            name: p.key().to_string(),
-            nanos: if deterministic {
-                0
-            } else {
-                u64::try_from(out.breakdown().phase_time(p).as_nanos()).unwrap_or(u64::MAX)
-            },
-        })
-        .collect();
-    let traffic = [
-        ("sw_double", TrafficModel::sw_double()),
-        ("sw_float", TrafficModel::sw_float()),
-        ("hw_8bit", TrafficModel::hw_8bit()),
-    ]
-    .iter()
-    .map(|(name, model)| {
-        let bytes = model.bytes(out.counters());
-        TrafficEntry {
-            model: name.to_string(),
-            read_bytes: bytes.read,
-            written_bytes: bytes.written,
-        }
-    })
-    .collect();
-    let mut report = RunReport {
-        algorithm: seg.algorithm().name().to_string(),
-        width: out.labels().width() as u64,
-        height: out.labels().height() as u64,
-        superpixels: params.superpixels() as u64,
-        iterations: u64::from(params.iterations()),
-        subsets: u64::from(seg.algorithm().steps_per_full_pass()),
-        threads: params.threads().get() as u64,
-        compactness: f64::from(params.compactness()),
-        distance_mode: if seg.distance_mode().is_quantized() {
-            "quantized".to_string()
-        } else {
-            "float".to_string()
-        },
-        kernel: Some(out.kernel().as_str().to_string()),
-        iterations_run: u64::from(out.iterations_run()),
-        status: match out.status() {
-            SegmentationStatus::Ok => "ok".to_string(),
-            SegmentationStatus::Degraded => "degraded".to_string(),
-            SegmentationStatus::Recovered => "recovered".to_string(),
-        },
-        repairs: out.invariant_repairs(),
-        injected_words,
-        recovery: report_recovery(out.recovery()),
-        fleet: None,
-        counters: report_counters(out.counters()),
-        phases,
-        histograms: Vec::new(),
-        traffic: Vec::new(),
-    };
-    report.traffic = traffic;
+    let mut report = frame_run_report(seg, out.report(), deterministic);
+    report.width = out.labels().width() as u64;
+    report.height = out.labels().height() as u64;
+    report.injected_words = injected_words;
     if let Some(rec) = recorder {
         report.set_histograms(&rec.metrics());
     }
@@ -199,12 +148,13 @@ mod tests {
             &RunOptions::new().with_recorder(&rec),
         );
         let report = build_run_report(&seg, &out, true, Some(&rec), 0);
-        assert_eq!(report.counters, report_counters(out.counters()));
+        assert_eq!(report.counters, report_counters(out.report().counters()));
         assert_eq!(report.iterations_run, 4);
         assert_eq!(report.algorithm, "sslic_ppa");
         assert!(report.phases.iter().all(|p| p.nanos == 0));
+        assert_eq!(report.threads, None, "deterministic reports omit the thread count");
         // Traffic entries match the models exactly.
-        let hw = TrafficModel::hw_8bit().bytes(out.counters());
+        let hw = TrafficModel::hw_8bit().bytes(out.report().counters());
         let entry = report
             .traffic
             .iter()
@@ -224,5 +174,6 @@ mod tests {
         let report = build_run_report(&seg, &out, false, None, 0);
         let total: u64 = report.phases.iter().map(|p| p.nanos).sum();
         assert!(total > 0, "non-deterministic report keeps real timings");
+        assert_eq!(report.threads, Some(1));
     }
 }

@@ -552,9 +552,10 @@ pub struct SegmenterSession {
     /// configuration qualifies (quantized + pixel-perspective); `None`
     /// means every frame of this session is scalar-only.
     swar: Option<Arc<SwarKernel>>,
-    /// The backend resolved for the frame currently running (set at the
-    /// top of [`SegmenterSession::frame`]; [`Kernel::Scalar`] before the
-    /// first frame).
+    /// The assign backend every frame runs: the params' preference
+    /// resolved at construction, falling back to the (bit-identical)
+    /// scalar loop when no SWAR tables were built (float mode or a
+    /// center-perspective algorithm).
     frame_kernel: Kernel,
     converter: Option<HwColorConverter>,
     dist: Plane<f32>,
@@ -687,11 +688,10 @@ impl SegmenterSession {
         ledger.record(k as u64 * 48); // fold buffer: sigma register file
         let fold_sigma = vec![[0f64; 6]; k];
         // SWAR assign-kernel tables (squared-delta LUTs + code-threshold
-        // table), built whenever the configuration qualifies — regardless
-        // of the kernel actually requested — so a per-run
-        // `RunOptions::with_kernel` override stays zero-alloc in steady
-        // state. Quantized + adaptive is rejected above, so `kernel`
-        // being `Some` already implies the non-adaptive datapath.
+        // table), built whenever the configuration qualifies, whatever
+        // kernel the params prefer. Quantized + adaptive is rejected
+        // above, so `kernel` being `Some` already implies the
+        // non-adaptive datapath.
         let swar = match &kernel {
             Some(qk) if banded_labels => {
                 let tables = SwarKernel::new(qk);
@@ -732,8 +732,8 @@ impl SegmenterSession {
             max_dc2,
             partition,
             kernel,
+            frame_kernel: params.kernel().resolve(swar.is_some()),
             swar,
-            frame_kernel: Kernel::Scalar,
             converter: quantized.then(HwColorConverter::paper_default),
             dist,
             out,
@@ -945,14 +945,6 @@ impl SegmenterSession {
         let recorder = options.recorder;
         let policy = options.recovery;
         let spacing = self.grid.spacing();
-        // Resolve the assign backend for this frame: the per-run override
-        // beats the configuration preference; `Swar`/`Auto` fall back to
-        // the (bit-identical) scalar loop when the session never built
-        // SWAR tables (float mode or a center-perspective algorithm).
-        self.frame_kernel = options
-            .kernel
-            .unwrap_or(params.kernel())
-            .resolve(self.swar.is_some());
         let mut breakdown = PhaseBreakdown::new();
 
         if let Some(f) = options.faults {
@@ -1958,9 +1950,9 @@ mod tests {
                     "{} labels diverged",
                     seg.algorithm().name()
                 );
-                assert_eq!(report.counters(), one_shot.counters());
-                assert_eq!(report.iterations_run(), one_shot.iterations_run());
-                assert_eq!(report.status(), one_shot.status());
+                assert_eq!(report.counters(), one_shot.report().counters());
+                assert_eq!(report.iterations_run(), one_shot.report().iterations_run());
+                assert_eq!(report.status(), one_shot.report().status());
             }
         }
     }

@@ -212,17 +212,10 @@ fn every_fleet_error_variant_is_reachable() {
     let seg = Segmenter::sslic_ppa(SlicParams::builder(60).iterations(2).build(), 2);
     let img = scene(64, 48);
 
-    // ZeroSlots / ZeroWorkers fall out of builder validation.
+    // ZeroSlots falls out of builder validation.
     assert_eq!(
         FleetConfig::builder().with_slots(0).try_build().unwrap_err(),
         FleetError::ZeroSlots
-    );
-    assert_eq!(
-        FleetConfig::builder()
-            .with_frame_workers(0)
-            .try_build()
-            .unwrap_err(),
-        FleetError::ZeroWorkers
     );
 
     // Saturated: a 1-slot fleet refuses a second live stream.
@@ -267,7 +260,6 @@ fn fleet_errors_display_distinct_messages() {
         FleetError::Saturated { streams: 2, slots: 2 },
         FleetError::QueueFull { depth: 4 },
         FleetError::ZeroSlots,
-        FleetError::ZeroWorkers,
     ];
     let messages: Vec<String> = variants.iter().map(|v| v.to_string()).collect();
     for (i, m) in messages.iter().enumerate() {

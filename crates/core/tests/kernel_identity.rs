@@ -101,13 +101,13 @@ proptest! {
             threads, preempt, None, faults,
         );
         // The forced requests resolved to the two distinct backends...
-        prop_assert_eq!(scalar.kernel(), Kernel::Scalar);
-        prop_assert_eq!(swar.kernel(), Kernel::Swar);
+        prop_assert_eq!(scalar.report().kernel(), Kernel::Scalar);
+        prop_assert_eq!(swar.report().kernel(), Kernel::Swar);
         // ...and every observable output is byte-equal.
         prop_assert_eq!(scalar.labels(), swar.labels());
         prop_assert_eq!(scalar.clusters(), swar.clusters());
-        prop_assert_eq!(scalar.counters(), swar.counters());
-        prop_assert_eq!(scalar.iterations_run(), swar.iterations_run());
+        prop_assert_eq!(scalar.report().counters(), swar.report().counters());
+        prop_assert_eq!(scalar.report().iterations_run(), swar.report().iterations_run());
     }
 
     #[test]
@@ -135,7 +135,7 @@ proptest! {
         );
         prop_assert_eq!(scalar.labels(), swar.labels());
         prop_assert_eq!(scalar.clusters(), swar.clusters());
-        prop_assert_eq!(scalar.counters(), swar.counters());
+        prop_assert_eq!(scalar.report().counters(), swar.report().counters());
     }
 
     #[test]
@@ -155,7 +155,7 @@ proptest! {
         );
         // Auto prefers the SWAR backend on the eligible configuration —
         // and the report says so.
-        prop_assert_eq!(auto.kernel(), Kernel::Swar);
+        prop_assert_eq!(auto.report().kernel(), Kernel::Swar);
         prop_assert_eq!(auto.labels(), scalar.labels());
         prop_assert_eq!(auto.clusters(), scalar.clusters());
     }
@@ -174,6 +174,6 @@ proptest! {
             .build();
         let float_run = Segmenter::sslic_ppa(params, 2)
             .run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-        prop_assert_eq!(float_run.kernel(), Kernel::Scalar);
+        prop_assert_eq!(float_run.report().kernel(), Kernel::Scalar);
     }
 }

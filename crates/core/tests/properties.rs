@@ -68,11 +68,11 @@ proptest! {
             prop_assert!((0.0..36.0).contains(&c.y), "y = {}", c.y);
         }
         // The engine ran the requested number of steps (no threshold set).
-        prop_assert_eq!(seg.iterations_run(), iterations);
-        prop_assert_eq!(seg.counters().sub_iterations, iterations as u64);
+        prop_assert_eq!(seg.report().iterations_run(), iterations);
+        prop_assert_eq!(seg.report().counters().sub_iterations, iterations as u64);
         // Counters are self-consistent: PPA-style passes do 9 distance
         // calcs per assigned pixel, CPA visits are positive.
-        prop_assert!(seg.counters().distance_calcs > 0);
+        prop_assert!(seg.report().counters().distance_calcs > 0);
     }
 
     #[test]
@@ -87,7 +87,7 @@ proptest! {
         let b = seg.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
         prop_assert_eq!(a.labels(), b.labels());
         prop_assert_eq!(a.clusters(), b.clusters());
-        prop_assert_eq!(a.counters(), b.counters());
+        prop_assert_eq!(a.report().counters(), b.report().counters());
     }
 
     #[test]
@@ -102,7 +102,7 @@ proptest! {
             .run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
         let count = seg.cluster_count() as u32;
         prop_assert!(seg.labels().iter().all(|&l| l < count));
-        prop_assert!(seg.frozen_clusters() <= seg.cluster_count());
+        prop_assert!(seg.report().frozen_clusters() <= seg.cluster_count());
     }
 
     #[test]

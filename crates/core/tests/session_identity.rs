@@ -70,7 +70,7 @@ fn assert_session_matches_pin(cpa: bool, quantized: bool, pinned: u64) {
                  drifted from the pinned labels"
             );
             assert_eq!(out.as_slice(), one_shot.labels().as_slice());
-            assert_eq!(report.counters(), one_shot.counters());
+            assert_eq!(report.counters(), one_shot.report().counters());
         }
     }
 }

@@ -159,7 +159,7 @@ fn run_counters_are_bit_identical_across_thread_counts() {
                 seg
             };
             *seg.run(SegmentRequest::Rgb(&fixed_scene().rgb), &RunOptions::new())
-                .counters()
+                .report().counters()
         };
         assert!(baseline.distance_calcs > 0);
         for t in [2usize, 8] {
@@ -176,7 +176,7 @@ fn run_counters_are_bit_identical_across_thread_counts() {
             };
             let out = seg.run(SegmentRequest::Rgb(&fixed_scene().rgb), &RunOptions::new());
             assert_eq!(
-                out.counters(),
+                out.report().counters(),
                 &baseline,
                 "counters drifted at {t} threads (cpa={cpa}, quantized={quantized})"
             );

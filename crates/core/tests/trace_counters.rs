@@ -24,7 +24,7 @@ fn traced_run(threads: usize, subsets: u32, iterations: u32) -> (Recorder, RunCo
         SegmentRequest::Rgb(&scene().rgb),
         &RunOptions::new().with_recorder(&rec),
     );
-    (rec, *out.counters())
+    (rec, *out.report().counters())
 }
 
 #[test]
@@ -102,7 +102,7 @@ fn recording_does_not_change_the_segmentation() {
         &RunOptions::new().with_recorder(&rec),
     );
     assert_eq!(plain.labels(), traced.labels());
-    assert_eq!(plain.counters(), traced.counters());
+    assert_eq!(plain.report().counters(), traced.report().counters());
 }
 
 #[test]

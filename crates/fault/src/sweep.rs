@@ -240,8 +240,8 @@ pub fn run_sweep(config: &SweepConfig) -> SweepResult {
             rate_ppm: rate,
             undersegmentation_error: undersegmentation_error(seg.labels(), &scene.ground_truth),
             boundary_recall: boundary_recall(seg.labels(), &scene.ground_truth, BR_TOLERANCE),
-            degraded: seg.status() == SegmentationStatus::Degraded,
-            repairs: seg.invariant_repairs(),
+            degraded: seg.report().status() == SegmentationStatus::Degraded,
+            repairs: seg.report().invariant_repairs(),
             lut_entries_corrupted,
             injected_words: faults.injected_words(),
         });
@@ -262,7 +262,7 @@ pub fn run_sweep(config: &SweepConfig) -> SweepResult {
             SegmentRequest::Lab8(&lab8),
             &RunOptions::new().with_faults(&faults).with_recovery(&policy),
         );
-        let rec = seg.recovery();
+        let rec = seg.report().recovery();
         recovered.push(RecoveryPoint {
             rate_ppm: rate,
             undersegmentation_error: undersegmentation_error(seg.labels(), &scene.ground_truth),

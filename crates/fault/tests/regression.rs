@@ -65,8 +65,8 @@ fn empty_plan_is_bit_identical_to_the_unhooked_path() {
 
     assert_eq!(clean.labels().as_slice(), hooked.labels().as_slice());
     assert_eq!(label_checksum(hooked.labels()), PINNED_QUANTIZED_CHECKSUM);
-    assert_eq!(hooked.status(), SegmentationStatus::Ok);
-    assert_eq!(hooked.invariant_repairs(), 0);
+    assert_eq!(hooked.report().status(), SegmentationStatus::Ok);
+    assert_eq!(hooked.report().invariant_repairs(), 0);
     assert_eq!(faults.injected_words(), 0);
 }
 

@@ -31,12 +31,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod div;
 mod format;
 mod fx;
 mod isqrt;
 mod lut;
 mod quant;
 
+pub use div::rounded_div;
 pub use format::QFormat;
 pub use fx::Fx;
 pub use isqrt::{isqrt, isqrt_rounded};

@@ -29,6 +29,7 @@
 use sslic_color::hw::HwColorConverter;
 use sslic_core::subsample::{SubsetPartition, SubsetStrategy};
 use sslic_core::{ClusterCodes, QuantKernel, SeedGrid};
+use sslic_fixed::rounded_div;
 use sslic_image::{Plane, RgbImage};
 use sslic_obs::{LogicalClock, Recorder, Value};
 
@@ -347,13 +348,12 @@ impl Accelerator {
                 if count == 0 {
                     continue; // keep the previous center
                 }
-                let div = |sum: i64| ((2 * sum + count) / (2 * count)) as i32;
                 centers[k] = ClusterCodes {
-                    l: kernel.truncate_channel(div(acc[0]).clamp(0, 255) as u8),
-                    a: kernel.truncate_channel(div(acc[1]).clamp(0, 255) as u8),
-                    b: kernel.truncate_channel(div(acc[2]).clamp(0, 255) as u8),
-                    x: div(acc[3]),
-                    y: div(acc[4]),
+                    l: kernel.truncate_channel(rounded_div(acc[0], count).clamp(0, 255) as u8),
+                    a: kernel.truncate_channel(rounded_div(acc[1], count).clamp(0, 255) as u8),
+                    b: kernel.truncate_channel(rounded_div(acc[2], count).clamp(0, 255) as u8),
+                    x: rounded_div(acc[3], count),
+                    y: rounded_div(acc[4], count),
                 };
                 updated += 1;
             }

@@ -45,16 +45,13 @@
 
 pub mod accel;
 pub mod batch;
-pub mod centerunit;
 pub mod cluster;
-pub mod colorunit;
 pub mod dma;
 pub mod dram;
 pub mod dse;
 pub mod export;
 pub mod faults;
 pub mod floorplan;
-pub mod fsm;
 pub mod gpu;
 pub mod model;
 pub mod pipeline;

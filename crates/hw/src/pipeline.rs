@@ -179,12 +179,12 @@ impl ClusterPipeline {
         });
         // Advance by one issue cycle (the +1 in the latency model).
         self.cycle += 1;
-        self.drain_ready();
+        self.retire_ready();
         id
     }
 
     /// Retires every transaction whose pipeline latency has elapsed.
-    fn drain_ready(&mut self) {
+    fn retire_ready(&mut self) {
         let latency = self.config.latency_cycles() as u64;
         while let Some(front) = self.in_flight.front() {
             let retire_at = front.issued_at + latency;
@@ -211,7 +211,7 @@ impl ClusterPipeline {
         if let Some(last) = self.in_flight.back() {
             self.cycle = self.cycle.max(last.issued_at + latency);
         }
-        self.drain_ready();
+        self.retire_ready();
         debug_assert!(self.in_flight.is_empty());
         self.cycle
     }

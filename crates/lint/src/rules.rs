@@ -30,12 +30,11 @@ use crate::lexer::{lex, Token, TokenKind};
 /// Matched by path suffix. `crates/fixed/src/{lut,quant,format}.rs` are the
 /// sanctioned float↔fixed boundary and are intentionally absent.
 pub const DATAPATH_FILES: &[&str] = &[
-    "crates/hw/src/colorunit.rs",
-    "crates/hw/src/centerunit.rs",
     "crates/hw/src/cluster.rs",
     "crates/hw/src/pipeline.rs",
     "crates/hw/src/dma.rs",
     "crates/hw/src/scratchpad.rs",
+    "crates/fixed/src/div.rs",
     "crates/fixed/src/fx.rs",
     "crates/fixed/src/isqrt.rs",
     "crates/fault/src/plan.rs",

@@ -147,7 +147,7 @@ fn nondeterminism_fixture_fires_in_determinism_scope_only() {
 #[test]
 fn clean_fixture_has_zero_false_positives() {
     let src = fixture("clean.rs");
-    let findings = check_file("crates/hw/src/colorunit.rs", &src);
+    let findings = check_file("crates/hw/src/cluster.rs", &src);
     assert!(findings.is_empty(), "false positives: {findings:?}");
 }
 

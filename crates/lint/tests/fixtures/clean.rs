@@ -1,6 +1,6 @@
 //! Fixture: a datapath module that must produce ZERO findings, stuffed
 //! with lexer edge cases that naive text matching would flag.
-//! Linted under the virtual path `crates/hw/src/colorunit.rs`.
+//! Linted under the virtual path `crates/hw/src/cluster.rs`.
 #![forbid(unsafe_code)]
 
 /// Talks about f32 and f64 in docs; computes `0.5 * x` conceptually.

@@ -214,8 +214,10 @@ pub struct RunReport {
     pub iterations: u64,
     /// Subset count of the subset-schedule algorithms.
     pub subsets: u64,
-    /// Worker threads used.
-    pub threads: u64,
+    /// Worker threads used; `None` (and omitted from the JSON) in
+    /// deterministic reports, whose bytes must not depend on the thread
+    /// count.
+    pub threads: Option<u64>,
     /// Compactness parameter.
     pub compactness: f64,
     /// Distance mode (`float` or `quantized`).
@@ -285,7 +287,9 @@ impl RunReport {
         out.push_str(&format!(",\"superpixels\":{}", self.superpixels));
         out.push_str(&format!(",\"iterations\":{}", self.iterations));
         out.push_str(&format!(",\"subsets\":{}", self.subsets));
-        out.push_str(&format!(",\"threads\":{}", self.threads));
+        if let Some(t) = self.threads {
+            out.push_str(&format!(",\"threads\":{t}"));
+        }
         out.push_str(&format!(",\"compactness\":{}", self.compactness));
         out.push_str(&format!(
             ",\"distance_mode\":\"{}\"",
@@ -443,7 +447,7 @@ impl RunReport {
             superpixels: need_u64("superpixels")?,
             iterations: need_u64("iterations")?,
             subsets: need_u64("subsets")?,
-            threads: need_u64("threads")?,
+            threads: j.get("threads").and_then(Json::as_u64),
             compactness: j
                 .get("compactness")
                 .and_then(Json::as_f64)
@@ -479,7 +483,7 @@ mod tests {
             superpixels: 150,
             iterations: 3,
             subsets: 4,
-            threads: 2,
+            threads: Some(2),
             compactness: 10.5,
             distance_mode: "quantized".to_string(),
             kernel: None,
@@ -553,6 +557,18 @@ mod tests {
             label_checksum: 0xDEAD_BEEF_CAFE_F00D,
         });
         let json = r.to_json();
+        let back = RunReport::from_json(&json).expect("parse");
+        assert_eq!(back, r);
+        assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
+    fn threads_field_is_optional() {
+        // Deterministic reports omit the thread count entirely.
+        let mut r = sample();
+        r.threads = None;
+        let json = r.to_json();
+        assert!(!json.contains("\"threads\""));
         let back = RunReport::from_json(&json).expect("parse");
         assert_eq!(back, r);
         assert_eq!(back.to_json(), json);

@@ -36,14 +36,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         img.rgb.width(),
         img.rgb.height(),
         seg.cluster_count(),
-        seg.iterations_run()
+        seg.report().iterations_run()
     );
     println!(
         "quality vs ground truth: USE = {:.4}, boundary recall = {:.4}",
         undersegmentation_error(seg.labels(), &img.ground_truth),
         boundary_recall(seg.labels(), &img.ground_truth, 2)
     );
-    let b = seg.breakdown();
+    let b = seg.report().breakdown();
     println!(
         "time breakdown: color conv {:.0}%, distance+min {:.0}%, center update {:.0}%",
         b.percent(sslic::core::profile::Phase::ColorConversion),

@@ -61,6 +61,6 @@ pub mod prelude {
     pub use sslic_core::{
         FleetConfig, FleetError, FrameReport, Kernel, RunOptions, SegmentError, SegmentRequest,
         Segmentation, SegmentationStatus, Segmenter, SegmenterSession, SessionFleet, SlicParams,
-        SlicParamsBuilder, StreamFrame, StreamId,
+        SlicParamsBuilder, StreamId,
     };
 }

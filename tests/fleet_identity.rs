@@ -1,10 +1,10 @@
 //! The fleet contract, pinned end to end: a [`SessionFleet`] is a pure
-//! scheduler. `run_batch` and `serve` produce bit-identical labels,
-//! centers, and counters to N independent [`SegmenterSession`]s fed the
-//! same frames — at engine threads {1, 2, 8}, at any `frame_workers`
-//! count, with a recovery-armed faulted stream healing in the middle of
-//! clean neighbors, and across slot rebinding (a closed stream's
-//! replacement seeds cold exactly like a fresh session).
+//! scheduler. Interleaved `run` calls and `serve` produce bit-identical
+//! labels, centers, and counters to N independent [`SegmenterSession`]s
+//! fed the same frames — at engine threads {1, 2, 8}, with a
+//! recovery-armed faulted stream healing in the middle of clean
+//! neighbors, and across slot rebinding (a closed stream's replacement
+//! seeds cold exactly like a fresh session).
 
 use sslic::core::{
     label_checksum, serve, write_wire_close, write_wire_frame, write_wire_stats, RecoveryPolicy,
@@ -38,63 +38,56 @@ fn segmenter(threads: usize) -> Segmenter {
 }
 
 #[test]
-fn run_batch_matches_independent_sessions_at_all_thread_counts() {
+fn interleaved_fleet_frames_match_independent_sessions_at_all_thread_counts() {
     const STREAMS: u64 = 3;
     const PER_STREAM: usize = 4;
     let per_stream: Vec<Vec<SyntheticImage>> =
         (0..STREAMS).map(|s| images(s, PER_STREAM)).collect();
-    // Interleaved arrival: s0f0, s1f0, s2f0, s0f1, ...
-    let mut batch: Vec<StreamFrame<'_>> = Vec::new();
-    for f in 0..PER_STREAM {
-        for s in 0..STREAMS {
-            batch.push(StreamFrame::new(
-                StreamId(s),
-                SegmentRequest::Rgb(&per_stream[s as usize][f].rgb),
-            ));
-        }
-    }
 
     for threads in [1usize, 2, 8] {
         let seg = segmenter(threads);
-        for workers in [1usize, 2, 8] {
-            let cfg = FleetConfig::builder()
-                .with_slots(STREAMS as usize)
-                .with_frame_workers(workers)
-                .try_build()
-                .expect("valid config");
-            let mut fleet = SessionFleet::new(&seg, W, H, cfg);
-            let reports = fleet.run_batch(&batch, &RunOptions::new());
-            assert_eq!(reports.len(), batch.len());
-
-            // Reference: one standalone session per stream, frames in the
-            // same per-stream order.
+        let cfg = FleetConfig::builder()
+            .with_slots(STREAMS as usize)
+            .try_build()
+            .expect("valid config");
+        let mut fleet = SessionFleet::new(&seg, W, H, cfg);
+        // Interleaved arrival: s0f0, s1f0, s2f0, s0f1, ...
+        let mut reports = Vec::new();
+        for f in 0..PER_STREAM {
             for s in 0..STREAMS {
-                let mut session = seg.session(W, H);
-                for (f, img) in per_stream[s as usize].iter().enumerate() {
-                    let reference = session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-                    let i = f * STREAMS as usize + s as usize;
-                    assert_eq!(
-                        reports[i].counters(),
-                        reference.counters(),
-                        "threads={threads} workers={workers} stream {s} frame {f}: counters"
-                    );
-                    assert_eq!(
-                        reports[i].iterations_run(),
-                        reference.iterations_run(),
-                        "threads={threads} workers={workers} stream {s} frame {f}: iterations"
-                    );
-                }
+                let rgb = &per_stream[s as usize][f].rgb;
+                reports.push(fleet.run(StreamId(s), SegmentRequest::Rgb(rgb), &RunOptions::new()));
+            }
+        }
+
+        // Reference: one standalone session per stream, frames in the
+        // same per-stream order.
+        for s in 0..STREAMS {
+            let mut session = seg.session(W, H);
+            for (f, img) in per_stream[s as usize].iter().enumerate() {
+                let reference = session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+                let i = f * STREAMS as usize + s as usize;
                 assert_eq!(
-                    fleet.stream_labels(StreamId(s)).map(Plane::as_slice),
-                    Some(session.labels().as_slice()),
-                    "threads={threads} workers={workers} stream {s}: final labels"
+                    reports[i].counters(),
+                    reference.counters(),
+                    "threads={threads} stream {s} frame {f}: counters"
                 );
                 assert_eq!(
-                    fleet.stream_clusters(StreamId(s)),
-                    Some(session.clusters()),
-                    "threads={threads} workers={workers} stream {s}: final centers"
+                    reports[i].iterations_run(),
+                    reference.iterations_run(),
+                    "threads={threads} stream {s} frame {f}: iterations"
                 );
             }
+            assert_eq!(
+                fleet.stream_labels(StreamId(s)).map(Plane::as_slice),
+                Some(session.labels().as_slice()),
+                "threads={threads} stream {s}: final labels"
+            );
+            assert_eq!(
+                fleet.stream_clusters(StreamId(s)),
+                Some(session.clusters()),
+                "threads={threads} stream {s}: final centers"
+            );
         }
     }
 }
@@ -199,8 +192,7 @@ fn serve_is_thread_invariant_and_matches_independent_sessions() {
     let s1 = images(21, 1);
     let wire = wire_input(&s0, &s1);
 
-    let mut normalized: Vec<String> = Vec::new();
-    let mut first_output = String::new();
+    let mut outputs: Vec<String> = Vec::new();
     for threads in [1usize, 2, 8] {
         let seg = segmenter(threads);
         let cfg = FleetConfig::builder().with_slots(2).build();
@@ -209,16 +201,14 @@ fn serve_is_thread_invariant_and_matches_independent_sessions() {
             .expect("serve pumps to EOF");
         assert_eq!(summary.frames, 4);
         assert_eq!(summary.closed, 1);
-        let text = String::from_utf8(out).expect("utf8 output");
-        if threads == 1 {
-            first_output = text.clone();
-        }
-        // The RunReport legitimately records its thread count; normalise
-        // exactly that field (as the CI gate does) before comparing.
-        normalized.push(text.replace(&format!("\"threads\":{threads}"), "\"threads\":X"));
+        outputs.push(String::from_utf8(out).expect("utf8 output"));
     }
-    assert_eq!(normalized[0], normalized[1], "1 vs 2 threads");
-    assert_eq!(normalized[0], normalized[2], "1 vs 8 threads");
+    // Deterministic reports omit the thread count, so the whole output
+    // is byte-identical with no normalisation.
+    assert!(!outputs[0].contains("\"threads\""));
+    assert_eq!(outputs[0], outputs[1], "1 vs 2 threads");
+    assert_eq!(outputs[0], outputs[2], "1 vs 8 threads");
+    let first_output = &outputs[0];
 
     // Per-stream label checksums in the report lines must match
     // independent sessions — including the cold rebind after the close.

@@ -88,5 +88,5 @@ fn quantized_software_engine_counts_match_hw_work() {
     let img = SyntheticImage::builder(96, 72).seed(7).regions(6).build();
     let sw = software_twin(60, 6, 2).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
     let n = (96 * 72) as u64;
-    assert_eq!(sw.counters().distance_calcs, 6 * (n / 2) * 9);
+    assert_eq!(sw.report().counters().distance_calcs, 6 * (n / 2) * 9);
 }

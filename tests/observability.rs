@@ -77,7 +77,7 @@ fn run_report_round_trips_through_the_facade() {
     let report = build_run_report(&seg, &out, true, Some(&rec), 0);
     let back = RunReport::from_json(&report.to_json()).expect("round trip");
     assert_eq!(report, back);
-    assert_eq!(back.counters.distance_calcs, out.counters().distance_calcs);
+    assert_eq!(back.counters.distance_calcs, out.report().counters().distance_calcs);
     // Deterministic reports carry no wall-clock time.
     assert!(back.phases.iter().all(|p| p.nanos == 0));
 }

@@ -53,11 +53,14 @@ fn claim_sslic_matches_slic_quality_at_half_the_step_cost() {
 
     // Identical total assignment work (16 half-passes = 8 full passes)…
     assert_eq!(
-        slic.counters().distance_calcs,
-        sslic.counters().distance_calcs
+        slic.report().counters().distance_calcs,
+        sslic.report().counters().distance_calcs
     );
     // …with twice the center updates, and no quality loss.
-    assert_eq!(slic.counters().center_updates * 2, sslic.counters().center_updates);
+    assert_eq!(
+        slic.report().counters().center_updates * 2,
+        sslic.report().counters().center_updates
+    );
     let use_slic = undersegmentation_error(slic.labels(), &img.ground_truth);
     let use_sslic = undersegmentation_error(sslic.labels(), &img.ground_truth);
     assert!(
@@ -154,10 +157,10 @@ fn claim_cpa_vs_ppa_tradeoff() {
     let model = TrafficModel::sw_double();
     let cpa = Segmenter::new(params, Algorithm::SlicCpa).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
     let ppa = Segmenter::new(params, Algorithm::SlicPpa).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-    let mem_ratio = model.bytes(cpa.counters()).total() as f64
-        / model.bytes(ppa.counters()).total() as f64;
-    let ops_ratio =
-        ppa.counters().distance_ops() as f64 / cpa.counters().distance_ops() as f64;
+    let mem_ratio = model.bytes(cpa.report().counters()).total() as f64
+        / model.bytes(ppa.report().counters()).total() as f64;
+    let ops_ratio = ppa.report().counters().distance_ops() as f64
+        / cpa.report().counters().distance_ops() as f64;
     assert!((2.5..5.0).contains(&mem_ratio), "memory ratio {mem_ratio}");
     assert!((1.8..2.6).contains(&ops_ratio), "ops ratio {ops_ratio}");
 }

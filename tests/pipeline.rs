@@ -99,7 +99,7 @@ fn connectivity_leaves_no_small_fragments() {
         .min_region_divisor(4)
         .build();
     let seg = Segmenter::slic_ppa(p).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-    let min_size = ((seg.spacing() * seg.spacing()) / 4.0) as usize;
+    let min_size = ((seg.report().spacing() * seg.report().spacing()) / 4.0) as usize;
     let sizes = sslic::core::component_sizes(seg.labels());
     let too_small = sizes.iter().filter(|&&s| s < min_size).count();
     assert!(
@@ -142,7 +142,7 @@ fn convergence_threshold_stops_early_and_preserves_quality() {
         .convergence_threshold(Some(0.1))
         .build();
     let early = Segmenter::slic_ppa(p).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-    assert!(early.iterations_run() < 15, "threshold should trigger");
+    assert!(early.report().iterations_run() < 15, "threshold should trigger");
     let use_free = undersegmentation_error(free_running.labels(), &img.ground_truth);
     let use_early = undersegmentation_error(early.labels(), &img.ground_truth);
     assert!(
