@@ -23,6 +23,11 @@ echo "==> zero-allocation gate (steady-state session frames must not touch the h
 # the workspace test sweep above.
 cargo test -q --test zero_alloc
 
+echo "==> colour identity (the table-driven RGB->Lab8 converter must match its f64 oracle on the full RGB cube)"
+# The workspace run above checks a strided cube; the exhaustive 256^3
+# comparison is #[ignore]d there because it needs an optimised build.
+cargo test --release -q -p sslic-color -- --ignored
+
 echo "==> sslic-analyze (token rules + overflow/alloc/determinism passes)"
 mkdir -p results
 # Run twice and byte-diff: the analyzer's own output is part of the

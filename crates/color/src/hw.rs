@@ -13,6 +13,22 @@
 //!
 //! The datapath width at each stage is configurable through
 //! [`HwColorConfig`] so the bit-width exploration of §6.1 can sweep it.
+//!
+//! Every stage after the matrix takes a small integer input, so
+//! [`HwColorConverter::new`] evaluates those stages once per possible input
+//! with the `f64` stage expressions and stores the results:
+//!
+//! * the companding (PWL or linear branch, rounded to `pwl_frac_bits`) and
+//!   the `L` encode, indexed by the clamped matrix output
+//!   `s ∈ 0..=2^gamma_frac_bits`;
+//! * the `a`/`b` encodes, indexed by the difference of two companded codes
+//!   (`F_X − F_Y`, `F_Y − F_Z`). Each companded value `f = F/2^pwl_frac_bits`
+//!   is dyadic, so `f_X − f_Y` is exact in `f64` and a function of the
+//!   integer difference alone.
+//!
+//! The per-pixel path is then integer-only — three gamma reads, the matrix,
+//! five table reads — and its codes are bit-identical to evaluating the
+//! stage expressions per pixel.
 
 use sslic_fixed::{Lut256, PwlLut};
 use sslic_image::{Rgb, RgbImage};
@@ -46,6 +62,16 @@ impl Default for HwColorConfig {
     }
 }
 
+/// One companding-table entry: the stages that follow the matrix for one
+/// clamped matrix output `s`.
+#[derive(Debug, Clone, Copy)]
+struct Compand {
+    /// The companded value rounded to `pwl_frac_bits`, as an integer code.
+    code: i32,
+    /// The encoded lightness byte when this entry is `f_Y`.
+    l8: u8,
+}
+
 /// The LUT/fixed-point RGB→CIELAB converter of the S-SLIC accelerator.
 ///
 /// # Example
@@ -65,7 +91,16 @@ pub struct HwColorConverter {
     gamma: Lut256,
     /// Matrix coefficients with `1/white` folded in, at `matrix_frac_bits`.
     matrix: [[i64; 3]; 3],
-    pwl: PwlLut,
+    /// Companding and `L` encode, indexed by the clamped matrix output.
+    compand: Vec<Compand>,
+    /// Encoded `a` byte for each code difference `F_X − F_Y`, offset by
+    /// `span`.
+    a8: Vec<u8>,
+    /// Encoded `b` byte for each code difference `F_Y − F_Z`, offset by
+    /// `span`.
+    b8: Vec<u8>,
+    /// Largest difference between two companded codes.
+    span: i32,
     config: HwColorConfig,
 }
 
@@ -80,14 +115,21 @@ impl HwColorConverter {
     ///
     /// # Panics
     ///
-    /// Panics if `pwl_segments == 0` or any bit width exceeds 24.
+    /// Panics if `pwl_segments == 0`, if `matrix_frac_bits == 0` (the
+    /// matrix rounds by adding half an LSB of its fraction), or if any bit
+    /// width exceeds 16 (the tables grow as `2^gamma_frac_bits` and
+    /// `2^pwl_frac_bits`).
     pub fn new(config: HwColorConfig) -> Self {
         assert!(config.pwl_segments > 0, "at least one PWL segment");
         assert!(
-            config.gamma_frac_bits <= 24
-                && config.matrix_frac_bits <= 24
-                && config.pwl_frac_bits <= 24,
-            "bit widths above 24 are not hardware-plausible here"
+            config.matrix_frac_bits > 0,
+            "the matrix needs at least one fraction bit"
+        );
+        assert!(
+            config.gamma_frac_bits <= 16
+                && config.matrix_frac_bits <= 16
+                && config.pwl_frac_bits <= 16,
+            "bit widths above 16 are not supported: the tables grow as 2^bits"
         );
         let gscale = (1i64 << config.gamma_frac_bits) as f64;
         let gamma = Lut256::from_fn(|code| {
@@ -101,11 +143,46 @@ impl HwColorConverter {
                 *m = (RGB_TO_XYZ[r][c] / REFERENCE_WHITE[r] * mscale).round() as i64;
             }
         }
+        // Companding via PWL (or the exact linear branch), rounded to the
+        // PWL output precision, for every matrix output s / 2^gamma_frac.
         let pwl = PwlLut::from_fn_geometric(config.pwl_segments, LAB_EPSILON, 1.0, |t| t.cbrt());
+        let gmax = 1i64 << config.gamma_frac_bits;
+        let pscale = (1i64 << config.pwl_frac_bits) as f64;
+        let compand: Vec<Compand> = (0..=gmax)
+            .map(|s| {
+                let t = s as f64 / gmax as f64;
+                let v = if t > LAB_EPSILON {
+                    pwl.eval(t)
+                } else {
+                    (LAB_KAPPA * t + 16.0) / 116.0
+                };
+                let code = (v * pscale).round();
+                Compand {
+                    code: code as i32,
+                    l8: lab8::encode([116.0 * (code / pscale) - 16.0, 0.0, 0.0])[0],
+                }
+            })
+            .collect();
+        // The a/b encodes for every difference two companded codes can
+        // have: `d / 2^pwl_frac` is exactly `f_1 − f_2`.
+        let (lo, hi) = compand.iter().fold((i32::MAX, i32::MIN), |(lo, hi), e| {
+            (lo.min(e.code), hi.max(e.code))
+        });
+        let span = hi - lo;
+        let (a8, b8) = (-span..=span)
+            .map(|d| {
+                let df = d as f64 / pscale;
+                let [_, a, b] = lab8::encode([0.0, 500.0 * df, 200.0 * df]);
+                (a, b)
+            })
+            .unzip();
         HwColorConverter {
             gamma,
             matrix,
-            pwl,
+            compand,
+            a8,
+            b8,
+            span,
             config,
         }
     }
@@ -133,41 +210,32 @@ impl HwColorConverter {
     /// Converts one 8-bit sRGB pixel to encoded 8-bit CIELAB
     /// (see [`crate::lab8`]).
     pub fn convert(&self, px: Rgb) -> [u8; 3] {
+        self.datapath(px.to_array())
+    }
+
+    /// The per-pixel datapath shared by [`Self::convert`] and
+    /// [`Self::convert_image_into`]; forced inline because a call per pixel
+    /// would cost more than the datapath itself.
+    #[inline(always)]
+    fn datapath(&self, rgb: [u8; 3]) -> [u8; 3] {
         // Stage 1: gamma LUT (three ROM reads).
-        let lin = [
-            self.gamma.lookup(px.r) as i64,
-            self.gamma.lookup(px.g) as i64,
-            self.gamma.lookup(px.b) as i64,
-        ];
+        let lin = rgb.map(|c| i64::from(self.gamma.lookup(c)));
         // Stage 2: fixed-point matrix with folded white division. The
         // product has gamma_frac + matrix_frac fraction bits; shift back to
-        // gamma_frac with rounding.
-        let shift = self.config.matrix_frac_bits as u32;
-        let half = 1i64 << (shift - 1).min(62);
+        // gamma_frac with rounding and clamp to the companding table.
+        let shift = u32::from(self.config.matrix_frac_bits);
+        let half = 1i64 << (shift - 1);
         let gmax = 1i64 << self.config.gamma_frac_bits;
-        let mut t = [0f64; 3];
-        for (row, tr) in t.iter_mut().enumerate() {
-            let acc: i64 = (0..3).map(|c| self.matrix[row][c] * lin[c]).sum();
-            let scaled = ((acc + half) >> shift).clamp(0, gmax);
-            *tr = scaled as f64 / gmax as f64;
-        }
-        // Stage 3: companding via PWL (or the exact linear branch), rounded
-        // to the PWL output precision.
-        let pscale = (1i64 << self.config.pwl_frac_bits) as f64;
-        let f = t.map(|ti| {
-            let v = if ti > LAB_EPSILON {
-                self.pwl.eval(ti)
-            } else {
-                (LAB_KAPPA * ti + 16.0) / 116.0
-            };
-            (v * pscale).round() / pscale
-        });
-        // Stage 4: the three linear combinations and the 8-bit encode.
-        lab8::encode([
-            116.0 * f[1] - 16.0,
-            500.0 * (f[0] - f[1]),
-            200.0 * (f[1] - f[2]),
-        ])
+        // Stage 3: companding and the L encode (one table read per row).
+        let compand = |[m0, m1, m2]: [i64; 3]| {
+            let acc = m0 * lin[0] + m1 * lin[1] + m2 * lin[2];
+            self.compand[((acc + half) >> shift).clamp(0, gmax) as usize]
+        };
+        let [mx, my, mz] = self.matrix;
+        let (x, y, z) = (compand(mx), compand(my), compand(mz));
+        // Stage 4: the a/b encodes of the code differences (two reads).
+        let diff = |p: Compand, q: Compand| (p.code - q.code + self.span) as usize;
+        [y.l8, self.a8[diff(x, y)], self.b8[diff(y, z)]]
     }
 
     /// Converts a whole image into the scratchpad's planar 8-bit CIELAB
@@ -181,16 +249,8 @@ impl HwColorConverter {
 
     /// Converts a whole image into a caller-owned planar 8-bit CIELAB
     /// image (no allocation); per-pixel codes are identical to
-    /// [`HwColorConverter::convert_image`]. This is the streaming-session
-    /// entry point: the session reuses one `Lab8Image` across frames.
-    ///
-    /// Pixels move through the datapath in groups of four, stage-major —
-    /// every pixel of a group finishes the gamma LUT before any enters
-    /// the matrix, mirroring the accelerator's four-lane conversion unit
-    /// and letting the compiler keep each stage's tables/coefficients
-    /// hot. The per-pixel arithmetic inside each stage is exactly
-    /// [`HwColorConverter::convert`]'s, so the output codes are
-    /// bit-identical to the one-pixel path (pinned by test).
+    /// [`HwColorConverter::convert`]. This is the streaming-session entry
+    /// point: the session reuses one `Lab8Image` across frames.
     ///
     /// # Panics
     ///
@@ -200,62 +260,14 @@ impl HwColorConverter {
             out.width() == img.width() && out.height() == img.height(),
             "convert_image_into requires matching image geometry"
         );
-        let shift = self.config.matrix_frac_bits as u32;
-        let half = 1i64 << (shift - 1).min(62);
-        let gmax = 1i64 << self.config.gamma_frac_bits;
-        let pscale = (1i64 << self.config.pwl_frac_bits) as f64;
-        for y in 0..img.height() {
-            let mut x = 0;
-            while x < img.width() {
-                let n = (img.width() - x).min(4);
-                // Stage 1: gamma LUT — 3 ROM reads per lane.
-                let mut lin = [[0i64; 3]; 4];
-                for (j, l) in lin[..n].iter_mut().enumerate() {
-                    let px = img.pixel(x + j, y);
-                    *l = [
-                        self.gamma.lookup(px.r) as i64,
-                        self.gamma.lookup(px.g) as i64,
-                        self.gamma.lookup(px.b) as i64,
-                    ];
-                }
-                // Stage 2: fixed-point matrix with folded white division,
-                // shifted back to gamma_frac with rounding (per lane, same
-                // expression as `convert`).
-                let mut t = [[0f64; 3]; 4];
-                for (j, tj) in t[..n].iter_mut().enumerate() {
-                    for (row, tr) in tj.iter_mut().enumerate() {
-                        let acc: i64 = (0..3).map(|c| self.matrix[row][c] * lin[j][c]).sum();
-                        let scaled = ((acc + half) >> shift).clamp(0, gmax);
-                        *tr = scaled as f64 / gmax as f64;
-                    }
-                }
-                // Stage 3: PWL companding (or the exact linear branch),
-                // rounded to the PWL output precision.
-                let mut f = [[0f64; 3]; 4];
-                for (j, fj) in f[..n].iter_mut().enumerate() {
-                    *fj = t[j].map(|ti| {
-                        let v = if ti > LAB_EPSILON {
-                            self.pwl.eval(ti)
-                        } else {
-                            (LAB_KAPPA * ti + 16.0) / 116.0
-                        };
-                        (v * pscale).round() / pscale
-                    });
-                }
-                // Stage 4: the three linear combinations, 8-bit encode,
-                // planar write-back.
-                for (j, fj) in f[..n].iter().enumerate() {
-                    let [l, a, b] = lab8::encode([
-                        116.0 * fj[1] - 16.0,
-                        500.0 * (fj[0] - fj[1]),
-                        200.0 * (fj[1] - fj[2]),
-                    ]);
-                    out.l[(x + j, y)] = l;
-                    out.a[(x + j, y)] = a;
-                    out.b[(x + j, y)] = b;
-                }
-                x += n;
-            }
+        let planes = out
+            .l
+            .as_mut_slice()
+            .iter_mut()
+            .zip(out.a.as_mut_slice())
+            .zip(out.b.as_mut_slice());
+        for (px, ((l, a), b)) in img.as_raw().chunks_exact(3).zip(planes) {
+            [*l, *a, *b] = self.datapath([px[0], px[1], px[2]]);
         }
     }
 
@@ -263,28 +275,19 @@ impl HwColorConverter {
     /// the float reference over a deterministic sample of the RGB cube —
     /// the validation the paper runs before committing to the LUT design.
     pub fn max_code_error_vs_float(&self, stride: u8) -> [u8; 3] {
-        let stride = stride.max(1);
+        let axis = || (0..=255u8).step_by(usize::from(stride.max(1)));
         let mut max = [0u8; 3];
-        let mut v = 0u16;
-        while v <= 255 {
-            let mut g = 0u16;
-            while g <= 255 {
-                let mut b = 0u16;
-                while b <= 255 {
-                    let px = Rgb::new(v as u8, g as u8, b as u8);
+        for r in axis() {
+            for g in axis() {
+                for b in axis() {
+                    let px = Rgb::new(r, g, b);
                     let hwc = self.convert(px);
                     let refc = lab8::encode(crate::float::rgb8_to_lab(px));
-                    for i in 0..3 {
-                        let d = (hwc[i] as i16 - refc[i] as i16).unsigned_abs() as u8;
-                        if d > max[i] {
-                            max[i] = d;
-                        }
+                    for ((m, h), f) in max.iter_mut().zip(hwc).zip(refc) {
+                        *m = (*m).max(h.abs_diff(f));
                     }
-                    b += stride as u16;
                 }
-                g += stride as u16;
             }
-            v += stride as u16;
         }
         max
     }
@@ -293,7 +296,7 @@ impl HwColorConverter {
 /// Free-function form of [`HwColorConverter::convert_image_into`]: runs the
 /// accelerator's LUT conversion of `img` into the caller-owned `out`
 /// planes without allocating. Streaming callers build the converter once
-/// (its LUTs are the only allocation) and reuse `out` across frames.
+/// (its tables are the only allocation) and reuse `out` across frames.
 ///
 /// # Panics
 ///
@@ -306,6 +309,240 @@ pub fn rgb_to_lab8_into(converter: &HwColorConverter, img: &RgbImage, out: &mut 
 mod tests {
     use super::*;
 
+    /// A frozen copy of the per-pixel `f64` datapath the tables replaced:
+    /// the identity oracle for every table entry and both entry points.
+    struct Oracle {
+        gamma: Lut256,
+        matrix: [[i64; 3]; 3],
+        pwl: PwlLut,
+        config: HwColorConfig,
+    }
+
+    impl Oracle {
+        fn new(config: HwColorConfig) -> Self {
+            let gscale = (1i64 << config.gamma_frac_bits) as f64;
+            let gamma = Lut256::from_fn(|code| {
+                let x = code as f64 / 255.0;
+                (crate::float::srgb_to_linear(x) * gscale).round() as i32
+            });
+            let mscale = (1i64 << config.matrix_frac_bits) as f64;
+            let mut matrix = [[0i64; 3]; 3];
+            for (r, row) in matrix.iter_mut().enumerate() {
+                for (c, m) in row.iter_mut().enumerate() {
+                    *m = (RGB_TO_XYZ[r][c] / REFERENCE_WHITE[r] * mscale).round() as i64;
+                }
+            }
+            let pwl =
+                PwlLut::from_fn_geometric(config.pwl_segments, LAB_EPSILON, 1.0, |t| t.cbrt());
+            Oracle {
+                gamma,
+                matrix,
+                pwl,
+                config,
+            }
+        }
+
+        /// Stage 3 for one clamped matrix output: companding via PWL (or
+        /// the exact linear branch), rounded to the PWL output precision.
+        fn compand(&self, scaled: i64) -> f64 {
+            let gmax = 1i64 << self.config.gamma_frac_bits;
+            let pscale = (1i64 << self.config.pwl_frac_bits) as f64;
+            let ti = scaled as f64 / gmax as f64;
+            let v = if ti > LAB_EPSILON {
+                self.pwl.eval(ti)
+            } else {
+                (LAB_KAPPA * ti + 16.0) / 116.0
+            };
+            (v * pscale).round() / pscale
+        }
+
+        /// Stage 4: the three linear combinations and the 8-bit encode.
+        fn encode(f: [f64; 3]) -> [u8; 3] {
+            lab8::encode([
+                116.0 * f[1] - 16.0,
+                500.0 * (f[0] - f[1]),
+                200.0 * (f[1] - f[2]),
+            ])
+        }
+
+        fn convert(&self, px: Rgb) -> [u8; 3] {
+            // Stage 1: gamma LUT.
+            let lin = [
+                self.gamma.lookup(px.r) as i64,
+                self.gamma.lookup(px.g) as i64,
+                self.gamma.lookup(px.b) as i64,
+            ];
+            // Stage 2: fixed-point matrix, shifted back with rounding.
+            let shift = self.config.matrix_frac_bits as u32;
+            let half = 1i64 << (shift - 1).min(62);
+            let gmax = 1i64 << self.config.gamma_frac_bits;
+            let mut f = [0f64; 3];
+            for (row, fr) in f.iter_mut().enumerate() {
+                let acc: i64 = (0..3).map(|c| self.matrix[row][c] * lin[c]).sum();
+                *fr = self.compand(((acc + half) >> shift).clamp(0, gmax));
+            }
+            Self::encode(f)
+        }
+    }
+
+    const CONFIGS: [HwColorConfig; 4] = [
+        HwColorConfig {
+            gamma_frac_bits: 12,
+            matrix_frac_bits: 12,
+            pwl_segments: 8,
+            pwl_frac_bits: 12,
+        },
+        HwColorConfig {
+            gamma_frac_bits: 8,
+            matrix_frac_bits: 8,
+            pwl_segments: 8,
+            pwl_frac_bits: 8,
+        },
+        HwColorConfig {
+            gamma_frac_bits: 7,
+            matrix_frac_bits: 9,
+            pwl_segments: 3,
+            pwl_frac_bits: 6,
+        },
+        HwColorConfig {
+            gamma_frac_bits: 5,
+            matrix_frac_bits: 5,
+            pwl_segments: 2,
+            pwl_frac_bits: 5,
+        },
+    ];
+
+    /// Every `stride`-th code on each axis of the RGB cube, then all greys.
+    fn strided_cube(stride: usize) -> Vec<Rgb> {
+        let axis = || (0..=255u8).step_by(stride);
+        let mut pixels: Vec<Rgb> = axis()
+            .flat_map(|r| axis().flat_map(move |g| axis().map(move |b| Rgb::new(r, g, b))))
+            .collect();
+        pixels.extend((0..=255u8).map(|v| Rgb::new(v, v, v)));
+        pixels
+    }
+
+    /// Asserts that `convert` and `convert_image_into` both reproduce the
+    /// oracle on every pixel of `pixels`.
+    fn assert_matches_oracle(conv: &HwColorConverter, oracle: &Oracle, pixels: &[Rgb]) {
+        // An odd width, so image rows start at arbitrary cube positions.
+        let width = 251;
+        let img = RgbImage::from_fn(width, pixels.len().div_ceil(width), |x, y| {
+            pixels[(y * width + x).min(pixels.len() - 1)]
+        });
+        let mut lab = Lab8Image::from_fn(img.width(), img.height(), |_, _| [7; 3]);
+        conv.convert_image_into(&img, &mut lab);
+        for (i, &px) in pixels.iter().enumerate() {
+            let want = oracle.convert(px);
+            assert_eq!(conv.convert(px), want, "convert diverged at {px:?}");
+            assert_eq!(
+                lab.pixel(i % width, i / width),
+                want,
+                "convert_image_into diverged at {px:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn tables_match_the_oracle_stage_expressions_over_their_whole_domain() {
+        for config in CONFIGS {
+            let conv = HwColorConverter::new(config);
+            let oracle = Oracle::new(config);
+            assert_eq!(conv.gamma, oracle.gamma);
+            assert_eq!(conv.matrix, oracle.matrix);
+            let pscale = (1i64 << config.pwl_frac_bits) as f64;
+            let gmax = 1i64 << config.gamma_frac_bits;
+            assert_eq!(conv.compand.len() as i64, gmax + 1);
+            for (s, e) in (0..=gmax).zip(&conv.compand) {
+                let f = oracle.compand(s);
+                assert_eq!(e.code as f64 / pscale, f, "{config:?}: companding at s={s}");
+                assert_eq!(
+                    e.l8,
+                    Oracle::encode([0.0, f, 0.0])[0],
+                    "{config:?}: L at s={s}"
+                );
+            }
+            // Each difference d, realised by two codes of the table's range.
+            let lo = conv.compand.iter().map(|e| e.code).min().unwrap();
+            let hi = conv.compand.iter().map(|e| e.code).max().unwrap();
+            assert_eq!(conv.span, hi - lo);
+            assert_eq!(conv.a8.len(), 2 * conv.span as usize + 1);
+            assert_eq!(conv.b8.len(), conv.a8.len());
+            for d in -conv.span..=conv.span {
+                let (p, q) = (
+                    f64::from(lo + d.max(0)) / pscale,
+                    f64::from(lo + (-d).max(0)) / pscale,
+                );
+                let i = (d + conv.span) as usize;
+                assert_eq!(
+                    conv.a8[i],
+                    Oracle::encode([p, q, 0.0])[1],
+                    "{config:?}: a at {d}"
+                );
+                assert_eq!(
+                    conv.b8[i],
+                    Oracle::encode([0.0, p, q])[2],
+                    "{config:?}: b at {d}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn strided_cube_is_bit_identical_to_the_oracle() {
+        let pixels = strided_cube(5);
+        for config in CONFIGS {
+            assert_matches_oracle(
+                &HwColorConverter::new(config),
+                &Oracle::new(config),
+                &pixels,
+            );
+        }
+    }
+
+    #[test]
+    fn corrupted_gamma_entries_match_the_oracle_with_the_same_corruption() {
+        // Flips that stay in range, go negative (clamped to s = 0), and
+        // overshoot the table (clamped to s = 2^gamma_frac).
+        let mut conv = HwColorConverter::paper_default();
+        let mut oracle = Oracle::new(HwColorConfig::default());
+        for (code, mask) in [
+            (0u8, 1 << 11),
+            (35, 0x7ff),
+            (125, -1),
+            (200, 1 << 30),
+            (255, 1),
+        ] {
+            conv.corrupt_gamma_entry(code, mask);
+            oracle.gamma.corrupt(code, mask);
+        }
+        assert_matches_oracle(&conv, &oracle, &strided_cube(5));
+    }
+
+    #[test]
+    #[ignore = "full 256³ cube; run in release"]
+    fn full_rgb_cube_is_bit_identical_to_the_oracle() {
+        let conv = HwColorConverter::paper_default();
+        let oracle = Oracle::new(HwColorConfig::default());
+        let mut lab = Lab8Image::from_fn(256, 256, |_, _| [0; 3]);
+        for r in 0..=255u8 {
+            let img = RgbImage::from_fn(256, 256, |g, b| Rgb::new(r, g as u8, b as u8));
+            conv.convert_image_into(&img, &mut lab);
+            for g in 0..=255u8 {
+                for b in 0..=255u8 {
+                    let px = Rgb::new(r, g, b);
+                    let want = oracle.convert(px);
+                    assert_eq!(conv.convert(px), want, "convert diverged at {px:?}");
+                    assert_eq!(
+                        lab.pixel(usize::from(g), usize::from(b)),
+                        want,
+                        "convert_image_into diverged at {px:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn convert_image_into_matches_convert_image_bit_for_bit() {
         let img = RgbImage::from_fn(7, 5, |x, y| {
@@ -316,41 +553,6 @@ mod tests {
         let mut reused = Lab8Image::from_fn(7, 5, |_, _| [1; 3]);
         rgb_to_lab8_into(&conv, &img, &mut reused);
         assert_eq!(fresh, reused);
-    }
-
-    #[test]
-    fn batched_image_conversion_matches_scalar_convert_exactly() {
-        // The four-lane stage-major loop must reproduce the one-pixel
-        // datapath code-for-code, including the partial group at a width
-        // that is not a multiple of four and at non-default precisions.
-        for config in [
-            HwColorConfig::default(),
-            HwColorConfig {
-                gamma_frac_bits: 7,
-                matrix_frac_bits: 9,
-                pwl_segments: 3,
-                pwl_frac_bits: 6,
-            },
-        ] {
-            let conv = HwColorConverter::new(config);
-            let img = RgbImage::from_fn(11, 6, |x, y| {
-                Rgb::new(
-                    (x * 23 + y * 5) as u8,
-                    (y * 41 + x) as u8,
-                    ((x * y) * 17 + 3) as u8,
-                )
-            });
-            let lab = conv.convert_image(&img);
-            for y in 0..img.height() {
-                for x in 0..img.width() {
-                    assert_eq!(
-                        lab.pixel(x, y),
-                        conv.convert(img.pixel(x, y)),
-                        "batched path diverged at ({x},{y})"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -427,10 +629,44 @@ mod tests {
     }
 
     #[test]
+    fn sixteen_bit_widths_are_accepted() {
+        let config = HwColorConfig {
+            gamma_frac_bits: 16,
+            matrix_frac_bits: 16,
+            pwl_segments: 8,
+            pwl_frac_bits: 16,
+        };
+        let pixels: Vec<Rgb> = (0..=255u8).map(|v| Rgb::new(v, 255 - v, v / 2)).collect();
+        assert_matches_oracle(
+            &HwColorConverter::new(config),
+            &Oracle::new(config),
+            &pixels,
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "PWL segment")]
     fn zero_segments_panics() {
         let _ = HwColorConverter::new(HwColorConfig {
             pwl_segments: 0,
+            ..HwColorConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one fraction bit")]
+    fn zero_matrix_fraction_bits_panics() {
+        let _ = HwColorConverter::new(HwColorConfig {
+            matrix_frac_bits: 0,
+            ..HwColorConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "above 16")]
+    fn widths_above_16_bits_panic() {
+        let _ = HwColorConverter::new(HwColorConfig {
+            pwl_frac_bits: 17,
             ..HwColorConfig::default()
         });
     }

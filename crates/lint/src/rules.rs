@@ -19,7 +19,8 @@
 //! * `tests/`, `benches/`, `examples/`, `src/bin/` and `fixtures/` trees
 //!   are not library source — the panic rules do not apply there.
 //! * The datapath module list is a hardcoded policy (see [`DATAPATH_FILES`]):
-//!   the cycle-level hardware units plus the core fixed-point arithmetic.
+//!   the cycle-level hardware units, the core fixed-point arithmetic and
+//!   the LUT colour conversion.
 //!   The quantizer/LUT-builder modules of `sslic-fixed` are deliberately
 //!   excluded — their whole purpose is the float↔fixed boundary.
 
@@ -37,6 +38,10 @@ pub const DATAPATH_FILES: &[&str] = &[
     "crates/fixed/src/div.rs",
     "crates/fixed/src/fx.rs",
     "crates/fixed/src/isqrt.rs",
+    // The quantized colour conversion: per pixel it is gamma-LUT reads, an
+    // integer matrix and table reads; only its table builder (`new`) is
+    // allowed floats, as the float→fixed boundary.
+    "crates/color/src/hw.rs",
     "crates/fault/src/plan.rs",
     "crates/fault/src/inject.rs",
     // Observability clocks and metrics are integer-only by contract: a
