@@ -8,11 +8,11 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> deprecation gate (the workspace carries zero deprecated items)"
-# The legacy segment_* wrappers are gone — Segmenter::run and
-# SegmenterSession are the only entry points — so a -D deprecated build of
-# every target must pass with no #[allow(deprecated)] escape hatches left.
-RUSTFLAGS="${RUSTFLAGS:-} -D deprecated" cargo build --workspace --all-targets --release
+echo "==> warning gate (every target builds with zero warnings)"
+# Deprecated items, unused imports and dead bindings all fail the build:
+# a -D warnings build of every target must pass with no #[allow] escape
+# hatches added to get there.
+RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --workspace --all-targets --release
 
 echo "==> cargo test (workspace, overflow-checks on)"
 cargo test --workspace -q

@@ -25,8 +25,8 @@
 //! scalar-vs-SWAR assign-phase speedup.
 //!
 //! `--mode session` drives every frame through a persistent
-//! [`sslic_core::SegmenterSession`] via `run_into` (cold per frame, zero
-//! steady-state allocations) instead of the one-shot `Segmenter::run`.
+//! [`sslic_core::SegmenterSession`] via `reset` + `run` (cold per frame,
+//! zero steady-state allocations) instead of the one-shot `Segmenter::run`.
 //! `--mode fleet` drives every frame through a one-slot
 //! [`sslic_core::SessionFleet`] — the warm-up frame seeds the stream
 //! cold, the timed frames then run the fleet's steady state (per-stream
@@ -60,7 +60,6 @@ use sslic_core::{
     SegmentRequest, Segmenter, SessionFleet, SlicParams, StreamId,
 };
 use sslic_image::synthetic::SyntheticImage;
-use sslic_image::Plane;
 use sslic_obs::Recorder;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -218,9 +217,7 @@ fn main() -> ExitCode {
                 .build();
             let seg = Segmenter::sslic_ppa(params, 2)
                 .with_distance_mode(DistanceMode::quantized(8));
-            let mut session = (mode == Mode::Session).then(|| {
-                (seg.session(w, h), Plane::filled(w, h, 0u32))
-            });
+            let mut session = (mode == Mode::Session).then(|| seg.session(w, h));
             let mut fleet =
                 (mode == Mode::Fleet).then(|| SessionFleet::new(&seg, w, h, FleetConfig::default()));
             // One untimed warm-up run (page-in, allocator steady state);
@@ -228,9 +225,10 @@ fn main() -> ExitCode {
             // In fleet mode this is the stream's cold frame — bit-identical
             // to the other modes' cold run by contract.
             let sum = match (session.as_mut(), fleet.as_mut()) {
-                (Some((sess, out)), _) => {
-                    sess.run_into(SegmentRequest::Rgb(&img.rgb), &RunOptions::new(), out);
-                    label_checksum(out)
+                (Some(sess), _) => {
+                    sess.reset();
+                    sess.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+                    label_checksum(sess.labels())
                 }
                 (_, Some(fl)) => {
                     fl.run(StreamId(0), SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
@@ -255,8 +253,9 @@ fn main() -> ExitCode {
             let start = Instant::now();
             for _ in 0..frames {
                 match (session.as_mut(), fleet.as_mut()) {
-                    (Some((sess, out)), _) => {
-                        sess.run_into(SegmentRequest::Rgb(&img.rgb), &RunOptions::new(), out);
+                    (Some(sess), _) => {
+                        sess.reset();
+                        sess.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
                     }
                     (_, Some(fl)) => {
                         fl.run(StreamId(0), SegmentRequest::Rgb(&img.rgb), &RunOptions::new());

@@ -1,4 +1,4 @@
-use sslic_color::{Lab8Image, LabImage};
+use sslic_color::Lab8Image;
 use sslic_image::{Plane, RgbImage};
 use sslic_obs::Recorder;
 
@@ -113,11 +113,6 @@ pub enum SegmentRequest<'a> {
     /// follows the distance mode: the accelerator's LUT converter in
     /// quantized mode, the exact float converter otherwise.
     Rgb(&'a RgbImage),
-    /// A pre-converted float CIELAB image; conversion is charged zero time
-    /// (useful when sweeping algorithms over one corpus). In quantized
-    /// mode the pixels are first encoded to 8-bit codes so the datapath
-    /// sees the representation the accelerator's channel memories hold.
-    Lab(&'a LabImage),
     /// A pre-encoded 8-bit CIELAB image — exactly the accelerator's
     /// channel-memory contents. The float working image is decoded from
     /// the supplied codes, so assignment and sigma accumulation see this
@@ -422,7 +417,7 @@ impl Segmentation {
 mod tests {
     use super::*;
     use crate::SeedGrid;
-    use sslic_color::{float, hw::HwColorConverter};
+    use sslic_color::hw::HwColorConverter;
     use sslic_image::synthetic::SyntheticImage;
 
     fn test_image() -> SyntheticImage {
@@ -619,16 +614,6 @@ mod tests {
             .filter(|(a, b)| a != b)
             .count();
         assert!(diff > 0, "3-bit must differ from 8-bit somewhere");
-    }
-
-    #[test]
-    fn segment_lab_matches_segment_for_float_mode() {
-        let img = test_image();
-        let seg = Segmenter::slic_ppa(params(60, 3));
-        let via_rgb = seg.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-        let lab = float::convert_image(&img.rgb);
-        let via_lab = seg.run(SegmentRequest::Lab(&lab), &RunOptions::new());
-        assert_eq!(via_rgb.labels(), via_lab.labels());
     }
 
     #[test]

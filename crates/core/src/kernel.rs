@@ -27,12 +27,13 @@
 //!
 //! # Dispatch resolution
 //!
-//! [`Kernel`] is the public selection knob (params builder, per-run
-//! options, fleet config, CLI). Resolution is a pure function of the
-//! request and frame eligibility: `Scalar` always runs the reference
-//! loop; `Swar` and `Auto` run the SWAR kernel when the frame qualifies
-//! (quantized distance mode, pixel-perspective algorithm, non-adaptive)
-//! and fall back to the — bit-identical — scalar loop otherwise.
+//! [`Kernel`] is the public selection knob (the params builder, and
+//! `--kernel` on the CLI). A session resolves it once, at construction, as
+//! a pure function of the request and the configuration's eligibility:
+//! `Scalar` always runs the reference loop; `Swar` and `Auto` run the SWAR
+//! kernel when the configuration qualifies (quantized distance mode,
+//! pixel-perspective algorithm, non-adaptive) and fall back to the —
+//! bit-identical — scalar loop otherwise.
 
 use std::fmt;
 use std::ops::Range;
@@ -90,9 +91,9 @@ impl Kernel {
         }
     }
 
-    /// Resolves a request against frame eligibility into the backend that
-    /// actually runs. Total and deterministic: never depends on thread
-    /// count, warm state, or faults.
+    /// Resolves a request against the configuration's eligibility into
+    /// the backend that actually runs. Total and deterministic: never
+    /// depends on thread count, warm state, or faults.
     pub(crate) fn resolve(self, swar_eligible: bool) -> Kernel {
         match self {
             Kernel::Scalar => Kernel::Scalar,
@@ -225,11 +226,6 @@ impl SwarKernel {
             vb,
             m2_over_s2: qk.m2_over_s2(),
         }
-    }
-
-    /// Heap bytes held by the tables, for the session allocation ledger.
-    pub(crate) fn table_bytes(&self) -> u64 {
-        ((self.lsq.len() + self.isq.len() + self.vb.len()) * std::mem::size_of::<f64>()) as u64
     }
 
     /// The threshold a future candidate must beat after a candidate with

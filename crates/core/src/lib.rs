@@ -16,8 +16,8 @@
 //!   §6.1 bit-width exploration.
 //! * **Instrumentation**: per-phase wall-clock breakdown (Table 1) and
 //!   analytic operation/memory-traffic accounting (Table 2).
-//! * **Streaming sessions** ([`SegmenterSession`]): a persistent per-frame
-//!   scratch arena + parked worker pool for video pipelines — zero heap
+//! * **Streaming sessions** ([`SegmenterSession`]): persistent per-frame
+//!   scratch + a parked worker pool for video pipelines — zero heap
 //!   allocations per steady-state frame, bit-identical to the one-shot
 //!   [`Segmenter::run`].
 //!
@@ -38,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod cluster;
 mod connectivity;
 mod distance;

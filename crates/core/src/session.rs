@@ -6,7 +6,7 @@
 //! feature planes, the label plane, the distance buffer, per-band sigma
 //! register files, the connectivity flood-fill queues, the cluster slots —
 //! plus a persistent [`BandPool`] of parked workers. Each
-//! [`SegmenterSession::run_into`] call segments one frame by *reusing* that
+//! [`SegmenterSession::run`] call segments one frame by *reusing* that
 //! memory: after the first (cold) frame, a steady-state frame performs zero
 //! heap allocations at any thread count (pinned by `tests/zero_alloc.rs` at
 //! the workspace root).
@@ -32,7 +32,6 @@ use sslic_color::{float, hw::HwColorConverter, Lab8Image, LabImage};
 use sslic_image::Plane;
 use sslic_obs::{LogicalClock, Recorder, Value};
 
-use crate::arena::AllocLedger;
 use crate::cluster::{init_clusters, Cluster};
 use crate::connectivity::{enforce_connectivity_with, ConnScratch};
 use crate::distance::{dist2_float, ClusterCodes, DistanceMode, QuantKernel};
@@ -54,9 +53,9 @@ use crate::SeedGrid;
 const BAND_PIXEL_BOUNDS: [u64; 5] = [1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16];
 
 /// Why a segmentation request could not run. Returned by the fallible
-/// entry points ([`Segmenter::try_run`], [`SegmenterSession::try_run`],
-/// [`SegmenterSession::try_run_into`]); the panicking twins raise the same
-/// conditions as panics carrying the [`std::fmt::Display`] message.
+/// entry points ([`Segmenter::try_run`], [`SegmenterSession::try_run`]);
+/// the panicking twins raise the same conditions as panics carrying the
+/// [`std::fmt::Display`] message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SegmentError {
@@ -68,9 +67,9 @@ pub enum SegmentError {
         /// Requested frame height.
         height: usize,
     },
-    /// The request's frame (or the caller's output plane) does not match
-    /// the geometry this session's scratch was sized for. Sessions are
-    /// fixed-geometry: build a new session to change resolution.
+    /// The request's frame does not match the geometry this session's
+    /// scratch was sized for. Sessions are fixed-geometry: build a new
+    /// session to change resolution.
     GeometryMismatch {
         /// `(width, height)` the session was built for.
         expected: (usize, usize),
@@ -132,8 +131,6 @@ pub struct FrameReport {
     pub(crate) frozen_clusters: usize,
     pub(crate) status: SegmentationStatus,
     pub(crate) repairs: u64,
-    pub(crate) scratch_allocs: u64,
-    pub(crate) scratch_bytes: u64,
     pub(crate) recovery: RecoveryReport,
     pub(crate) kernel: Kernel,
 }
@@ -174,19 +171,6 @@ impl FrameReport {
         self.repairs
     }
 
-    /// Scratch buffers logically established during this frame. The full
-    /// inventory on the session's first frame; **zero** on every
-    /// steady-state frame — the streaming contract.
-    pub fn scratch_allocs(&self) -> u64 {
-        self.scratch_allocs
-    }
-
-    /// Bytes of scratch logically established during this frame (see
-    /// [`FrameReport::scratch_allocs`]).
-    pub fn scratch_bytes(&self) -> u64 {
-        self.scratch_bytes
-    }
-
     /// Per-frame recovery record: guard firings, retries, escalations,
     /// outcome, and the final center-table checksum — populated whether
     /// or not a [`crate::RecoveryPolicy`] is active (without one, a
@@ -211,8 +195,8 @@ impl FrameReport {
 struct FrameCtx {
     grid: SeedGrid,
     lab: Arc<LabImage>,
-    /// `Some` only in quantized distance mode (mirrors the one-shot
-    /// engine's `(kernel, lab8)` pairing).
+    /// `Some` exactly when `kernel` is: the quantized datapath reads the
+    /// 8-bit codes.
     lab8: Option<Arc<Lab8Image>>,
     labels: Arc<Plane<u32>>,
     clusters: Arc<Vec<Cluster>>,
@@ -221,8 +205,8 @@ struct FrameCtx {
     max_dc2: Option<Arc<Vec<f32>>>,
     partition: Option<Arc<SubsetPartition>>,
     kernel: Option<QuantKernel>,
-    /// `Some` exactly when this frame resolved to [`Kernel::Swar`]: the
-    /// shared SWAR tables the band workers scan with.
+    /// `Some` exactly when the session runs [`Kernel::Swar`]: the shared
+    /// SWAR tables the band workers scan with.
     swar: Option<Arc<SwarKernel>>,
     m2_over_s2: f32,
     inv_s2: f32,
@@ -255,9 +239,9 @@ struct BandSlot {
     counters: RunCounters,
 }
 
-/// Borrowed distance-datapath view over a [`FrameCtx`] — the exact logic
-/// of the one-shot engine's `distance`/`dc2_ds2`, shared by the banded
-/// kernels and the serial CPA scan.
+/// Borrowed distance-datapath view over a [`FrameCtx`]: the scalar
+/// `distance`/`dc2_ds2` logic shared by the banded kernels and the serial
+/// CPA scan.
 struct DistCtx<'a> {
     lab: &'a LabImage,
     lab8: Option<&'a Lab8Image>,
@@ -339,8 +323,7 @@ fn band_kernel(cmd: &Cmd, _band: usize, rows: Range<usize>, slot: &mut BandSlot)
 /// and private counters/maxima into its slot. Skipped pixels (subset
 /// mismatch, all-frozen neighborhoods) keep the stripe's previous value,
 /// which the session keeps synchronized with the central label plane — so
-/// the stripe write-back is identical to the one-shot engine's in-place
-/// label writes.
+/// the stripe write-back leaves their labels unchanged.
 fn assign_band(
     ctx: &FrameCtx,
     subset: Option<u32>,
@@ -467,28 +450,6 @@ fn update_band(
     };
 }
 
-/// Where a frame's final label map lands.
-enum Target<'a> {
-    /// A caller-owned plane (`run_into`).
-    Caller(&'a mut Plane<u32>),
-    /// The session's own output plane (`run`, and the one-shot wrapper).
-    Internal,
-}
-
-/// How the frame resolves its initial cluster centers when
-/// [`RunOptions::warm_start`] is absent.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum WarmMode {
-    /// `run`/`try_run`: frame 0 seeds cold, later frames recycle the
-    /// previous frame's converged centers in place (the 30 fps video
-    /// pipeline of the paper).
-    Auto,
-    /// `run_into`/`try_run_into` and the one-shot wrapper: every frame
-    /// seeds cold unless a warm start is supplied, mirroring
-    /// [`Segmenter::run`] semantics exactly.
-    OneShot,
-}
-
 /// How one attempt of a frame resolves its initial centers.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum AttemptInit {
@@ -527,13 +488,12 @@ struct AttemptOutcome {
 /// let mut session = seg.session(64, 48);
 /// for seed in 0..3 {
 ///     let img = SyntheticImage::builder(64, 48).seed(seed).regions(5).build();
-///     let report = session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+///     // Frame 0 seeds cold; frames 1 and 2 warm-start from the previous
+///     // frame's centers, reusing the scratch established by `session`.
+///     session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
 ///     assert_eq!(session.labels().len(), 64 * 48);
-///     if seed > 0 {
-///         // Steady state: the scratch inventory was established on frame 0.
-///         assert_eq!(report.scratch_allocs(), 0);
-///     }
 /// }
+/// assert_eq!(session.frames(), 3);
 /// ```
 pub struct SegmenterSession {
     config: Segmenter,
@@ -548,15 +508,10 @@ pub struct SegmenterSession {
     max_dc2: Option<Arc<Vec<f32>>>,
     partition: Option<Arc<SubsetPartition>>,
     kernel: Option<QuantKernel>,
-    /// SWAR assign tables, built at construction whenever the
-    /// configuration qualifies (quantized + pixel-perspective); `None`
-    /// means every frame of this session is scalar-only.
+    /// SWAR assign tables, built at construction only when the params'
+    /// kernel resolves to [`Kernel::Swar`] (quantized + pixel-perspective);
+    /// `None` means every frame runs the (bit-identical) scalar loop.
     swar: Option<Arc<SwarKernel>>,
-    /// The assign backend every frame runs: the params' preference
-    /// resolved at construction, falling back to the (bit-identical)
-    /// scalar loop when no SWAR tables were built (float mode or a
-    /// center-perspective algorithm).
-    frame_kernel: Kernel,
     converter: Option<HwColorConverter>,
     dist: Plane<f32>,
     out: Plane<u32>,
@@ -568,7 +523,6 @@ pub struct SegmenterSession {
     counters: RunCounters,
     m2_over_s2: f32,
     inv_s2: f32,
-    ledger: AllocLedger,
     frames: u64,
     /// Last-known-good center table, snapshotted at the serial point
     /// right after attempt 0's Init each frame (post-Init state is always
@@ -649,54 +603,32 @@ impl SegmenterSession {
             config.algorithm(),
             Algorithm::SlicPpa | Algorithm::SSlicPpa { .. }
         );
-        let pixels = (width * height) as u64;
 
-        // Every logical scratch buffer is recorded in the ledger as it is
-        // established, so frame 0 reports the full inventory and every
-        // later frame reports zero (`core.alloc.*` counters).
-        let mut ledger = AllocLedger::new();
-        let cluster_bytes = std::mem::size_of::<Cluster>() as u64;
-        let code_bytes = std::mem::size_of::<ClusterCodes>() as u64;
-        ledger.record(pixels * 12); // f32 CIELAB feature planes
+        // Every per-frame buffer is established here, once; frames only
+        // reset them in place (`tests/zero_alloc.rs` pins that at the
+        // real allocator).
         let lab = Arc::new(LabImage::from_fn(width, height, |_, _| [0.0; 3]));
-        ledger.record(pixels * 3); // 8-bit CIELAB code planes
         let lab8 = Arc::new(Lab8Image::from_fn(width, height, |_, _| [0; 3]));
-        ledger.record(pixels * 4); // working label plane
         let labels = Arc::new(Plane::filled(width, height, 0u32));
-        ledger.record(pixels * 4); // finished output plane
         let out = Plane::filled(width, height, 0u32);
-        ledger.record(pixels * 4); // CPA distance buffer
         let dist = Plane::filled(width, height, f32::INFINITY);
-        ledger.record(pixels * (8 + 16 + 16)); // connectivity component plane + queues
         let conn = ConnScratch::new(width, height);
-        ledger.record(k as u64 * cluster_bytes); // cluster center registers
         let clusters = Arc::new(vec![Cluster::default(); k]);
-        ledger.record(k as u64 * code_bytes); // quantized center codes
         let codes = Arc::new(Vec::with_capacity(k));
-        ledger.record(k as u64); // preemption activity flags
         let active = Arc::new(vec![true; k]);
-        let max_dc2 = if params.adaptive_compactness() {
-            ledger.record(k as u64 * 4); // SLICO per-cluster maxima
-            Some(Arc::new(vec![m * m; k]))
-        } else {
-            None
-        };
-        ledger.record(k as u64 * cluster_bytes); // recovery checkpoint of the center table
+        let max_dc2 = params
+            .adaptive_compactness()
+            .then(|| Arc::new(vec![m * m; k]));
         let checkpoint = vec![Cluster::default(); k];
-        ledger.record(k as u64 * 4); // fold buffer: SLICO maxima
         let fold_max = vec![0f32; k];
-        ledger.record(k as u64 * 48); // fold buffer: sigma register file
         let fold_sigma = vec![[0f64; 6]; k];
         // SWAR assign-kernel tables (squared-delta LUTs + code-threshold
-        // table), built whenever the configuration qualifies, whatever
-        // kernel the params prefer. Quantized + adaptive is rejected
-        // above, so `kernel` being `Some` already implies the
-        // non-adaptive datapath.
+        // table), built only when the params' kernel resolves to SWAR.
+        // Quantized + adaptive is rejected above, so `kernel` being `Some`
+        // already implies the non-adaptive datapath.
         let swar = match &kernel {
-            Some(qk) if banded_labels => {
-                let tables = SwarKernel::new(qk);
-                ledger.record(tables.table_bytes());
-                Some(Arc::new(tables))
+            Some(qk) if params.kernel().resolve(banded_labels) == Kernel::Swar => {
+                Some(Arc::new(SwarKernel::new(qk)))
             }
             _ => None,
         };
@@ -706,7 +638,6 @@ impl SegmenterSession {
             band_kernel,
             |_, rows: &Range<usize>| {
                 let stripe_len = if banded_labels { rows.len() * width } else { 0 };
-                ledger.record((stripe_len * 4) as u64 + k as u64 * (48 + 4));
                 BandSlot {
                     stripe: vec![0u32; stripe_len],
                     sigma: vec![[0f64; 6]; k],
@@ -715,9 +646,7 @@ impl SegmenterSession {
                 }
             },
         );
-        let band_count = pool.band_count();
-        ledger.record(band_count as u64 * std::mem::size_of::<RunCounters>() as u64);
-        let band_counters = Vec::with_capacity(band_count);
+        let band_counters = Vec::with_capacity(pool.band_count());
 
         Ok(SegmenterSession {
             config,
@@ -732,7 +661,6 @@ impl SegmenterSession {
             max_dc2,
             partition,
             kernel,
-            frame_kernel: params.kernel().resolve(swar.is_some()),
             swar,
             converter: quantized.then(HwColorConverter::paper_default),
             dist,
@@ -745,7 +673,6 @@ impl SegmenterSession {
             counters: RunCounters::default(),
             m2_over_s2: (m * m) / (spacing * spacing),
             inv_s2: 1.0 / (spacing * spacing),
-            ledger,
             frames: 0,
             checkpoint,
             checkpoint_sum: 0,
@@ -782,21 +709,15 @@ impl SegmenterSession {
         self.frames
     }
 
-    /// Rewinds the session to its pre-first-frame state: the next
-    /// [`WarmMode`]-`Auto` frame seeds cold instead of warm-starting from
-    /// the previous frame's centers. The scratch arena is untouched — no
-    /// allocation, no geometry change. Session fleets call this when a
-    /// freed slot rebinds to a new stream, so the newcomer never inherits
-    /// the departed stream's converged centers.
+    /// Rewinds the session to its pre-first-frame state: the next frame
+    /// seeds cold instead of warm-starting from the previous frame's
+    /// centers. The scratch is untouched — no allocation, no geometry
+    /// change. Session fleets call this when a freed slot rebinds to a new
+    /// stream, so the newcomer never inherits the departed stream's
+    /// converged centers; a caller that wants every frame cold, like
+    /// [`Segmenter::run`], calls it before each frame.
     pub fn reset(&mut self) {
         self.frames = 0;
-    }
-
-    /// Total scratch inventory of this session as `(buffers, bytes)` — a
-    /// pure function of the frame geometry and configuration, established
-    /// once at construction and reused for every frame.
-    pub fn scratch_inventory(&self) -> (u64, u64) {
-        (self.ledger.total_count(), self.ledger.total_bytes())
     }
 
     /// The session's configuration.
@@ -804,8 +725,8 @@ impl SegmenterSession {
         &self.config
     }
 
-    /// The label map of the most recent [`SegmenterSession::run`] /
-    /// [`SegmenterSession::try_run`] frame (all zeros before the first).
+    /// The label map of the most recent frame (all zeros before the
+    /// first).
     pub fn labels(&self) -> &Plane<u32> {
         &self.out
     }
@@ -818,22 +739,24 @@ impl SegmenterSession {
     }
 
     /// Segments one frame into the session's own output plane (readable
-    /// via [`SegmenterSession::labels`]). The first frame seeds cold;
-    /// every later frame recycles the previous frame's converged centers
-    /// as a warm start (unless [`RunOptions::warm_start`] overrides it),
-    /// and performs zero heap allocations.
+    /// via [`SegmenterSession::labels`]). The first frame (and the first
+    /// after [`SegmenterSession::reset`]) seeds cold; every later frame
+    /// recycles the previous frame's converged centers as a warm start
+    /// (unless [`RunOptions::warm_start`] overrides it), and performs zero
+    /// heap allocations.
     ///
     /// # Errors
     ///
     /// [`SegmentError::GeometryMismatch`] if the request's frame differs
     /// from the session geometry; [`SegmentError::WarmStartLen`] if an
-    /// explicit warm start has the wrong cluster count.
+    /// explicit warm start has the wrong cluster count. A rejected frame
+    /// leaves the labels, centers and frame count untouched.
     pub fn try_run(
         &mut self,
         request: SegmentRequest<'_>,
         options: &RunOptions<'_>,
     ) -> Result<FrameReport, SegmentError> {
-        self.frame(request, options, WarmMode::Auto, Target::Internal)
+        self.frame(request, options)
     }
 
     /// Panicking convenience over [`SegmenterSession::try_run`].
@@ -844,45 +767,6 @@ impl SegmenterSession {
     /// [`std::fmt::Display`] message.
     pub fn run(&mut self, request: SegmentRequest<'_>, options: &RunOptions<'_>) -> FrameReport {
         match self.try_run(request, options) {
-            Ok(report) => report,
-            Err(e) => raise(e),
-        }
-    }
-
-    /// Segments one frame into a caller-owned label plane, with one-shot
-    /// warm semantics: cold seeding unless [`RunOptions::warm_start`] is
-    /// supplied — exactly [`Segmenter::run`], minus the per-call
-    /// allocations. The output is bit-identical to the one-shot API by
-    /// construction (they share this engine).
-    ///
-    /// # Errors
-    ///
-    /// [`SegmentError::GeometryMismatch`] if the request's frame *or*
-    /// `out` differs from the session geometry;
-    /// [`SegmentError::WarmStartLen`] as in
-    /// [`SegmenterSession::try_run`].
-    pub fn try_run_into(
-        &mut self,
-        request: SegmentRequest<'_>,
-        options: &RunOptions<'_>,
-        out: &mut Plane<u32>,
-    ) -> Result<FrameReport, SegmentError> {
-        self.frame(request, options, WarmMode::OneShot, Target::Caller(out))
-    }
-
-    /// Panicking convenience over [`SegmenterSession::try_run_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SegmentError`] condition, with the error's
-    /// [`std::fmt::Display`] message.
-    pub fn run_into(
-        &mut self,
-        request: SegmentRequest<'_>,
-        options: &RunOptions<'_>,
-        out: &mut Plane<u32>,
-    ) -> FrameReport {
-        match self.try_run_into(request, options, out) {
             Ok(report) => report,
             Err(e) => raise(e),
         }
@@ -914,8 +798,6 @@ impl SegmenterSession {
         &mut self,
         request: SegmentRequest<'_>,
         options: &RunOptions<'_>,
-        warm_mode: WarmMode,
-        mut target: Target<'_>,
     ) -> Result<FrameReport, SegmentError> {
         let (w, h) = (self.grid.width(), self.grid.height());
         let (rw, rh) = request_dims(&request);
@@ -924,14 +806,6 @@ impl SegmenterSession {
                 expected: (w, h),
                 actual: (rw, rh),
             });
-        }
-        if let Target::Caller(out) = &target {
-            if (out.width(), out.height()) != (w, h) {
-                return Err(SegmentError::GeometryMismatch {
-                    expected: (w, h),
-                    actual: (out.width(), out.height()),
-                });
-            }
         }
         if let Some(warm) = options.warm_start {
             if warm.len() != self.grid.cluster_count() {
@@ -956,9 +830,8 @@ impl SegmenterSession {
         self.convert_into(request, options.faults, &mut breakdown);
 
         // Attempt 0 initial centers: explicit warm start > recycled
-        // session state (Auto, frames ≥ 1) > cold grid seeding.
-        let cold = options.warm_start.is_none()
-            && (warm_mode == WarmMode::OneShot || self.frames == 0);
+        // session state (frames ≥ 1) > cold grid seeding.
+        let cold = options.warm_start.is_none() && self.frames == 0;
 
         // The self-healing attempt loop. Attempt 0 is the ordinary run;
         // each further attempt is a retry whose init the policy chose from
@@ -971,8 +844,7 @@ impl SegmenterSession {
         let mut total_guards: u64 = 0;
         let mut escalations: u32 = 0;
         let (last, guard_clean) = loop {
-            let outcome =
-                self.run_attempt(options, init, cold, attempt, &mut breakdown, &mut target);
+            let outcome = self.run_attempt(options, init, cold, attempt, &mut breakdown);
             total_guards = total_guards.wrapping_add(outcome.verdict.guards_fired());
             let action = if outcome.verdict.clean() {
                 None
@@ -1042,12 +914,8 @@ impl SegmenterSession {
         };
         let iterations_run = last.iterations_run;
         let repairs = last.verdict.center_repairs + last.verdict.label_repairs;
-        let out: &mut Plane<u32> = match &mut target {
-            Target::Caller(p) => p,
-            Target::Internal => &mut self.out,
-        };
         if params.enforce_connectivity() {
-            let conn = &mut self.conn;
+            let (out, conn) = (&mut self.out, &mut self.conn);
             breakdown.time(Phase::Connectivity, || {
                 let min_size =
                     ((spacing * spacing) / params.min_region_divisor() as f32).max(1.0) as usize;
@@ -1081,7 +949,6 @@ impl SegmenterSession {
             outcome,
             center_checksum: center_checksum(&self.clusters),
         };
-        let (scratch_allocs, scratch_bytes) = self.ledger.take_frame_delta();
         if let Some(rec) = recorder {
             // Phase attribution: wall-clock durations pass through
             // Recorder::duration_ns, which zeroes them in deterministic
@@ -1106,12 +973,6 @@ impl SegmenterSession {
             rec.counter_add("core.center_updates", c.center_updates);
             rec.counter_add("core.sub_iterations", c.sub_iterations);
             rec.counter_add("core.invariant_repairs", repairs);
-            // Scratch establishments this frame: the full inventory on the
-            // session's first frame, zero in steady state. Geometry-pure
-            // (never thread- or timing-dependent), so deterministic traces
-            // stay byte-identical across worker counts.
-            rec.counter_add("core.alloc.scratch", scratch_allocs);
-            rec.counter_add("core.alloc.scratch_bytes", scratch_bytes);
             if policy.is_some() {
                 // Recovery telemetry is policy-gated so recovery-off
                 // traces stay byte-identical to the pre-recovery engine.
@@ -1156,10 +1017,12 @@ impl SegmenterSession {
             frozen_clusters,
             status,
             repairs,
-            scratch_allocs,
-            scratch_bytes,
             recovery,
-            kernel: self.frame_kernel,
+            kernel: if self.swar.is_some() {
+                Kernel::Swar
+            } else {
+                Kernel::Scalar
+            },
         })
     }
 
@@ -1178,7 +1041,6 @@ impl SegmenterSession {
         cold: bool,
         attempt: u32,
         breakdown: &mut PhaseBreakdown,
-        target: &mut Target<'_>,
     ) -> AttemptOutcome {
         let (w, h) = (self.grid.width(), self.grid.height());
         let params = *self.config.params();
@@ -1200,7 +1062,7 @@ impl SegmenterSession {
                         clusters.clear();
                         clusters.extend_from_slice(&fresh);
                     }
-                    None => {} // Auto steady state: centers stay in place.
+                    None => {} // Steady state: centers stay in place.
                 },
                 AttemptInit::Rollback => {
                     // Restore the last-known-good center table written at
@@ -1222,8 +1084,8 @@ impl SegmenterSession {
                 }
             }
             // PPA algorithms: re-sync every band's stripe with the central
-            // labels so skipped pixels keep their previous assignment,
-            // exactly like the one-shot engine's in-place label writes.
+            // labels so pixels a band skips keep their previous assignment
+            // when the stripe is written back.
             for b in 0..self.pool.band_count() {
                 let rows = self.pool.bands()[b].clone();
                 let mut slot = self.pool.slot(b);
@@ -1362,13 +1224,10 @@ impl SegmenterSession {
             }
         }
 
-        // The finished label map lands in the target plane; the working
+        // The finished label map lands in the output plane; the working
         // plane stays untouched by the post-passes (it is re-seeded from
         // home clusters next attempt/frame anyway).
-        let out: &mut Plane<u32> = match target {
-            Target::Caller(p) => p,
-            Target::Internal => &mut self.out,
-        };
+        let out = &mut self.out;
         out.copy_from(&self.labels);
         // Invariant guard: any out-of-range label (possible only via
         // corruption) is repaired to the pixel's home cluster, keeping the
@@ -1408,15 +1267,14 @@ impl SegmenterSession {
     }
 
     /// Converts the request's pixels into the session's reusable feature
-    /// planes, applying pixel-feature fault hooks exactly where the
-    /// one-shot engine did.
+    /// planes. The pixel-feature fault hook corrupts the 8-bit codes
+    /// before the float planes are decoded from them.
     fn convert_into(
         &mut self,
         request: SegmentRequest<'_>,
         faults: Option<&dyn StepFaults>,
         breakdown: &mut PhaseBreakdown,
     ) {
-        let (w, h) = (self.grid.width(), self.grid.height());
         match request {
             SegmentRequest::Rgb(img) => {
                 if self.quantized {
@@ -1439,29 +1297,6 @@ impl SegmenterSession {
                     breakdown.time(Phase::ColorConversion, || {
                         float::convert_image_into(img, lab);
                     });
-                }
-            }
-            SegmentRequest::Lab(src) => {
-                if self.quantized {
-                    let lab8 = Arc::make_mut(&mut self.lab8);
-                    breakdown.time(Phase::ColorConversion, || {
-                        for y in 0..h {
-                            for x in 0..w {
-                                let [l, a, b] = src.pixel(x, y);
-                                let code =
-                                    sslic_color::lab8::encode([l as f64, a as f64, b as f64]);
-                                lab8.l[(x, y)] = code[0];
-                                lab8.a[(x, y)] = code[1];
-                                lab8.b[(x, y)] = code[2];
-                            }
-                        }
-                    });
-                    if let Some(f) = faults {
-                        f.corrupt_lab8(lab8);
-                    }
-                    lab8.decode_into(Arc::make_mut(&mut self.lab));
-                } else {
-                    Arc::make_mut(&mut self.lab).copy_from(src);
                 }
             }
             SegmentRequest::Lab8(src) => {
@@ -1492,9 +1327,7 @@ impl SegmenterSession {
             max_dc2: self.max_dc2.as_ref().map(Arc::clone),
             partition: self.partition.as_ref().map(Arc::clone),
             kernel: self.kernel.clone(),
-            swar: (self.frame_kernel == Kernel::Swar)
-                .then(|| self.swar.as_ref().map(Arc::clone))
-                .flatten(),
+            swar: self.swar.as_ref().map(Arc::clone),
             m2_over_s2: self.m2_over_s2,
             inv_s2: self.inv_s2,
         }
@@ -1511,8 +1344,10 @@ impl SegmenterSession {
         }
     }
 
-    /// Repairs corrupted center registers in place; see the one-shot
-    /// engine's invariant-guard documentation. Returns clusters changed.
+    /// Invariant guard: repairs corrupted center registers in place.
+    /// Non-finite positions fall back to the cluster's seed, non-finite
+    /// colors to mid-grey, and every field is clamped into the frame and
+    /// the CIELAB range. Returns clusters changed.
     fn repair_centers(&mut self) -> u64 {
         let (w, h) = (self.grid.width(), self.grid.height());
         let (xmax, ymax) = ((w - 1) as f32, (h - 1) as f32);
@@ -1835,7 +1670,6 @@ impl SegmenterSession {
 pub(crate) fn request_dims(request: &SegmentRequest<'_>) -> (usize, usize) {
     match request {
         SegmentRequest::Rgb(img) => (img.width(), img.height()),
-        SegmentRequest::Lab(lab) => (lab.width(), lab.height()),
         SegmentRequest::Lab8(lab8) => (lab8.width(), lab8.height()),
     }
 }
@@ -1877,8 +1711,10 @@ impl Segmenter {
         options: &RunOptions<'_>,
     ) -> Result<Segmentation, SegmentError> {
         let (w, h) = request_dims(&request);
+        // A fresh session's first frame seeds cold unless a warm start is
+        // supplied.
         let mut session = SegmenterSession::try_new(self.clone(), w, h)?;
-        let report = session.frame(request, options, WarmMode::OneShot, Target::Internal)?;
+        let report = session.try_run(request, options)?;
         Ok(session.into_segmentation(report))
     }
 
@@ -1929,7 +1765,7 @@ mod tests {
     }
 
     #[test]
-    fn run_into_matches_one_shot_for_every_algorithm() {
+    fn reset_frames_match_one_shot_for_every_algorithm() {
         let configs = [
             Segmenter::slic(params(48, 4)),
             Segmenter::slic_ppa(params(48, 4)),
@@ -1939,13 +1775,12 @@ mod tests {
         ];
         for seg in configs {
             let mut session = seg.session(64, 48);
-            let mut out = Plane::filled(64, 48, 0u32);
             for img in frames(3) {
                 let one_shot = seg.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-                let report =
-                    session.run_into(SegmentRequest::Rgb(&img.rgb), &RunOptions::new(), &mut out);
+                session.reset();
+                let report = session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
                 assert_eq!(
-                    out.as_slice(),
+                    session.labels().as_slice(),
                     one_shot.labels().as_slice(),
                     "{} labels diverged",
                     seg.algorithm().name()
@@ -1978,21 +1813,6 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_frames_report_zero_scratch() {
-        let seg = Segmenter::slic_ppa(params(48, 4));
-        let mut session = seg.session(64, 48);
-        let imgs = frames(3);
-        let first = session.run(SegmentRequest::Rgb(&imgs[0].rgb), &RunOptions::new());
-        assert!(first.scratch_allocs() > 0, "frame 0 reports the inventory");
-        assert!(first.scratch_bytes() > 0);
-        for img in &imgs[1..] {
-            let report = session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-            assert_eq!(report.scratch_allocs(), 0);
-            assert_eq!(report.scratch_bytes(), 0);
-        }
-    }
-
-    #[test]
     fn geometry_mismatch_is_an_error_not_a_panic() {
         let seg = Segmenter::slic_ppa(params(48, 3));
         let mut session = seg.session(64, 48);
@@ -2007,13 +1827,6 @@ mod tests {
                 actual: (32, 24),
             }
         );
-        // A mis-sized output plane is caught the same way.
-        let img = SyntheticImage::builder(64, 48).seed(1).regions(3).build();
-        let mut out = Plane::filled(10, 10, 0u32);
-        let err = session
-            .try_run_into(SegmentRequest::Rgb(&img.rgb), &RunOptions::new(), &mut out)
-            .unwrap_err();
-        assert!(matches!(err, SegmentError::GeometryMismatch { .. }));
         assert!(err.to_string().contains("session scratch is sized for"));
     }
 
@@ -2076,12 +1889,13 @@ mod tests {
             &RunOptions::new().with_warm_start(cold.clusters()),
         );
         let mut session = seg.session(64, 48);
-        let mut out = Plane::filled(64, 48, 0u32);
-        session.run_into(
+        // Frame 0 leaves centers converged on imgs[1]; the explicit warm
+        // start must win over recycling them.
+        session.run(SegmentRequest::Rgb(&imgs[1].rgb), &RunOptions::new());
+        session.run(
             SegmentRequest::Rgb(&imgs[1].rgb),
             &RunOptions::new().with_warm_start(cold.clusters()),
-            &mut out,
         );
-        assert_eq!(out.as_slice(), warmed_one_shot.labels().as_slice());
+        assert_eq!(session.labels().as_slice(), warmed_one_shot.labels().as_slice());
     }
 }

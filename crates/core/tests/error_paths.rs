@@ -1,14 +1,13 @@
 //! Exhaustive error-path coverage: every [`ParamError`], [`SegmentError`],
 //! and [`FleetError`] variant is reachable through the fallible entry
-//! points, the panicking twins carry the same message, and a failed
-//! `run_into` never writes a single word of partial output.
+//! points, the panicking twins carry the same message, and a rejected
+//! frame leaves the session's labels, centers and frame count untouched.
 
 use sslic_core::{
     FleetConfig, FleetError, Kernel, ParamError, RunOptions, SegmentError, SegmentRequest,
     Segmenter, SegmenterSession, SessionFleet, SlicParams, StreamId,
 };
 use sslic_image::synthetic::SyntheticImage;
-use sslic_image::Plane;
 
 fn scene(w: usize, h: usize) -> SyntheticImage {
     SyntheticImage::builder(w, h).seed(3).regions(4).build()
@@ -106,36 +105,22 @@ fn empty_frame_is_reported_by_try_new() {
 }
 
 #[test]
-fn geometry_mismatch_is_reported_for_request_and_output() {
+fn geometry_mismatch_is_reported_for_the_request() {
     let seg = Segmenter::sslic_ppa(SlicParams::builder(60).iterations(2).build(), 2);
     let mut session = seg.session(64, 48);
-
-    // A wrong-sized request, internal target.
-    let wrong = scene(32, 24);
-    let err = session
-        .try_run(SegmentRequest::Rgb(&wrong.rgb), &RunOptions::new())
-        .unwrap_err();
-    assert_eq!(
-        err,
-        SegmentError::GeometryMismatch {
-            expected: (64, 48),
-            actual: (32, 24),
-        }
-    );
-
-    // A right-sized request but a wrong-sized caller plane.
-    let right = scene(64, 48);
-    let mut small = Plane::filled(64, 47, 0u32);
-    let err = session
-        .try_run_into(SegmentRequest::Rgb(&right.rgb), &RunOptions::new(), &mut small)
-        .unwrap_err();
-    assert_eq!(
-        err,
-        SegmentError::GeometryMismatch {
-            expected: (64, 48),
-            actual: (64, 47),
-        }
-    );
+    for (w, h) in [(32usize, 24usize), (64, 47)] {
+        let wrong = scene(w, h);
+        let err = session
+            .try_run(SegmentRequest::Rgb(&wrong.rgb), &RunOptions::new())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SegmentError::GeometryMismatch {
+                expected: (64, 48),
+                actual: (w, h),
+            }
+        );
+    }
 }
 
 #[test]
@@ -146,14 +131,12 @@ fn warm_start_length_is_validated() {
     // Learn the true cluster count from a clean run.
     session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
     let k = session.clusters().len();
-    let mut out = Plane::filled(64, 48, 0u32);
 
     let bogus = vec![sslic_core::Cluster::default(); k + 1];
     let err = session
-        .try_run_into(
+        .try_run(
             SegmentRequest::Rgb(&img.rgb),
             &RunOptions::new().with_warm_start(&bogus),
-            &mut out,
         )
         .unwrap_err();
     assert_eq!(
@@ -166,45 +149,55 @@ fn warm_start_length_is_validated() {
 }
 
 #[test]
-fn failed_run_into_writes_no_partial_output() {
-    const SENTINEL: u32 = 0xDEAD_BEEF;
+fn rejected_frames_leave_the_session_untouched() {
     let seg = Segmenter::sslic_ppa(SlicParams::builder(60).iterations(2).build(), 2);
     let mut session = seg.session(64, 48);
     let img = scene(64, 48);
     session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-    let k = session.clusters().len();
+    let labels = session.labels().clone();
+    let clusters = session.clusters().to_vec();
+    let k = clusters.len();
 
-    // Wrong-geometry request: the sentinel plane must stay untouched.
+    // Wrong-geometry request, then a wrong warm-start length: both are
+    // rejected before any pixel work, so the previous frame's labels,
+    // centers and the frame count all survive.
     let wrong = scene(32, 24);
-    let mut out = Plane::filled(64, 48, SENTINEL);
-    assert!(session
-        .try_run_into(SegmentRequest::Rgb(&wrong.rgb), &RunOptions::new(), &mut out)
-        .is_err());
-    assert!(
-        out.as_slice().iter().all(|&v| v == SENTINEL),
-        "geometry mismatch must not touch the output plane"
-    );
-
-    // Wrong warm-start length: rejected before any pixel work too.
     let bogus = vec![sslic_core::Cluster::default(); k + 3];
-    assert!(session
-        .try_run_into(
+    let rejected = [
+        (
+            SegmentRequest::Rgb(&wrong.rgb),
+            RunOptions::new(),
+            "geometry mismatch",
+        ),
+        (
             SegmentRequest::Rgb(&img.rgb),
-            &RunOptions::new().with_warm_start(&bogus),
-            &mut out,
-        )
-        .is_err());
-    assert!(
-        out.as_slice().iter().all(|&v| v == SENTINEL),
-        "warm-start rejection must not touch the output plane"
-    );
+            RunOptions::new().with_warm_start(&bogus),
+            "warm-start rejection",
+        ),
+    ];
+    for (request, options, what) in rejected {
+        assert!(session.try_run(request, &options).is_err(), "{what}");
+        assert_eq!(session.labels(), &labels, "{what} touched the labels");
+        assert_eq!(
+            session.clusters(),
+            &clusters[..],
+            "{what} touched the centers"
+        );
+        assert_eq!(session.frames(), 1, "{what} counted as a frame");
+    }
 
-    // The session itself stays serviceable after the failures.
+    // The session stays serviceable: the next frame warm-starts from the
+    // surviving centers exactly as if the rejections never happened.
+    let mut reference = seg.session(64, 48);
+    reference.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+    let expected = reference.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
     let report = session
-        .try_run_into(SegmentRequest::Rgb(&img.rgb), &RunOptions::new(), &mut out)
+        .try_run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new())
         .expect("session must survive rejected requests");
-    assert!(report.iterations_run() > 0);
-    assert!(out.as_slice().iter().any(|&v| v != SENTINEL));
+    assert_eq!(session.frames(), 2);
+    assert_eq!(report.counters(), expected.counters());
+    assert_eq!(session.labels(), reference.labels());
+    assert_eq!(session.clusters(), reference.clusters());
 }
 
 #[test]

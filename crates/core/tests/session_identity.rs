@@ -1,26 +1,16 @@
-//! Session-vs-one-shot bit identity: `SegmenterSession::run_into` must
-//! reproduce `Segmenter::run` exactly — same labels, same counters — for
-//! every algorithm and thread count, pinned against the same checksums the
-//! thread-determinism suite carries so a drift in either entry point fails
-//! loudly against an absolute reference, not just against each other.
+//! Session-vs-one-shot bit identity: a cold `SegmenterSession` frame
+//! (`reset` then `run`) must reproduce `Segmenter::run` exactly — same
+//! labels, same counters — for every algorithm and thread count, pinned
+//! against the same checksums the thread-determinism suite carries so a
+//! drift in either entry point fails loudly against an absolute
+//! reference, not just against each other.
 
 use sslic_core::{
-    DistanceMode, RunOptions, SegmentError, SegmentRequest, Segmenter, SlicParams,
+    label_checksum, DistanceMode, RunOptions, SegmentError, SegmentRequest, Segmenter, SlicParams,
 };
 use sslic_image::synthetic::SyntheticImage;
-use sslic_image::Plane;
 
 const THREADS: [usize; 3] = [1, 2, 8];
-
-/// FNV-1a over the label words (shared with the determinism suites).
-fn label_checksum(labels: &Plane<u32>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &l in labels.as_slice() {
-        h ^= l as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn fixed_scene() -> SyntheticImage {
     SyntheticImage::builder(64, 48).seed(2024).regions(5).build()
@@ -57,14 +47,14 @@ fn assert_session_matches_pin(cpa: bool, quantized: bool, pinned: u64) {
         let seg = segmenter(t, cpa, quantized);
         let one_shot = seg.run(SegmentRequest::Rgb(&scene.rgb), &RunOptions::new());
         let mut session = seg.session(64, 48);
-        let mut out = Plane::filled(64, 48, 0u32);
         // Several frames through the same scratch: reuse must not leak
         // state into a cold-started frame.
         for frame in 0..3 {
-            let report =
-                session.run_into(SegmentRequest::Rgb(&scene.rgb), &RunOptions::new(), &mut out);
+            session.reset();
+            let report = session.run(SegmentRequest::Rgb(&scene.rgb), &RunOptions::new());
+            let out = session.labels();
             assert_eq!(
-                label_checksum(&out),
+                label_checksum(out),
                 pinned,
                 "session frame {frame} at {t} threads (cpa={cpa}, quantized={quantized}) \
                  drifted from the pinned labels"
@@ -113,9 +103,12 @@ fn plain_slic_sessions_match_one_shot_at_every_thread_count() {
             };
             let one_shot = seg.run(SegmentRequest::Rgb(&scene.rgb), &RunOptions::new());
             let mut session = seg.session(64, 48);
-            let mut out = Plane::filled(64, 48, 0u32);
-            session.run_into(SegmentRequest::Rgb(&scene.rgb), &RunOptions::new(), &mut out);
-            assert_eq!(out.as_slice(), one_shot.labels().as_slice(), "cpa={cpa} t={t}");
+            session.run(SegmentRequest::Rgb(&scene.rgb), &RunOptions::new());
+            assert_eq!(
+                session.labels().as_slice(),
+                one_shot.labels().as_slice(),
+                "cpa={cpa} t={t}"
+            );
         }
     }
 }

@@ -4,25 +4,15 @@
 //! the accumulation itself) fails loudly. Runs under the workspace's
 //! overflow-checked test profile.
 
-use sslic_core::{DistanceMode, Kernel, RunOptions, SegmentRequest, Segmenter, SlicParams};
+use sslic_core::{
+    label_checksum, DistanceMode, Kernel, RunOptions, SegmentRequest, Segmenter, SlicParams,
+};
 use sslic_image::synthetic::SyntheticImage;
-use sslic_image::Plane;
 
 /// The thread counts the determinism contract is pinned over: serial, an
 /// even band split, an uneven one, and more workers than most heights'
 /// bands-per-worker.
 const THREADS: [usize; 4] = [1, 2, 3, 8];
-
-/// FNV-1a over the label words (the digest the fault regression suite
-/// also pins).
-fn label_checksum(labels: &Plane<u32>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &l in labels.as_slice() {
-        h ^= l as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn fixed_scene() -> SyntheticImage {
     SyntheticImage::builder(64, 48).seed(2024).regions(5).build()

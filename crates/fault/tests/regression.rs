@@ -4,21 +4,11 @@
 
 use sslic_color::hw::HwColorConverter;
 use sslic_core::{
-    DistanceMode, RunOptions, SegmentRequest, SegmentationStatus, Segmenter, SlicParams,
+    label_checksum, DistanceMode, RunOptions, SegmentRequest, SegmentationStatus, Segmenter,
+    SlicParams,
 };
 use sslic_fault::{corrupt_color_lut, EngineFaults, FaultPlan};
-use sslic_image::Plane;
 use sslic_image::synthetic::SyntheticImage;
-
-/// FNV-1a over the label words: stable, order-sensitive, dependency-free.
-fn label_checksum(labels: &Plane<u32>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &l in labels.as_slice() {
-        h ^= l as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Pinned checksum of the quantized-mode segmentation of the fixed scene
 /// below. Any change to the fault-free datapath shows up here.

@@ -4,22 +4,11 @@
 //! every thread count — pinned by checksums on a fixed scene. Runs under
 //! the workspace's overflow-checked test profile.
 
-use sslic_core::{DistanceMode, RunOptions, SegmentRequest, Segmenter, SlicParams};
+use sslic_core::{label_checksum, DistanceMode, RunOptions, SegmentRequest, Segmenter, SlicParams};
 use sslic_fault::{EngineFaults, FaultKind, FaultPlan, FaultSite};
 use sslic_image::synthetic::SyntheticImage;
-use sslic_image::Plane;
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
-
-/// FNV-1a over the label words (shared with the regression suite).
-fn label_checksum(labels: &Plane<u32>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &l in labels.as_slice() {
-        h ^= l as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn fixed_scene() -> SyntheticImage {
     SyntheticImage::builder(64, 48).seed(2024).regions(5).build()
@@ -98,8 +87,7 @@ fn faulted_session_frames_match_the_one_shot_pins() {
     // The streaming session shares the one-shot execution engine, so an
     // actively faulted frame must land on the same pinned checksums — at
     // any thread count, and on a reused session (frame > 0) just as on a
-    // fresh one.
-    use sslic_image::Plane as P;
+    // fresh one. `reset` makes every frame cold, like the one-shot run.
     let scene = fixed_scene();
     for (cpa, pinned) in [(false, PINNED_FAULTED_PPA), (true, PINNED_FAULTED_CPA)] {
         for t in [1usize, 2, 8] {
@@ -116,14 +104,13 @@ fn faulted_session_frames_match_the_one_shot_pins() {
             let plan = active_plan();
             let faults = EngineFaults::new(&plan);
             let mut session = seg.session(64, 48);
-            let mut out = P::filled(64, 48, 0u32);
             for frame in 0..2 {
-                session.run_into(
+                session.reset();
+                session.run(
                     SegmentRequest::Rgb(&scene.rgb),
                     &RunOptions::new().with_faults(&faults),
-                    &mut out,
                 );
-                let sum = label_checksum(&out);
+                let sum = label_checksum(session.labels());
                 assert_eq!(
                     sum, pinned,
                     "faulted session frame {frame} (cpa={cpa}, {t} threads) \

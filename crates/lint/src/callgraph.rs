@@ -18,8 +18,8 @@
 //!   hole, not a silent pass.
 //! * `.clone()` is not treated as allocating (Copy clones dominate in the
 //!   datapath); deep clones on hot paths must be caught by review.
-//! * `[[hotpath]] stop` entries prune traversal (frame-0 inventory such
-//!   as the `AllocLedger` bookkeeping), each with a written reason.
+//! * `[[hotpath]] stop` entries prune traversal (cold-start-only helpers
+//!   such as `init_clusters`), each with a written reason.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

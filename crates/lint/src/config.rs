@@ -474,8 +474,8 @@ root = "SegmenterSession::frame"
 reason = "steady-state entry"
 
 [[hotpath]]
-stop = "AllocLedger::record"
-reason = "frame-0 inventory only"
+stop = "init_clusters"
+reason = "cold-start only"
 
 [[prove]]
 path = "crates/core/src/distance.rs"
@@ -491,7 +491,7 @@ reason = "PPA distance scan must be wrap-free"
         assert_eq!(cfg.ranges[1].max, 67_108_864);
         assert_eq!(cfg.hotpaths.len(), 2);
         assert_eq!(cfg.hotpaths[0].root.as_deref(), Some("SegmenterSession::frame"));
-        assert_eq!(cfg.hotpaths[1].stop.as_deref(), Some("AllocLedger::record"));
+        assert_eq!(cfg.hotpaths[1].stop.as_deref(), Some("init_clusters"));
         assert_eq!(cfg.proofs.len(), 1);
         assert_eq!(cfg.proofs[0].item, "dist_code");
     }

@@ -53,10 +53,6 @@ pub const DATAPATH_FILES: &[&str] = &[
     // (CI diffs the Prometheus text across thread counts), so the whole
     // module is integer-only: rank math is u128, boundaries are u64.
     "crates/obs/src/telemetry.rs",
-    // The session allocation ledger feeds the same byte-diffed traces
-    // (core.alloc.* counters) and must stay integer-only for the same
-    // reason.
-    "crates/core/src/arena.rs",
     // Recovery decisions and the center-table checksum must be pure
     // integer arithmetic: a float anywhere in them could make retry
     // ladders diverge across thread counts or toolchains.

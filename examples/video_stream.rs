@@ -3,8 +3,8 @@
 //! frame from its own previous centers — the deployment the paper's
 //! accelerator targets. The fleet owns all per-stream warm-start
 //! bookkeeping (no bootstrap buffers, no hand-rolled session juggling)
-//! and every steady-state frame runs with zero heap allocations (the
-//! `allocs` column prints the session ledger's per-frame count).
+//! and every steady-state frame runs with zero heap allocations (pinned
+//! at the real allocator by `tests/zero_alloc.rs`).
 //!
 //! ```text
 //! cargo run --release --example video_stream
@@ -70,10 +70,10 @@ fn main() {
     );
 
     println!(
-        "{:<7} {:>12} {:>10} {:>10} {:>12} {:>10} {:>10} {:>8}",
-        "frame", "cold (ms)", "cold fps", "cold USE", "warm (ms)", "cam0 USE", "cam1 USE", "allocs"
+        "{:<7} {:>12} {:>10} {:>10} {:>12} {:>10} {:>10}",
+        "frame", "cold (ms)", "cold fps", "cold USE", "warm (ms)", "cam0 USE", "cam1 USE"
     );
-    println!("{}", "-".repeat(87));
+    println!("{}", "-".repeat(78));
 
     let (mut cold_total, mut warm_total) = (0.0f64, 0.0f64);
     for (t, (f0, f1)) in cam0.iter().zip(&cam1).enumerate() {
@@ -91,13 +91,13 @@ fn main() {
         if let Some(rec) = recorder.as_ref() {
             options = options.with_recorder(rec);
         }
-        let r0 = fleet.run(StreamId(0), SegmentRequest::Rgb(&f0.rgb), &options);
+        fleet.run(StreamId(0), SegmentRequest::Rgb(&f0.rgb), &options);
         let warm_ms = start.elapsed().as_secs_f64() * 1e3;
         warm_total += warm_ms;
-        let r1 = fleet.run(StreamId(1), SegmentRequest::Rgb(&f1.rgb), &RunOptions::new());
+        fleet.run(StreamId(1), SegmentRequest::Rgb(&f1.rgb), &RunOptions::new());
 
         println!(
-            "{:<7} {:>12.2} {:>10.1} {:>10.4} {:>12.2} {:>10.4} {:>10.4} {:>8}",
+            "{:<7} {:>12.2} {:>10.1} {:>10.4} {:>12.2} {:>10.4} {:>10.4}",
             t,
             cold_ms,
             1e3 / cold_ms,
@@ -111,10 +111,9 @@ fn main() {
                 fleet.stream_labels(StreamId(1)).expect("cam1 bound"),
                 &f1.ground_truth
             ),
-            r0.scratch_allocs().max(r1.scratch_allocs())
         );
     }
-    println!("{}", "-".repeat(87));
+    println!("{}", "-".repeat(78));
     let n = cam0.len() as f64;
     let stats = fleet.stats();
     println!(
@@ -158,8 +157,8 @@ fn main() {
     );
     let policy = sslic::core::RecoveryPolicy::new(2);
     println!(
-        "{:<7} {:>12} {:>22} {:>8}",
-        "frame", "no policy", "retry budget 2", "allocs"
+        "{:<7} {:>12} {:>22}",
+        "frame", "no policy", "retry budget 2"
     );
     let mut healers = SessionFleet::new(
         &warm_seg,
@@ -182,19 +181,18 @@ fn main() {
             &RunOptions::new().with_faults(&faults).with_recovery(&policy),
         );
         println!(
-            "{:<7} {:>12} {:>15} ({} try) {:>8}",
+            "{:<7} {:>12} {:>15} ({} try)",
             t,
             r0.recovery().outcome.as_str(),
             r1.recovery().outcome.as_str(),
             r1.recovery().retries,
-            r1.scratch_allocs(),
         );
     }
     let healed = healers.stream_stats(healing).map_or(0, |s| s.recovered);
     println!(
         "rollback + bounded retry stays allocation-free ({healed} frames\n\
          recovered on the armed stream): the checkpoint and retry scratch\n\
-         were part of each slot's session arena all along."
+         were built with each slot's session all along."
     );
 
     if let (Some(prefix), Some(rec)) = (trace_prefix, recorder) {

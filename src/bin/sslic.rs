@@ -63,8 +63,8 @@ fn print_help() {
          \x20     PREFIX.mosaic.ppm, and PREFIX.labels.pgm (16-bit) per input.\n\
          \x20     Several inputs stream through one persistent session:\n\
          \x20     each frame warm-starts from the previous frame's centers\n\
-         \x20     and reuses the same scratch (zero steady-state allocations,\n\
-         \x20     reported per frame).\n\
+         \x20     and reuses the same scratch (zero steady-state\n\
+         \x20     allocations).\n\
          \x20     --recovery N arms the self-healing runtime: invariant-guard\n\
          \x20     failures retry the frame from its checkpoint up to N times\n\
          \x20     (deterministically) before the frame is failed.\n\
@@ -149,6 +149,38 @@ where
     }
 }
 
+/// Builds the [`Segmenter`] from the flags `segment` and `serve` share
+/// (`--superpixels`, `--compactness`, `--iterations`, `--subsets`,
+/// `--algo`, `--threads`, `--kernel`) and returns it with the `--algo`
+/// name.
+fn segmenter_from_flags(
+    args: &[String],
+) -> Result<(Segmenter, String), Box<dyn std::error::Error>> {
+    let k: usize = flag(args, "--superpixels")?.unwrap_or(900);
+    let m: f32 = flag(args, "--compactness")?.unwrap_or(10.0);
+    let iterations: u32 = flag(args, "--iterations")?.unwrap_or(10);
+    let subsets: u32 = flag(args, "--subsets")?.unwrap_or(2);
+    let algo: String = flag(args, "--algo")?.unwrap_or_else(|| "sslic".to_string());
+    let threads: usize = flag(args, "--threads")?.unwrap_or(1);
+    let kernel: Kernel = flag(args, "--kernel")?.unwrap_or_default();
+
+    let params = SlicParams::builder(k)
+        .compactness(m)
+        .iterations(iterations)
+        .threads(threads)
+        .kernel(kernel)
+        .build();
+    let segmenter = match algo.as_str() {
+        "slic" => Segmenter::slic(params),
+        "ppa" => Segmenter::slic_ppa(params),
+        "sslic" => Segmenter::sslic_ppa(params, subsets),
+        "hw8" => Segmenter::sslic_ppa(params, subsets)
+            .with_distance_mode(DistanceMode::quantized(8)),
+        other => return Err(format!("unknown --algo '{other}'").into()),
+    };
+    Ok((segmenter, algo))
+}
+
 fn cmd_segment(args: &[String]) -> CliResult {
     // Positionals are the arguments that are neither flags nor flag
     // values (`--wallclock` is the only value-less flag).
@@ -167,34 +199,13 @@ fn cmd_segment(args: &[String]) -> CliResult {
     if inputs.is_empty() {
         return Err("segment needs at least one input .ppm path".into());
     }
-    let k: usize = flag(args, "--superpixels")?.unwrap_or(900);
-    let m: f32 = flag(args, "--compactness")?.unwrap_or(10.0);
-    let iterations: u32 = flag(args, "--iterations")?.unwrap_or(10);
-    let subsets: u32 = flag(args, "--subsets")?.unwrap_or(2);
-    let algo: String = flag(args, "--algo")?.unwrap_or_else(|| "sslic".to_string());
+    let (segmenter, algo) = segmenter_from_flags(args)?;
     let out: Option<String> = flag(args, "--out")?;
-    let threads: usize = flag(args, "--threads")?.unwrap_or(1);
     let trace_path: Option<String> = flag(args, "--trace")?;
     let chrome_path: Option<String> = flag(args, "--chrome-trace")?;
     let report_path: Option<String> = flag(args, "--report")?;
     let recovery: Option<u32> = flag(args, "--recovery")?;
-    let kernel: Kernel = flag(args, "--kernel")?.unwrap_or_default();
     let wallclock = args.iter().any(|a| a == "--wallclock");
-
-    let params = SlicParams::builder(k)
-        .compactness(m)
-        .iterations(iterations)
-        .threads(threads)
-        .kernel(kernel)
-        .build();
-    let segmenter = match algo.as_str() {
-        "slic" => Segmenter::slic(params),
-        "ppa" => Segmenter::slic_ppa(params),
-        "sslic" => Segmenter::sslic_ppa(params, subsets),
-        "hw8" => Segmenter::sslic_ppa(params, subsets)
-            .with_distance_mode(DistanceMode::quantized(8)),
-        other => return Err(format!("unknown --algo '{other}'").into()),
-    };
 
     let tracing = trace_path.is_some() || chrome_path.is_some() || report_path.is_some();
     let recorder = tracing.then(|| {
@@ -243,13 +254,11 @@ fn cmd_segment(args: &[String]) -> CliResult {
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
         let labels = fl.stream_labels(stream).expect("stream just ran");
         println!(
-            "{algo}: {input} {}x{} -> {} superpixels in {elapsed:.1} ms \
-             ({} steps, {} scratch allocs)",
+            "{algo}: {input} {}x{} -> {} superpixels in {elapsed:.1} ms ({} steps)",
             img.width(),
             img.height(),
             fl.stream_clusters(stream).map_or(0, <[_]>::len),
             report.iterations_run(),
-            report.scratch_allocs()
         );
         println!(
             "explained variation: {:.4}",
@@ -314,12 +323,7 @@ fn cmd_segment(args: &[String]) -> CliResult {
 }
 
 fn cmd_serve(args: &[String]) -> CliResult {
-    let k: usize = flag(args, "--superpixels")?.unwrap_or(900);
-    let m: f32 = flag(args, "--compactness")?.unwrap_or(10.0);
-    let iterations: u32 = flag(args, "--iterations")?.unwrap_or(10);
-    let subsets: u32 = flag(args, "--subsets")?.unwrap_or(2);
-    let algo: String = flag(args, "--algo")?.unwrap_or_else(|| "sslic".to_string());
-    let threads: usize = flag(args, "--threads")?.unwrap_or(1);
+    let (segmenter, _) = segmenter_from_flags(args)?;
     let slots: usize = flag(args, "--slots")?.unwrap_or(4);
     let queue_depth: usize = flag(args, "--queue-depth")?.unwrap_or(16);
     let recovery: Option<u32> = flag(args, "--recovery")?;
@@ -327,22 +331,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let wallclock = args.iter().any(|a| a == "--wallclock");
     let heartbeat: u64 = flag(args, "--heartbeat")?.unwrap_or(0);
     let metrics_file: Option<String> = flag(args, "--metrics-file")?;
-    let kernel: Kernel = flag(args, "--kernel")?.unwrap_or_default();
 
-    let params = SlicParams::builder(k)
-        .compactness(m)
-        .iterations(iterations)
-        .threads(threads)
-        .kernel(kernel)
-        .build();
-    let segmenter = match algo.as_str() {
-        "slic" => Segmenter::slic(params),
-        "ppa" => Segmenter::slic_ppa(params),
-        "sslic" => Segmenter::sslic_ppa(params, subsets),
-        "hw8" => Segmenter::sslic_ppa(params, subsets)
-            .with_distance_mode(DistanceMode::quantized(8)),
-        other => return Err(format!("unknown --algo '{other}'").into()),
-    };
     let fleet_cfg = FleetConfig::builder()
         .with_slots(slots)
         .with_queue_depth(queue_depth)

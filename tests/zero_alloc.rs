@@ -71,8 +71,8 @@ fn scenarios() -> Vec<(&'static str, Segmenter)> {
             "sslic_ppa/quantized8",
             Segmenter::sslic_ppa(p(threads), 2).with_distance_mode(DistanceMode::quantized(8)),
         ));
-        // Both forced kernels: the SWAR threshold tables are built once in
-        // the session arena, so neither backend may allocate per frame.
+        // Both forced kernels: the SWAR threshold tables are built once,
+        // when the session is, so neither backend may allocate per frame.
         for (name, kernel) in [
             ("sslic_ppa/quantized8+swar", Kernel::Swar),
             ("sslic_ppa/quantized8+scalar", Kernel::Scalar),
@@ -102,12 +102,13 @@ fn scenarios() -> Vec<(&'static str, Segmenter)> {
 }
 
 fn self_healing_frames_stay_allocation_free() {
-    // The recovery runtime's scratch (checkpoint table, guard state) is
-    // part of the session arena, so arming a policy must not change the
-    // zero-alloc contract — neither on clean frames nor on frames that
-    // guard-fail, roll back, and retry. A budget of 1 keeps the ladder on
-    // the Rollback/FailFrame rungs: ColdRestart legitimately re-seeds (and
-    // so allocates) off the steady path and is exercised elsewhere.
+    // The recovery runtime's buffers (checkpoint table, guard state) are
+    // built with the rest of the session, so arming a policy must not
+    // change the zero-alloc contract — neither on clean frames nor on
+    // frames that guard-fail, roll back, and retry. A budget of 1 keeps
+    // the ladder on the Rollback/FailFrame rungs: ColdRestart legitimately
+    // re-seeds (and so allocates) off the steady path and is exercised
+    // elsewhere.
     use sslic::core::RecoveryPolicy;
     use sslic::fault::{EngineFaults, FaultKind, FaultPlan, FaultSite};
 
@@ -142,7 +143,6 @@ fn self_healing_frames_stay_allocation_free() {
             );
             let delta = ALLOCS.load(Ordering::SeqCst) - before;
             assert_eq!(delta, 0, "x{threads}: armed-but-idle recovery allocated");
-            assert_eq!(report.scratch_allocs(), 0);
             assert_eq!(report.recovery().retries, 0);
         }
 
@@ -170,7 +170,6 @@ fn self_healing_frames_stay_allocation_free() {
                 "x{threads}: rollback retry on frame {} performed {delta} heap allocations",
                 i + 1
             );
-            assert_eq!(report.scratch_allocs(), 0, "x{threads}: ledger agrees");
             retried += u64::from(report.recovery().retries);
         }
         assert!(
@@ -194,11 +193,7 @@ fn steady_state_frames_never_touch_the_heap() {
         let threads = seg.params().threads().get();
         let mut session = seg.session(64, 48);
         // Frame 0: cold seeding — allocations are expected and irrelevant.
-        let first = session.run(SegmentRequest::Rgb(&frames[0].rgb), &RunOptions::new());
-        assert!(
-            first.scratch_allocs() > 0,
-            "{name} x{threads}: frame 0 reports the scratch inventory"
-        );
+        session.run(SegmentRequest::Rgb(&frames[0].rgb), &RunOptions::new());
         for (i, img) in frames[1..].iter().enumerate() {
             let before = ALLOCS.load(Ordering::SeqCst);
             let report = session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
@@ -209,7 +204,6 @@ fn steady_state_frames_never_touch_the_heap() {
                 "{name} x{threads}: steady-state frame {} performed {delta} heap allocations",
                 i + 1
             );
-            assert_eq!(report.scratch_allocs(), 0, "{name} x{threads}: ledger agrees");
             assert_eq!(report.status(), SegmentationStatus::Ok);
         }
     }
@@ -242,8 +236,8 @@ fn steady_state_fleet_frames_never_touch_the_heap() {
         fleet.run(b, SegmentRequest::Rgb(&frames[0].rgb), &RunOptions::new());
         for (i, img) in frames[1..].iter().enumerate() {
             let before = ALLOCS.load(Ordering::SeqCst);
-            let ra = fleet.run(a, SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-            let rb = fleet.run(b, SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+            fleet.run(a, SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+            fleet.run(b, SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
             let delta = ALLOCS.load(Ordering::SeqCst) - before;
             assert_eq!(
                 delta,
@@ -251,8 +245,6 @@ fn steady_state_fleet_frames_never_touch_the_heap() {
                 "x{threads}: steady fleet frame {} performed {delta} heap allocations",
                 i + 1
             );
-            assert_eq!(ra.scratch_allocs(), 0, "x{threads}: stream 0 ledger agrees");
-            assert_eq!(rb.scratch_allocs(), 0, "x{threads}: stream 1 ledger agrees");
         }
     }
 }
