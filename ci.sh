@@ -87,7 +87,7 @@ for mode in oneshot session fleet; do
     for threads in 1 4; do
         for kernel in scalar swar; do
             ./target/release/throughput --sizes 160x120,320x240 --superpixels 150 \
-                --iterations 5 --frames 1 --threads "$threads" --mode "$mode" \
+                --iterations 5 --threads "$threads" --mode "$mode" \
                 --kernel "$kernel" --bench-json results/bench-seed.json >/dev/null
             cmp BENCH_10.json results/bench-seed.json || {
                 echo "seed mismatch: mode=$mode threads=$threads kernel=$kernel"
@@ -99,25 +99,25 @@ done
 rm -f results/bench-seed.json
 
 echo "==> thread-count invariance (throughput JSON at 1 vs 4 threads must match byte for byte)"
-./target/release/throughput --threads 1 --sizes 160x120,320x240 --frames 1 \
+./target/release/throughput --threads 1 --sizes 160x120,320x240 \
     --superpixels 150 --iterations 3 \
-    --json results/throughput-1t.json --md results/throughput.md \
+    --json results/throughput-1t.json \
     --report results/throughput-report-1t.json >/dev/null
-./target/release/throughput --threads 4 --sizes 160x120,320x240 --frames 1 \
+./target/release/throughput --threads 4 --sizes 160x120,320x240 \
     --superpixels 150 --iterations 3 \
-    --json results/throughput-4t.json --md /dev/null \
+    --json results/throughput-4t.json \
     --report results/throughput-report-4t.json >/dev/null
 cmp results/throughput-1t.json results/throughput-4t.json
 cmp results/throughput-report-1t.json results/throughput-report-4t.json
 
 echo "==> mode invariance (throughput JSON across oneshot/session/fleet APIs must match byte for byte)"
-./target/release/throughput --threads 2 --sizes 160x120,320x240 --frames 1 \
+./target/release/throughput --threads 2 --sizes 160x120,320x240 \
     --superpixels 150 --iterations 3 --mode session \
-    --json results/throughput-session.json --md /dev/null >/dev/null
+    --json results/throughput-session.json >/dev/null
 cmp results/throughput-1t.json results/throughput-session.json
-./target/release/throughput --threads 2 --sizes 160x120,320x240 --frames 1 \
+./target/release/throughput --threads 2 --sizes 160x120,320x240 \
     --superpixels 150 --iterations 3 --mode fleet \
-    --json results/throughput-fleet.json --md /dev/null >/dev/null
+    --json results/throughput-fleet.json >/dev/null
 cmp results/throughput-1t.json results/throughput-fleet.json
 mv results/throughput-1t.json results/throughput.json
 mv results/throughput-report-1t.json results/throughput-report.json

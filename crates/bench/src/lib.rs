@@ -3,9 +3,10 @@
 //!
 //! Each table and figure of the paper has a dedicated binary
 //! (`cargo run -p sslic-bench --release --bin <name>`) that prints the
-//! reproduced rows/series next to the paper's published values; Criterion
-//! benches (`cargo bench -p sslic-bench`) time the underlying kernels per
-//! subsystem.
+//! reproduced rows/series next to the paper's published values. Engine
+//! timing lives in the repository benchmark (`perfbench/`), which splits
+//! each frame into its layers; the `throughput` binary here only
+//! regenerates the deterministic bench seed and invariance files.
 //!
 //! By default the harness runs a scaled-down corpus so the full suite
 //! completes in minutes; set `SSLIC_FULL=1` for the paper-scale corpus

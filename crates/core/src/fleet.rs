@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use sslic_image::{Plane, RgbImage};
 use sslic_obs::telemetry::{self, LatencyHistogram};
-use sslic_obs::{MetricsRegistry, Recorder, ReportFleet, RunReport, TelemetrySnapshot};
+use sslic_obs::{MetricsRegistry, Recorder, ReportFleet, RunReport};
 
 use crate::cluster::Cluster;
 use crate::engine::{RunOptions, Segmentation, SegmentationStatus, SegmentRequest, Segmenter};
@@ -700,12 +700,6 @@ impl SessionFleet {
         m
     }
 
-    /// The fleet's telemetry as a serializable `sslic-telemetry-v1`
-    /// snapshot (per-histogram p50/p90/p99 included).
-    pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot::from_registry(&self.metrics_registry())
-    }
-
     /// Per-stream tallies, if the stream is currently bound.
     pub fn stream_stats(&self, stream: StreamId) -> Option<StreamStats> {
         self.slot_of(stream).map(|i| StreamStats {
@@ -921,8 +915,10 @@ mod tests {
             m.histogram("sslic_fleet_frame_latency").map(Histogram::count),
             Some(3)
         );
-        let snap = fleet.telemetry_snapshot();
-        assert!(snap.histograms.iter().any(|h| h.name == "sslic_fleet_queue_wait"));
+        assert_eq!(
+            m.histogram("sslic_fleet_queue_wait").map(Histogram::count),
+            Some(1)
+        );
     }
 
     #[test]

@@ -27,9 +27,8 @@
 //!
 //! On top of those primitives sit two analysis layers. [`telemetry`]
 //! adds log2-bucketed [`LatencyHistogram`]s with deterministic integer
-//! percentile estimation, a Prometheus text-exposition renderer over the
-//! registry, and the serializable [`TelemetrySnapshot`]
-//! (`sslic-telemetry-v1`). [`insight`] reads the artifacts back — JSONL
+//! percentile estimation and a Prometheus text-exposition renderer over
+//! the registry. [`insight`] reads the artifacts back — JSONL
 //! traces, report lines, bench seeds — and renders span attribution
 //! tables, flamegraph-collapsed stacks, and cross-PR bench trajectories.
 
@@ -54,6 +53,4 @@ pub use report::{
     HistogramSnapshot, PhaseNanos, ReportCounters, ReportFleet, ReportRecovery, RunReport,
     TrafficEntry, RUN_REPORT_SCHEMA,
 };
-pub use telemetry::{
-    render_prometheus, LatencyHistogram, TelemetryHistogram, TelemetrySnapshot, TELEMETRY_SCHEMA,
-};
+pub use telemetry::{render_prometheus, LatencyHistogram};

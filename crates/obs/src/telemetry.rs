@@ -1,6 +1,5 @@
 //! Fleet telemetry: log2-bucketed latency histograms, deterministic
-//! percentile estimation, Prometheus text exposition, and the
-//! `sslic-telemetry-v1` snapshot schema.
+//! percentile estimation, and Prometheus text exposition.
 //!
 //! Everything in this module is integer-only by lint policy (it is
 //! datapath-listed in `sslic-analyze`): the percentile estimator works on
@@ -289,171 +288,6 @@ pub fn render_prometheus(m: &MetricsRegistry) -> String {
     out
 }
 
-// --- the telemetry snapshot schema ----------------------------------------
-
-/// Schema tag written into every serialized snapshot.
-pub const TELEMETRY_SCHEMA: &str = "sslic-telemetry-v1";
-
-/// One histogram inside a [`TelemetrySnapshot`], with its deterministic
-/// percentile estimates precomputed (0 when the histogram is empty).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetryHistogram {
-    /// Registry key (may carry a `{label="value"}` suffix).
-    pub name: String,
-    /// Upper bucket boundaries.
-    pub boundaries: Vec<u64>,
-    /// Per-bucket counts (`boundaries.len() + 1` entries).
-    pub buckets: Vec<u64>,
-    /// Total observations.
-    pub count: u64,
-    /// Saturating sum of observations.
-    pub sum: u64,
-    /// p50 estimate (0 when empty).
-    pub p50: u64,
-    /// p90 estimate (0 when empty).
-    pub p90: u64,
-    /// p99 estimate (0 when empty).
-    pub p99: u64,
-}
-
-/// A serializable point-in-time capture of a [`MetricsRegistry`]: the
-/// `sslic-telemetry-v1` record. Deterministic by construction — every
-/// field is integer-valued and every list is name-ordered.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TelemetrySnapshot {
-    /// Monotonic counters, name-ordered.
-    pub counters: Vec<(String, u64)>,
-    /// Gauges, name-ordered.
-    pub gauges: Vec<(String, i64)>,
-    /// Histograms with percentile estimates, name-ordered.
-    pub histograms: Vec<TelemetryHistogram>,
-}
-
-fn u64_arr(values: &[u64]) -> String {
-    let items: Vec<String> = values.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(","))
-}
-
-impl TelemetrySnapshot {
-    /// Captures `m` into a snapshot, estimating p50/p90/p99 per
-    /// histogram.
-    pub fn from_registry(m: &MetricsRegistry) -> Self {
-        TelemetrySnapshot {
-            counters: m.counters().map(|(k, v)| (k.to_string(), v)).collect(),
-            gauges: m.gauges().map(|(k, v)| (k.to_string(), v)).collect(),
-            histograms: m
-                .histograms()
-                .map(|(k, h)| TelemetryHistogram {
-                    name: k.to_string(),
-                    boundaries: h.boundaries().to_vec(),
-                    buckets: h.buckets().to_vec(),
-                    count: h.count(),
-                    sum: h.sum(),
-                    p50: percentile(h, 50).unwrap_or(0),
-                    p90: percentile(h, 90).unwrap_or(0),
-                    p99: percentile(h, 99).unwrap_or(0),
-                })
-                .collect(),
-        }
-    }
-
-    /// Serializes the snapshot as a single-line `sslic-telemetry-v1` JSON
-    /// object.
-    pub fn to_json(&self) -> String {
-        use crate::sink::escape_json;
-        let mut out = String::from("{");
-        out.push_str(&format!("\"schema\":\"{TELEMETRY_SCHEMA}\""));
-        out.push_str(",\"counters\":[");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"name\":\"{}\",\"value\":{v}}}", escape_json(k)));
-        }
-        out.push_str("],\"gauges\":[");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"name\":\"{}\",\"value\":{v}}}", escape_json(k)));
-        }
-        out.push_str("],\"histograms\":[");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"boundaries\":{},\"buckets\":{},\"count\":{},\"sum\":{},\
-                 \"p50\":{},\"p90\":{},\"p99\":{}}}",
-                escape_json(&h.name),
-                u64_arr(&h.boundaries),
-                u64_arr(&h.buckets),
-                h.count,
-                h.sum,
-                h.p50,
-                h.p90,
-                h.p99
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parses a snapshot serialized by [`TelemetrySnapshot::to_json`].
-    pub fn from_json(input: &str) -> Result<TelemetrySnapshot, String> {
-        use crate::json::{self, Json};
-        let j = json::parse(input)?;
-        let schema = j.get("schema").and_then(Json::as_str).unwrap_or("");
-        if schema != TELEMETRY_SCHEMA {
-            return Err(format!("unknown telemetry schema '{schema}'"));
-        }
-        let named_u64 = |key: &str| -> Result<Vec<(String, u64)>, String> {
-            j.get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("missing '{key}'"))?
-                .iter()
-                .map(|e| Some((e.get("name")?.as_str()?.to_string(), e.get("value")?.as_u64()?)))
-                .collect::<Option<Vec<_>>>()
-                .ok_or_else(|| format!("invalid '{key}' entry"))
-        };
-        let gauges = j
-            .get("gauges")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "missing 'gauges'".to_string())?
-            .iter()
-            .map(|e| Some((e.get("name")?.as_str()?.to_string(), e.get("value")?.as_i64()?)))
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| "invalid 'gauges' entry".to_string())?;
-        let arr_u64 = |e: &Json, key: &str| -> Option<Vec<u64>> {
-            e.get(key)?.as_arr()?.iter().map(Json::as_u64).collect()
-        };
-        let histograms = j
-            .get("histograms")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "missing 'histograms'".to_string())?
-            .iter()
-            .map(|e| {
-                Some(TelemetryHistogram {
-                    name: e.get("name")?.as_str()?.to_string(),
-                    boundaries: arr_u64(e, "boundaries")?,
-                    buckets: arr_u64(e, "buckets")?,
-                    count: e.get("count")?.as_u64()?,
-                    sum: e.get("sum")?.as_u64()?,
-                    p50: e.get("p50")?.as_u64()?,
-                    p90: e.get("p90")?.as_u64()?,
-                    p99: e.get("p99")?.as_u64()?,
-                })
-            })
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| "invalid 'histograms' entry".to_string())?;
-        Ok(TelemetrySnapshot {
-            counters: named_u64("counters")?,
-            gauges,
-            histograms,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -597,29 +431,5 @@ fleet_latency_count 3
     fn help_escaping_per_spec() {
         assert_eq!(escape_help("a\\b\nc\"d"), "a\\\\b\\nc\"d");
         assert_eq!(escape_label_value("a\\b\nc\"d"), "a\\\\b\\nc\\\"d");
-    }
-
-    #[test]
-    fn snapshot_round_trips() {
-        let mut m = MetricsRegistry::new();
-        m.counter_add("frames", 9);
-        m.gauge_set("depth", -3);
-        for v in [1u64, 5, 9, 200] {
-            m.histogram_observe("lat", &[4, 16], v);
-        }
-        let snap = TelemetrySnapshot::from_registry(&m);
-        assert_eq!(snap.histograms[0].p50, 16);
-        assert_eq!(snap.histograms[0].p99, 16, "overflow bucket ceiling");
-        let json = snap.to_json();
-        assert!(json.starts_with("{\"schema\":\"sslic-telemetry-v1\""));
-        let back = TelemetrySnapshot::from_json(&json).expect("parse");
-        assert_eq!(back, snap);
-        assert_eq!(back.to_json(), json);
-    }
-
-    #[test]
-    fn snapshot_rejects_wrong_schema() {
-        let doctored = TelemetrySnapshot::default().to_json().replace("-v1", "-v0");
-        assert!(TelemetrySnapshot::from_json(&doctored).is_err());
     }
 }

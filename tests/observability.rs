@@ -68,16 +68,32 @@ fn one_recorder_collects_engine_hw_and_fault_events() {
 #[test]
 fn run_report_round_trips_through_the_facade() {
     let img = scene();
-    let rec = Recorder::deterministic();
-    let seg = Segmenter::sslic_ppa(SlicParams::builder(80).iterations(3).build(), 2);
-    let out = seg.run(
-        SegmentRequest::Rgb(&img.rgb),
-        &RunOptions::new().with_recorder(&rec),
+    let mut bytes = Vec::new();
+    for threads in [1, 4] {
+        let rec = Recorder::deterministic();
+        let params = SlicParams::builder(80)
+            .iterations(3)
+            .threads(threads)
+            .build();
+        let seg = Segmenter::sslic_ppa(params, 2);
+        let out = seg.run(
+            SegmentRequest::Rgb(&img.rgb),
+            &RunOptions::new().with_recorder(&rec),
+        );
+        let report = build_run_report(&seg, &out, true, Some(&rec), 0);
+        let back = RunReport::from_json(&report.to_json()).expect("round trip");
+        assert_eq!(report, back);
+        assert_eq!(
+            back.counters.distance_calcs,
+            out.report().counters().distance_calcs
+        );
+        // Deterministic reports carry no wall-clock time.
+        assert!(back.phases.iter().all(|p| p.nanos == 0));
+        bytes.push(report.to_json());
+    }
+    // ...nor the thread count, so the bytes are thread-count invariant.
+    assert_eq!(
+        bytes[0], bytes[1],
+        "RunReport bytes differ between 1 and 4 threads"
     );
-    let report = build_run_report(&seg, &out, true, Some(&rec), 0);
-    let back = RunReport::from_json(&report.to_json()).expect("round trip");
-    assert_eq!(report, back);
-    assert_eq!(back.counters.distance_calcs, out.report().counters().distance_calcs);
-    // Deterministic reports carry no wall-clock time.
-    assert!(back.phases.iter().all(|p| p.nanos == 0));
 }
