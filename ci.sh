@@ -17,6 +17,13 @@ RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --workspace --all-targets --r
 echo "==> cargo test (workspace, overflow-checks on)"
 cargo test --workspace -q
 
+echo "==> benchmark build (perfbench must build and pass its tests against the library API)"
+# perfbench is a package of its own, outside the workspace, so the steps
+# above never compile it: without this step a library change that breaks
+# the benchmark's use of the public API would surface only when it runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> zero-allocation gate (steady-state session frames must not touch the heap)"
 # Runs under a counting global allocator; kept as a named gate so an
 # allocation regression fails CI with this banner even if someone trims

@@ -12,15 +12,16 @@
 
 use sslic_image::Plane;
 
-/// Reusable working memory of the connectivity pass: the component-id
-/// plane, the flood-fill stack, and the member list. A streaming session
-/// allocates one `ConnScratch` per geometry and reuses it every frame, so
-/// steady-state connectivity enforcement is allocation-free: both queues
-/// are pre-sized to their worst case (every pixel of one component is
-/// pushed exactly once, so neither ever exceeds `width × height` entries).
+/// Reusable working memory of the connectivity pass: a visited bitmap
+/// (one byte per pixel), the flood-fill stack, and the member list. A
+/// streaming session allocates one `ConnScratch` per geometry and reuses
+/// it every frame, so steady-state connectivity enforcement is
+/// allocation-free: both queues are pre-sized to their worst case (every
+/// pixel of one component is pushed exactly once, so neither ever exceeds
+/// `width × height` entries).
 #[derive(Debug)]
 pub struct ConnScratch {
-    component: Plane<i64>,
+    visited: Plane<bool>,
     stack: Vec<(usize, usize)>,
     members: Vec<(usize, usize)>,
 }
@@ -33,7 +34,7 @@ impl ConnScratch {
     /// Panics if either dimension is zero.
     pub fn new(width: usize, height: usize) -> Self {
         ConnScratch {
-            component: Plane::filled(width, height, -1),
+            visited: Plane::filled(width, height, false),
             stack: Vec::with_capacity(width * height),
             members: Vec::with_capacity(width * height),
         }
@@ -41,12 +42,12 @@ impl ConnScratch {
 
     /// Width the scratch was sized for.
     pub fn width(&self) -> usize {
-        self.component.width()
+        self.visited.width()
     }
 
     /// Height the scratch was sized for.
     pub fn height(&self) -> usize {
-        self.component.height()
+        self.visited.height()
     }
 }
 
@@ -110,37 +111,33 @@ pub fn enforce_connectivity_with(
         w,
         h
     );
-    // -1 = unvisited; otherwise the component id of the pixel.
-    let component = &mut scratch.component;
-    component.reset_to(-1);
+    let visited = &mut scratch.visited;
+    visited.reset_to(false);
     let stack = &mut scratch.stack;
     let members = &mut scratch.members;
     let mut absorbed = 0usize;
-    let mut next_component: i64 = 0;
 
     for sy in 0..h {
         for sx in 0..w {
-            if component[(sx, sy)] >= 0 {
+            if visited[(sx, sy)] {
                 continue;
             }
             let label = labels[(sx, sy)];
             // The label of the component visited immediately before this
             // one in scan order, to absorb into if we turn out small.
             // Standard SLIC uses the left/top neighbor of the seed.
-            let adjacent = adjacent_label(labels, &component, sx, sy);
+            let adjacent = adjacent_label(labels, visited, sx, sy);
 
             // Flood fill this component.
-            let id = next_component;
-            next_component += 1;
             members.clear();
             stack.clear();
             stack.push((sx, sy));
-            component[(sx, sy)] = id;
+            visited[(sx, sy)] = true;
             while let Some((x, y)) = stack.pop() {
                 members.push((x, y));
                 for (nx, ny) in neighbors4(x, y, w, h) {
-                    if component[(nx, ny)] < 0 && labels[(nx, ny)] == label {
-                        component[(nx, ny)] = id;
+                    if !visited[(nx, ny)] && labels[(nx, ny)] == label {
+                        visited[(nx, ny)] = true;
                         stack.push((nx, ny));
                     }
                 }
@@ -150,10 +147,6 @@ pub fn enforce_connectivity_with(
                 if let Some(new_label) = adjacent {
                     for &(x, y) in members.iter() {
                         labels[(x, y)] = new_label;
-                        // Merge into the neighbor's component so later
-                        // fragments of the same original label are handled
-                        // independently.
-                        component[(x, y)] = i64::MAX;
                     }
                     absorbed += 1;
                 }
@@ -166,17 +159,12 @@ pub fn enforce_connectivity_with(
 }
 
 /// Label of an already-visited 4-neighbour of `(x, y)`, if any.
-fn adjacent_label(
-    labels: &Plane<u32>,
-    component: &Plane<i64>,
-    x: usize,
-    y: usize,
-) -> Option<u32> {
+fn adjacent_label(labels: &Plane<u32>, visited: &Plane<bool>, x: usize, y: usize) -> Option<u32> {
     // In raster order the left and top neighbors are always visited first.
-    if x > 0 && component[(x - 1, y)] >= 0 {
+    if x > 0 && visited[(x - 1, y)] {
         return Some(labels[(x - 1, y)]);
     }
-    if y > 0 && component[(x, y - 1)] >= 0 {
+    if y > 0 && visited[(x, y - 1)] {
         return Some(labels[(x, y - 1)]);
     }
     None

@@ -50,8 +50,6 @@ impl DistanceMode {
     }
 }
 
-// (the derive would also work, but keep the explicit impl documented)
-
 /// Float-path squared distance of Eq. 5 (compared without the square
 /// root).
 #[inline]

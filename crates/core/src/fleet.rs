@@ -496,15 +496,18 @@ impl SessionFleet {
     ///
     /// # Errors
     ///
-    /// [`SegmentError::Fleet`] ([`FleetError::Saturated`]) when no slot
-    /// is free, plus every per-frame error of
-    /// [`SegmenterSession::try_run`].
+    /// Every per-frame error of [`SegmenterSession::try_run`], checked
+    /// before admission so a rejected frame binds no slot; then
+    /// [`SegmentError::Fleet`] ([`FleetError::Saturated`]) when no slot is
+    /// free.
     pub fn try_run(
         &mut self,
         stream: StreamId,
         request: SegmentRequest<'_>,
         options: &RunOptions<'_>,
     ) -> Result<FrameReport, SegmentError> {
+        // Every slot shares one geometry, so slot 0 checks for all.
+        self.slots[0].session.check(&request, options)?;
         let slot = match self.admit(stream) {
             Ok(i) => i,
             Err(e) => {
@@ -555,13 +558,9 @@ impl SessionFleet {
         stream: StreamId,
         image: RgbImage,
     ) -> Result<usize, SegmentError> {
-        let actual = (image.width(), image.height());
-        if actual != (self.width, self.height) {
-            return Err(SegmentError::GeometryMismatch {
-                expected: (self.width, self.height),
-                actual,
-            });
-        }
+        self.slots[0]
+            .session
+            .check(&SegmentRequest::Rgb(&image), &RunOptions::new())?;
         if self.queue.len() >= self.fleet.queue_depth {
             self.rejected += 1;
             return Err(SegmentError::Fleet(FleetError::QueueFull {
@@ -854,6 +853,53 @@ mod tests {
             fleet.stream_labels(StreamId(1)).map(Plane::as_slice),
             Some(fresh.labels().as_slice())
         );
+    }
+
+    #[test]
+    fn rejected_frames_leave_the_stream_unbound() {
+        let cfg = FleetConfig::builder().with_slots(1).build();
+        let mut fleet = SessionFleet::new(&segmenter(), 64, 48, cfg);
+        let frame = img(1);
+        fleet.run(
+            StreamId(0),
+            SegmentRequest::Rgb(&frame.rgb),
+            &RunOptions::new(),
+        );
+        fleet.close(StreamId(0));
+        // A rejected frame must not bind its stream, hold the lone slot
+        // against other streams, or count as an admission.
+        let unbound = |fleet: &SessionFleet| {
+            let stats = fleet.stats();
+            assert_eq!((stats.admitted, stats.active_streams), (1, 0));
+            assert!(fleet.stream_labels(StreamId(1)).is_none());
+            assert!(fleet.admissible(StreamId(2)));
+        };
+        let small = SyntheticImage::builder(32, 24).seed(2).regions(3).build();
+        let err = fleet
+            .try_run(
+                StreamId(1),
+                SegmentRequest::Rgb(&small.rgb),
+                &RunOptions::new(),
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SegmentError::GeometryMismatch {
+                expected: (64, 48),
+                actual: (32, 24),
+            }
+        );
+        unbound(&fleet);
+        let short = vec![Cluster::default(); 3];
+        let err = fleet
+            .try_run(
+                StreamId(1),
+                SegmentRequest::Rgb(&frame.rgb),
+                &RunOptions::new().with_warm_start(&short),
+            )
+            .unwrap_err();
+        assert!(matches!(err, SegmentError::WarmStartLen { actual: 3, .. }));
+        unbound(&fleet);
     }
 
     #[test]

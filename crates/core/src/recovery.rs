@@ -111,7 +111,7 @@ pub struct GuardVerdict {
     /// coordinates clamped back) across the frame's iteration steps.
     pub center_repairs: u64,
     /// Labels outside `0..k` rewritten to the pixel's home cluster in
-    /// the copy-out pass — the connectivity precondition.
+    /// the end-of-attempt label guard — the connectivity precondition.
     pub label_repairs: u64,
     /// Absolute difference between the pixels folded into the sigma
     /// accumulators and the pixels the update bands actually read —

@@ -514,7 +514,6 @@ pub struct SegmenterSession {
     swar: Option<Arc<SwarKernel>>,
     converter: Option<HwColorConverter>,
     dist: Plane<f32>,
-    out: Plane<u32>,
     conn: ConnScratch,
     pool: BandPool<Cmd, BandSlot>,
     fold_max: Vec<f32>,
@@ -610,7 +609,6 @@ impl SegmenterSession {
         let lab = Arc::new(LabImage::from_fn(width, height, |_, _| [0.0; 3]));
         let lab8 = Arc::new(Lab8Image::from_fn(width, height, |_, _| [0; 3]));
         let labels = Arc::new(Plane::filled(width, height, 0u32));
-        let out = Plane::filled(width, height, 0u32);
         let dist = Plane::filled(width, height, f32::INFINITY);
         let conn = ConnScratch::new(width, height);
         let clusters = Arc::new(vec![Cluster::default(); k]);
@@ -664,7 +662,6 @@ impl SegmenterSession {
             swar,
             converter: quantized.then(HwColorConverter::paper_default),
             dist,
-            out,
             conn,
             pool,
             fold_max,
@@ -728,7 +725,7 @@ impl SegmenterSession {
     /// The label map of the most recent frame (all zeros before the
     /// first).
     pub fn labels(&self) -> &Plane<u32> {
-        &self.out
+        &self.labels
     }
 
     /// The current cluster centers — after a frame, that frame's converged
@@ -738,8 +735,8 @@ impl SegmenterSession {
         &self.clusters
     }
 
-    /// Segments one frame into the session's own output plane (readable
-    /// via [`SegmenterSession::labels`]). The first frame (and the first
+    /// Segments one frame into the session's label plane (readable via
+    /// [`SegmenterSession::labels`]). The first frame (and the first
     /// after [`SegmenterSession::reset`]) seeds cold; every later frame
     /// recycles the previous frame's converged centers as a warm start
     /// (unless [`RunOptions::warm_start`] overrides it), and performs zero
@@ -773,21 +770,48 @@ impl SegmenterSession {
     }
 
     /// Consumes the session, assembling a full [`Segmentation`] from the
-    /// most recent frame's output plane and cluster state. `report` is the
+    /// most recent frame's label plane and cluster state. `report` is the
     /// [`FrameReport`] that frame returned; pairing it with any other
     /// frame's report produces a `Segmentation` whose labels and summary
     /// disagree. Backs the one-shot [`Segmenter::run`], and lets streaming
     /// callers hand the final frame of a session to `Segmentation`-based
     /// consumers without a copy.
     pub fn into_segmentation(self, report: FrameReport) -> Segmentation {
-        let SegmenterSession { out, clusters, .. } = self;
-        let clusters = match Arc::try_unwrap(clusters) {
-            Ok(v) => v,
-            // A worker kept a stale handle (cannot happen after a clean
-            // frame barrier); fall back to a copy rather than failing.
-            Err(shared) => (*shared).clone(),
-        };
-        Segmentation::from_parts(out, clusters, report)
+        let SegmenterSession {
+            labels, clusters, ..
+        } = self;
+        // No worker holds a handle after a clean frame barrier, so neither
+        // unwrap copies; a stale handle would cost a copy, not a failure.
+        Segmentation::from_parts(
+            Arc::unwrap_or_clone(labels),
+            Arc::unwrap_or_clone(clusters),
+            report,
+        )
+    }
+
+    /// Checks a frame against the session before anything runs: the
+    /// request must match the session geometry, and an explicit warm start
+    /// must carry one cluster per seed of the realized grid. Session fleets
+    /// call it before admitting a stream, so a rejected frame binds no slot.
+    pub(crate) fn check(
+        &self,
+        request: &SegmentRequest<'_>,
+        options: &RunOptions<'_>,
+    ) -> Result<(), SegmentError> {
+        let expected = (self.grid.width(), self.grid.height());
+        let actual = request_dims(request);
+        if actual != expected {
+            return Err(SegmentError::GeometryMismatch { expected, actual });
+        }
+        match options.warm_start {
+            Some(warm) if warm.len() != self.grid.cluster_count() => {
+                Err(SegmentError::WarmStartLen {
+                    expected: self.grid.cluster_count(),
+                    actual: warm.len(),
+                })
+            }
+            _ => Ok(()),
+        }
     }
 
     // --- the frame engine --------------------------------------------------
@@ -799,22 +823,7 @@ impl SegmenterSession {
         request: SegmentRequest<'_>,
         options: &RunOptions<'_>,
     ) -> Result<FrameReport, SegmentError> {
-        let (w, h) = (self.grid.width(), self.grid.height());
-        let (rw, rh) = request_dims(&request);
-        if (rw, rh) != (w, h) {
-            return Err(SegmentError::GeometryMismatch {
-                expected: (w, h),
-                actual: (rw, rh),
-            });
-        }
-        if let Some(warm) = options.warm_start {
-            if warm.len() != self.grid.cluster_count() {
-                return Err(SegmentError::WarmStartLen {
-                    expected: self.grid.cluster_count(),
-                    actual: warm.len(),
-                });
-            }
-        }
+        self.check(&request, options)?;
         let params = *self.config.params();
         let recorder = options.recorder;
         let policy = options.recovery;
@@ -915,11 +924,11 @@ impl SegmenterSession {
         let iterations_run = last.iterations_run;
         let repairs = last.verdict.center_repairs + last.verdict.label_repairs;
         if params.enforce_connectivity() {
-            let (out, conn) = (&mut self.out, &mut self.conn);
+            let (labels, conn) = (Arc::make_mut(&mut self.labels), &mut self.conn);
             breakdown.time(Phase::Connectivity, || {
                 let min_size =
                     ((spacing * spacing) / params.min_region_divisor() as f32).max(1.0) as usize;
-                enforce_connectivity_with(out, min_size.max(1), conn);
+                enforce_connectivity_with(labels, min_size.max(1), conn);
             });
         }
 
@@ -1026,10 +1035,10 @@ impl SegmenterSession {
         })
     }
 
-    /// Runs one attempt of a frame: attempt init, the iteration loop,
-    /// copy-out, and the center/label/sigma/poison guards — everything up
-    /// to the retry decision, which stays in [`SegmenterSession::frame`]
-    /// together with the finishing passes (connectivity, reporting).
+    /// Runs one attempt of a frame: attempt init, the iteration loop, and
+    /// the center/label/sigma/poison guards — everything up to the retry
+    /// decision, which stays in [`SegmenterSession::frame`] together with
+    /// the finishing passes (connectivity, reporting).
     ///
     /// Emits this attempt's `core.run` span-begin, step spans, and repair
     /// instants; the caller closes the span with the attempt's
@@ -1124,13 +1133,13 @@ impl SegmenterSession {
         // Per-attempt scratch resets — all in place, no allocation. A
         // retry resets the counters too, so the frame reports the final
         // attempt's workload (matching the labels it actually produced).
+        // The CPA distance buffer is reset by `assign_cpa` itself.
         Arc::make_mut(&mut self.active).fill(true);
         let m = params.compactness();
         if let Some(max_dc2) = &mut self.max_dc2 {
             Arc::make_mut(max_dc2).fill(m * m);
         }
         self.counters = RunCounters::default();
-        self.dist.reset_to(f32::INFINITY);
         self.poisoned = 0;
         self.sigma_mismatch = 0;
 
@@ -1151,7 +1160,6 @@ impl SegmenterSession {
             let movement = match algorithm {
                 Algorithm::SlicCpa => {
                     breakdown.time(Phase::DistanceMin, || {
-                        self.dist.reset_to(f32::INFINITY);
                         self.assign_cpa(None, recorder, step);
                     });
                     breakdown.time(Phase::CenterUpdate, || {
@@ -1178,12 +1186,6 @@ impl SegmenterSession {
                 Algorithm::SSlicCpa { subsets } => {
                     let subset = step % subsets;
                     breakdown.time(Phase::DistanceMin, || {
-                        if subset == 0 {
-                            // New round: clusters compete afresh so stale
-                            // distances to long-moved centers cannot pin
-                            // labels forever.
-                            self.dist.reset_to(f32::INFINITY);
-                        }
                         self.assign_cpa(Some((subsets, subset)), recorder, step);
                     });
                     breakdown.time(Phase::CenterUpdate, || {
@@ -1224,20 +1226,17 @@ impl SegmenterSession {
             }
         }
 
-        // The finished label map lands in the output plane; the working
-        // plane stays untouched by the post-passes (it is re-seeded from
-        // home clusters next attempt/frame anyway).
-        let out = &mut self.out;
-        out.copy_from(&self.labels);
         // Invariant guard: any out-of-range label (possible only via
-        // corruption) is repaired to the pixel's home cluster, keeping the
-        // map a valid index into `clusters` for connectivity and callers.
+        // corruption) is repaired in place to the pixel's home cluster,
+        // keeping the map a valid index into `clusters` for connectivity
+        // and callers.
+        let labels = Arc::make_mut(&mut self.labels);
         let k = self.clusters.len() as u32;
         let mut label_repairs = 0u64;
         for y in 0..h {
             for x in 0..w {
-                if out[(x, y)] >= k {
-                    out[(x, y)] = self.grid.home_cluster_of_pixel(x, y) as u32;
+                if labels[(x, y)] >= k {
+                    labels[(x, y)] = self.grid.home_cluster_of_pixel(x, y) as u32;
                     label_repairs += 1;
                 }
             }
@@ -1460,6 +1459,13 @@ impl SegmenterSession {
     /// distance buffer.
     fn assign_cpa(&mut self, subset: Option<(u32, u32)>, recorder: Option<&Recorder>, step: u32) {
         self.refresh_codes();
+        // A new round (every SLIC step, subset 0 of an S-SLIC round) lets
+        // clusters compete afresh, so stale distances to long-moved centers
+        // cannot pin labels forever. Step 0 starts a round, so no attempt
+        // or frame reads a distance an earlier one wrote.
+        if subset.is_none_or(|(_, s)| s == 0) {
+            self.dist.reset_to(f32::INFINITY);
+        }
         let (w, h) = (self.grid.width(), self.grid.height());
         let radius = self.grid.spacing().ceil() as isize; // 2S×2S window
         self.fold_max.fill(0.0);
@@ -1794,21 +1800,39 @@ mod tests {
 
     #[test]
     fn auto_warm_matches_explicit_warm_chain() {
-        let seg = Segmenter::sslic_ppa(params(60, 5), 2);
+        let configs = [
+            Segmenter::slic(params(60, 5)),
+            Segmenter::slic_ppa(params(60, 5)),
+            Segmenter::sslic_ppa(params(60, 5), 2),
+            Segmenter::sslic_cpa(params(60, 5), 2),
+        ];
         let imgs = frames(3);
-        let mut session = seg.session(64, 48);
-        // One-shot chain: each frame warm-started from the previous result.
-        let mut warm: Option<Vec<Cluster>> = None;
-        for img in &imgs {
-            let mut options = RunOptions::new();
-            if let Some(w) = &warm {
-                options = options.with_warm_start(w);
+        for seg in configs {
+            let name = seg.algorithm().name();
+            let mut session = seg.session(64, 48);
+            // One-shot chain: each frame warm-started from the previous
+            // result. A warm CPA session carries its distance buffer into
+            // the next frame, so this also pins that step 0 clears it.
+            let mut warm: Option<Vec<Cluster>> = None;
+            for img in &imgs {
+                let mut options = RunOptions::new();
+                if let Some(w) = &warm {
+                    options = options.with_warm_start(w);
+                }
+                let one_shot = seg.run(SegmentRequest::Rgb(&img.rgb), &options);
+                session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+                assert_eq!(
+                    session.labels().as_slice(),
+                    one_shot.labels().as_slice(),
+                    "{name} labels diverged"
+                );
+                assert_eq!(
+                    session.clusters(),
+                    one_shot.clusters(),
+                    "{name} centers diverged"
+                );
+                warm = Some(one_shot.clusters().to_vec());
             }
-            let one_shot = seg.run(SegmentRequest::Rgb(&img.rgb), &options);
-            session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-            assert_eq!(session.labels().as_slice(), one_shot.labels().as_slice());
-            assert_eq!(session.clusters(), one_shot.clusters());
-            warm = Some(one_shot.clusters().to_vec());
         }
     }
 

@@ -1,11 +1,7 @@
-//! Separable image filters: box and Gaussian smoothing and Sobel edges.
-//!
-//! Camera pipelines denoise before segmentation; these filters let the
-//! examples and benches prepare realistic inputs, and Sobel provides an
-//! alternative gradient operator to compare against SLIC's simple
-//! difference gradient.
+//! The 3×3 box blur the synthetic generator uses to soften region
+//! boundaries the way camera optics do.
 
-use crate::{Plane, Rgb, RgbImage};
+use crate::{Plane, RgbImage};
 
 /// One 3×3 box-blur pass with replicate borders, per channel.
 pub fn box_blur(img: &RgbImage) -> RgbImage {
@@ -27,197 +23,14 @@ pub fn box_blur_plane(p: &Plane<u8>) -> Plane<u8> {
     })
 }
 
-/// Separable Gaussian blur with standard deviation `sigma` (kernel radius
-/// `ceil(3σ)`), replicate borders.
-///
-/// # Panics
-///
-/// Panics if `sigma` is not positive and finite.
-pub fn gaussian_blur(img: &RgbImage, sigma: f32) -> RgbImage {
-    assert!(
-        sigma > 0.0 && sigma.is_finite(),
-        "sigma must be positive and finite"
-    );
-    let kernel = gaussian_kernel(sigma);
-    let (r, g, b) = img.to_planes();
-    let blur = |p: &Plane<u8>| -> Plane<u8> {
-        let pf = p.map(|v| v as f32);
-        let h = convolve_rows(&pf, &kernel);
-        let hv = convolve_cols(&h, &kernel);
-        hv.map(|v| v.round().clamp(0.0, 255.0) as u8)
-    };
-    RgbImage::from_planes(&blur(&r), &blur(&g), &blur(&b)).unwrap_or_else(|_| img.clone())
-}
-
-fn gaussian_kernel(sigma: f32) -> Vec<f32> {
-    let radius = (3.0 * sigma).ceil() as isize;
-    let mut k: Vec<f32> = (-radius..=radius)
-        .map(|i| (-(i as f32).powi(2) / (2.0 * sigma * sigma)).exp())
-        .collect();
-    let sum: f32 = k.iter().sum();
-    for v in &mut k {
-        *v /= sum;
-    }
-    k
-}
-
-fn convolve_rows(p: &Plane<f32>, kernel: &[f32]) -> Plane<f32> {
-    let radius = (kernel.len() / 2) as isize;
-    Plane::from_fn(p.width(), p.height(), |x, y| {
-        kernel
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| w * p.get_clamped(x as isize + i as isize - radius, y as isize))
-            .sum()
-    })
-}
-
-fn convolve_cols(p: &Plane<f32>, kernel: &[f32]) -> Plane<f32> {
-    let radius = (kernel.len() / 2) as isize;
-    Plane::from_fn(p.width(), p.height(), |x, y| {
-        kernel
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| w * p.get_clamped(x as isize, y as isize + i as isize - radius))
-            .sum()
-    })
-}
-
-/// Sobel gradient magnitude of a single plane (replicate borders),
-/// returned as `f32` (unnormalized).
-pub fn sobel_magnitude(p: &Plane<u8>) -> Plane<f32> {
-    Plane::from_fn(p.width(), p.height(), |x, y| {
-        let at = |dx: isize, dy: isize| p.get_clamped(x as isize + dx, y as isize + dy) as f32;
-        let gx = (at(1, -1) + 2.0 * at(1, 0) + at(1, 1))
-            - (at(-1, -1) + 2.0 * at(-1, 0) + at(-1, 1));
-        let gy = (at(-1, 1) + 2.0 * at(0, 1) + at(1, 1))
-            - (at(-1, -1) + 2.0 * at(0, -1) + at(1, -1));
-        (gx * gx + gy * gy).sqrt()
-    })
-}
-
-/// Bilinear resize to `new_width × new_height`.
-///
-/// # Panics
-///
-/// Panics if either target dimension is zero.
-pub fn resize_bilinear(img: &RgbImage, new_width: usize, new_height: usize) -> RgbImage {
-    assert!(
-        new_width > 0 && new_height > 0,
-        "target dimensions must be nonzero"
-    );
-    let sx = img.width() as f32 / new_width as f32;
-    let sy = img.height() as f32 / new_height as f32;
-    RgbImage::from_fn(new_width, new_height, |x, y| {
-        // Sample at the pixel center of the target grid.
-        let fx = ((x as f32 + 0.5) * sx - 0.5).max(0.0);
-        let fy = ((y as f32 + 0.5) * sy - 0.5).max(0.0);
-        let x0 = (fx as usize).min(img.width() - 1);
-        let y0 = (fy as usize).min(img.height() - 1);
-        let x1 = (x0 + 1).min(img.width() - 1);
-        let y1 = (y0 + 1).min(img.height() - 1);
-        let (tx, ty) = (fx - x0 as f32, fy - y0 as f32);
-        let lerp = |a: u8, b: u8, t: f32| a as f32 + (b as f32 - a as f32) * t;
-        let sample = |c: fn(Rgb) -> u8| {
-            let top = lerp(c(img.pixel(x0, y0)), c(img.pixel(x1, y0)), tx);
-            let bot = lerp(c(img.pixel(x0, y1)), c(img.pixel(x1, y1)), tx);
-            (top + (bot - top) * ty).round().clamp(0.0, 255.0) as u8
-        };
-        Rgb::new(sample(|p| p.r), sample(|p| p.g), sample(|p| p.b))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn gradient_image() -> RgbImage {
-        RgbImage::from_fn(16, 16, |x, _| Rgb::new((x * 16) as u8, 0, 0))
-    }
+    use crate::Rgb;
 
     #[test]
     fn box_blur_preserves_flat_images() {
         let img = RgbImage::filled(8, 8, Rgb::new(100, 50, 25));
         assert_eq!(box_blur(&img), img);
-    }
-
-    #[test]
-    fn gaussian_blur_preserves_flat_images() {
-        let img = RgbImage::filled(8, 8, Rgb::new(100, 50, 25));
-        let out = gaussian_blur(&img, 1.5);
-        for y in 0..8 {
-            for x in 0..8 {
-                let p = out.pixel(x, y);
-                assert!((p.r as i16 - 100).abs() <= 1, "flat stays flat");
-            }
-        }
-    }
-
-    #[test]
-    fn gaussian_blur_reduces_contrast_of_edges() {
-        let img = RgbImage::from_fn(16, 4, |x, _| {
-            if x < 8 {
-                Rgb::new(0, 0, 0)
-            } else {
-                Rgb::new(255, 255, 255)
-            }
-        });
-        let out = gaussian_blur(&img, 2.0);
-        // Near-edge values move toward the middle.
-        assert!(out.pixel(7, 2).r > 30);
-        assert!(out.pixel(8, 2).r < 225);
-        // Far from the edge, values are preserved.
-        assert!(out.pixel(0, 2).r < 10);
-        assert!(out.pixel(15, 2).r > 245);
-    }
-
-    #[test]
-    #[should_panic(expected = "sigma")]
-    fn gaussian_rejects_nonpositive_sigma() {
-        let _ = gaussian_blur(&gradient_image(), 0.0);
-    }
-
-    #[test]
-    fn sobel_peaks_on_edges_and_vanishes_on_flats() {
-        let p = Plane::from_fn(16, 8, |x, _| if x < 8 { 0u8 } else { 200 });
-        let g = sobel_magnitude(&p);
-        assert_eq!(g[(2, 4)], 0.0);
-        assert!(g[(7, 4)] > 100.0);
-        assert!(g[(8, 4)] > 100.0);
-        assert_eq!(g[(14, 4)], 0.0);
-    }
-
-    #[test]
-    fn resize_identity_is_lossless() {
-        let img = gradient_image();
-        assert_eq!(resize_bilinear(&img, 16, 16), img);
-    }
-
-    #[test]
-    fn downscale_preserves_mean_roughly() {
-        let img = gradient_image();
-        let small = resize_bilinear(&img, 4, 4);
-        let mean = |im: &RgbImage| {
-            im.as_raw().iter().step_by(3).map(|&v| v as f64).sum::<f64>()
-                / im.pixel_count() as f64
-        };
-        assert!((mean(&img) - mean(&small)).abs() < 12.0);
-    }
-
-    #[test]
-    fn upscale_produces_smooth_interpolation() {
-        let img = RgbImage::from_fn(2, 1, |x, _| Rgb::new((x * 200) as u8, 0, 0));
-        let big = resize_bilinear(&img, 8, 1);
-        // Monotone ramp between the two source pixels.
-        let row: Vec<u8> = (0..8).map(|x| big.pixel(x, 0).r).collect();
-        assert!(row.windows(2).all(|w| w[0] <= w[1]), "{row:?}");
-        assert_eq!(row[0], 0);
-        assert_eq!(row[7], 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn resize_rejects_zero_dimensions() {
-        let _ = resize_bilinear(&gradient_image(), 0, 4);
     }
 }

@@ -13,9 +13,10 @@
 //!   be segmented without external decoders.
 //! * [`gradient`] — the 3×3 gradient magnitude used by SLIC's center
 //!   perturbation step.
-//! * [`synthetic`] — a seeded generator of Berkeley-sized natural-statistics
+//! * [`synthetic`] — a seeded generator of Berkeley-like natural-statistics
 //!   images with exact ground-truth region maps, substituting for the
 //!   Berkeley segmentation dataset (see `DESIGN.md` §3).
+//! * [`filter`] — the 3×3 box blur the generator softens boundaries with.
 //! * [`draw`] — boundary overlays and label-map visualisation for examples.
 //! * [`prng`] — a vendored seedable SplitMix64 generator backing the
 //!   synthetic dataset, so builds need no external `rand` dependency.

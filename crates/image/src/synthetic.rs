@@ -11,8 +11,8 @@
 //!    giving curvy, natural-looking region boundaries.
 //! 2. Appearance: a distinct base color per region, plus multi-octave value
 //!    noise texture, a smooth illumination ramp, per-pixel Gaussian-ish
-//!    noise, and optional box-blur passes that soften boundaries the way
-//!    camera optics do.
+//!    noise, and optional passes of [`box_blur`](crate::filter::box_blur)
+//!    that soften boundaries the way camera optics do.
 //!
 //! Because every algorithm variant in this repository sees identical inputs,
 //! the *relative* quality/time curves of the paper's Figure 2 and the
@@ -29,14 +29,10 @@
 //! assert_eq!(a.rgb, b.rgb, "generation is fully deterministic per seed");
 //! ```
 
+use crate::filter::box_blur;
 use crate::prng::SplitMix64;
 
 use crate::{Plane, Rgb, RgbImage};
-
-/// Berkeley segmentation dataset landscape geometry (481×321).
-pub const BERKELEY_WIDTH: usize = 481;
-/// Berkeley segmentation dataset landscape geometry (481×321).
-pub const BERKELEY_HEIGHT: usize = 321;
 
 /// A generated image together with its exact ground-truth region map.
 #[derive(Debug, Clone)]
@@ -283,14 +279,9 @@ pub struct SyntheticDataset {
 }
 
 impl SyntheticDataset {
-    /// Generates `count` Berkeley-sized (481×321) images with varying
-    /// region counts (deterministic per `seed`).
-    pub fn berkeley_like(count: usize, seed: u64) -> Self {
-        Self::with_geometry(count, seed, BERKELEY_WIDTH, BERKELEY_HEIGHT)
-    }
-
-    /// Generates `count` images of arbitrary geometry — smaller sizes keep
-    /// unit tests and CI benches fast while preserving statistics.
+    /// Generates `count` `width × height` images with varying region counts
+    /// (deterministic per `seed`) — small sizes keep unit tests fast while
+    /// preserving statistics.
     pub fn with_geometry(count: usize, seed: u64, width: usize, height: usize) -> Self {
         let images = (0..count)
             .map(|i| {
@@ -468,24 +459,6 @@ fn approx_gaussian(rng: &mut SplitMix64) -> f32 {
     (s - 2.0) * (3.0f32).sqrt() // var of sum = 4/12 = 1/3 → scale by sqrt(3)
 }
 
-/// One 3×3 box-blur pass with replicate border handling.
-fn box_blur(img: &RgbImage) -> RgbImage {
-    let (rp, gp, bp) = img.to_planes();
-    let blur_plane = |p: &Plane<u8>| -> Plane<u8> {
-        Plane::from_fn(p.width(), p.height(), |x, y| {
-            let mut sum = 0u32;
-            for dy in -1isize..=1 {
-                for dx in -1isize..=1 {
-                    sum += p.get_clamped(x as isize + dx, y as isize + dy) as u32;
-                }
-            }
-            (sum / 9) as u8
-        })
-    };
-    RgbImage::from_planes(&blur_plane(&rp), &blur_plane(&gp), &blur_plane(&bp))
-        .unwrap_or_else(|_| img.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,13 +617,6 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.rgb, y.rgb);
         }
-    }
-
-    #[test]
-    fn berkeley_like_uses_berkeley_geometry() {
-        let d = SyntheticDataset::berkeley_like(1, 0);
-        assert_eq!(d.images[0].rgb.width(), BERKELEY_WIDTH);
-        assert_eq!(d.images[0].rgb.height(), BERKELEY_HEIGHT);
     }
 
     #[test]

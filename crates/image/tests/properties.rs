@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use sslic_image::filter::{box_blur, gaussian_blur, resize_bilinear};
+use sslic_image::filter::box_blur;
 use sslic_image::{ppm, Plane, Rgb, RgbImage};
 
 fn arb_image(max_dim: usize) -> impl Strategy<Value = RgbImage> {
@@ -56,9 +56,8 @@ proptest! {
     #[test]
     fn blurs_preserve_geometry_and_range(img in arb_image(20)) {
         let boxed = box_blur(&img);
-        let gauss = gaussian_blur(&img, 1.0);
         prop_assert_eq!(boxed.width(), img.width());
-        prop_assert_eq!(gauss.height(), img.height());
+        prop_assert_eq!(boxed.height(), img.height());
         // Blur output stays within the min/max of the input per channel
         // (convex combination of samples, up to rounding).
         let bounds = |im: &RgbImage| {
@@ -78,20 +77,6 @@ proptest! {
             prop_assert!(blo[c] >= ilo[c]);
             prop_assert!(bhi[c] <= ihi[c]);
         }
-    }
-
-    #[test]
-    fn resize_preserves_flat_images(
-        fill in any::<(u8, u8, u8)>(),
-        w in 1usize..16,
-        h in 1usize..16,
-        nw in 1usize..24,
-        nh in 1usize..24,
-    ) {
-        let img = RgbImage::filled(w, h, Rgb::new(fill.0, fill.1, fill.2));
-        let out = resize_bilinear(&img, nw, nh);
-        prop_assert_eq!(out.width(), nw);
-        prop_assert!(out.as_raw().chunks_exact(3).all(|p| p == [fill.0, fill.1, fill.2]));
     }
 
     #[test]

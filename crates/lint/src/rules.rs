@@ -19,8 +19,8 @@
 //! * `tests/`, `benches/`, `examples/`, `src/bin/` and `fixtures/` trees
 //!   are not library source — the panic rules do not apply there.
 //! * The datapath module list is a hardcoded policy (see [`DATAPATH_FILES`]):
-//!   the cycle-level hardware units, the core fixed-point arithmetic and
-//!   the LUT colour conversion.
+//!   the cycle-level hardware units, the center-update divider and the
+//!   LUT colour conversion.
 //!   The quantizer/LUT-builder modules of `sslic-fixed` are deliberately
 //!   excluded — their whole purpose is the float↔fixed boundary.
 
@@ -28,7 +28,7 @@ use crate::lexer::{lex, Token, TokenKind};
 
 /// Files that model the silicon datapath and must stay float-free.
 ///
-/// Matched by path suffix. `crates/fixed/src/{lut,quant,format}.rs` are the
+/// Matched by path suffix. `crates/fixed/src/{lut,quant}.rs` are the
 /// sanctioned float↔fixed boundary and are intentionally absent.
 pub const DATAPATH_FILES: &[&str] = &[
     "crates/hw/src/cluster.rs",
@@ -36,8 +36,6 @@ pub const DATAPATH_FILES: &[&str] = &[
     "crates/hw/src/dma.rs",
     "crates/hw/src/scratchpad.rs",
     "crates/fixed/src/div.rs",
-    "crates/fixed/src/fx.rs",
-    "crates/fixed/src/isqrt.rs",
     // The quantized colour conversion: per pixel it is gamma-LUT reads, an
     // integer matrix and table reads; only its table builder (`new`) is
     // allowed floats, as the float→fixed boundary.
@@ -264,7 +262,7 @@ fn float_rule(path: &str, tok: &Token, items: &ItemTracker, out: &mut Vec<Findin
             rule: "float-in-datapath",
             message: format!(
                 "float token `{}` in a fixed-point datapath module; hardware-faithful \
-                 arithmetic must use sslic-fixed integer types",
+                 arithmetic must be integer arithmetic",
                 tok.text
             ),
             item: items.current(),

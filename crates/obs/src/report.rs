@@ -202,7 +202,7 @@ pub struct TrafficEntry {
 /// One traced run, serialized.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// Algorithm name (`ppa`, `cpa`, `slic`).
+    /// Algorithm name (`slic_cpa`, `slic_ppa`, `sslic_ppa` or `sslic_cpa`).
     pub algorithm: String,
     /// Image width in pixels.
     pub width: u64,
@@ -228,7 +228,7 @@ pub struct RunReport {
     pub kernel: Option<String>,
     /// Center-update steps actually executed.
     pub iterations_run: u64,
-    /// Final status (`ok` or `degraded`).
+    /// Final status (`ok`, `degraded` or `recovered`).
     pub status: String,
     /// Invariant repairs performed by the engine.
     pub repairs: u64,
