@@ -207,16 +207,24 @@ echo "==> kernel identity (scalar and SWAR assign kernels must emit byte-identic
 # The packed fixed-point assign kernel is bit-identical to the scalar
 # reference loop by contract. Segment one frame with each kernel forced
 # and byte-diff the 16-bit label maps — any divergence fails CI here
-# before the pinned-checksum suites even run.
+# before the pinned-checksum suites even run. At P = 3 the first subset
+# member of a 160-wide row (y·160 mod 3) rotates from row to row; at
+# P = 2 every row starts at the same column.
 ./target/release/sslic dataset results/kernel-ds --count 1 --width 160 --height 120 >/dev/null
 kernel_seg() {
     ./target/release/sslic segment results/kernel-ds/000.ppm \
         --superpixels 150 --iterations 3 --algo hw8 --kernel "$1" \
-        --out "results/kernel-ds/seg-$1" >/dev/null
+        --subsets "$2" --threads "$3" \
+        --out "results/kernel-ds/seg-$1-$2-$3" >/dev/null
 }
-kernel_seg scalar
-kernel_seg swar
-cmp results/kernel-ds/seg-scalar.labels.pgm results/kernel-ds/seg-swar.labels.pgm
+for subsets in 2 3; do
+    for threads in 1 4; do
+        kernel_seg scalar "$subsets" "$threads"
+        kernel_seg swar "$subsets" "$threads"
+        cmp "results/kernel-ds/seg-scalar-$subsets-$threads.labels.pgm" \
+            "results/kernel-ds/seg-swar-$subsets-$threads.labels.pgm"
+    done
+done
 rm -rf results/kernel-ds
 
 echo "==> bench trajectory (insight bench must see no counter regression across PR seeds)"

@@ -21,9 +21,10 @@
 //! by binary search over f64 *bit patterns* (order-isomorphic to the
 //! non-negative reals) with the scalar quantizer as the oracle, and
 //! replicates the scalar `V` computation bit-for-bit via two 512-entry
-//! squared-delta LUTs indexed by the biased SWAR lanes. This removes the
-//! per-candidate `sqrt` + divide + `round` that dominates the scalar
-//! datapath while deciding every comparison identically.
+//! squared-delta LUTs indexed by the biased SWAR lanes. Every comparison
+//! is one `V < threshold` test, decided identically to the scalar one;
+//! only a candidate that becomes the best pays a `sqrt`, to index its
+//! new threshold directly.
 //!
 //! # Dispatch resolution
 //!
@@ -142,10 +143,9 @@ fn biased_deltas(packed: u64, center: u8) -> u64 {
     packed + (256 - center as u16) as u64 * LANE_ONES
 }
 
-/// Precomputed tables of the SWAR assign kernel. Built once per session
-/// when the configuration qualifies (ledger-recorded alongside the other
-/// scratch), then shared immutably across bands — steady-state frames
-/// never touch the heap for it.
+/// Precomputed tables of the SWAR assign kernel. Built once, at session
+/// construction, when the configuration qualifies, then shared immutably
+/// across bands — steady-state frames never touch the heap for it.
 #[derive(Debug, Clone)]
 pub(crate) struct SwarKernel {
     /// Channel-truncation mask replicated across the four 16-bit lanes
@@ -161,6 +161,9 @@ pub(crate) struct SwarKernel {
     /// `vb[c]` = smallest non-negative f64 `V` with
     /// `encode(sqrt(V)) ≥ c`. `vb[0]` is 0.0; the table is sorted.
     vb: Vec<f64>,
+    /// `1 / step` of the distance quantizer: `sqrt(V) · inv_step`
+    /// rounds to within one code of `encode(sqrt(V))`.
+    inv_step: f64,
     /// Eq. 5 spatial weight `m²/S²`, bit-identical to the scalar
     /// kernel's f64 copy.
     m2_over_s2: f64,
@@ -224,6 +227,7 @@ impl SwarKernel {
             lsq,
             isq,
             vb,
+            inv_step: 1.0 / q.step(),
             m2_over_s2: qk.m2_over_s2(),
         }
     }
@@ -232,19 +236,33 @@ impl SwarKernel {
     /// value `v` became the current best: `vb[encode(sqrt(v))]`. A later
     /// candidate `v'` wins under the scalar rule (`code' < code`) exactly
     /// when `v' < vb[code]`, because `encode(sqrt(·))` is monotone.
+    ///
+    /// The code is the largest `c` with `vb[c] ≤ v`. The rounded guess
+    /// `sqrt(v) · inv_step` is within one code of it, so one step against
+    /// the table lands on it exactly.
     #[inline]
     fn beat_threshold(&self, v: f64) -> f64 {
-        let code = self.vb[1..].partition_point(|&b| b <= v);
+        let max = self.vb.len() - 1;
+        let guess = ((v.sqrt() * self.inv_step + 0.5) as usize).min(max);
+        let code = if guess < max && self.vb[guess + 1] <= v {
+            guess + 1
+        } else if self.vb[guess] > v {
+            guess - 1
+        } else {
+            guess
+        };
         self.vb[code]
     }
 
-    /// The SWAR replacement of the scalar per-band assign loop: walks
-    /// each grid-cell run of each row (pixels of one run share their
-    /// 9-candidate set), gathers subset-surviving pixels four at a time
-    /// into SWAR lanes, and writes the per-pixel argmin labels into the
-    /// band stripe. Pixels skipped by subset filtering or preemption keep
-    /// their stripe value, exactly like the scalar loop. Returns the
-    /// number of pixels assigned (the scalar loop's `assigned` counter).
+    /// The SWAR replacement of the scalar per-band assign loop. Each row
+    /// is walked by one cursor over its subset members (every column
+    /// without subsampling), carried across the row's grid-cell runs:
+    /// the pixels of one run share their 9-candidate set and are gathered
+    /// four at a time into SWAR lanes, and the per-pixel argmin labels go
+    /// into the band stripe. Pixels outside the subset or skipped by
+    /// preemption keep their stripe value, exactly like the scalar loop.
+    /// Returns the number of pixels assigned (the scalar loop's
+    /// `assigned` counter).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assign_rows(
         &self,
@@ -263,36 +281,41 @@ impl SwarKernel {
         let grows = grid.rows();
         let mut assigned = 0u64;
         for y in rows.clone() {
+            let Some((first, step)) = partition.map_or(Some((0, 1)), |(p, s)| p.row_members(y, s))
+            else {
+                continue;
+            };
             let cy = (y * grows / h).min(grows - 1);
             let row_off = (y - rows.start) * w;
             let srow = &mut stripe[row_off..row_off + w];
             let lrow = lab8.l.row(y);
             let arow = lab8.a.row(y);
             let brow = lab8.b.row(y);
+            // The cursor: the row's next subset member.
+            let mut x = first;
             for cx in 0..cols {
-                // The run of columns mapping to grid cell `cx`:
-                // `x * cols / w == cx` ⇔ `x ∈ [⌈cx·w/cols⌉, ⌈(cx+1)·w/cols⌉)`.
-                let x0 = (cx * w + cols - 1) / cols;
+                // Grid cell `cx` covers the columns with
+                // `x * cols / w == cx`, which end at `⌈(cx+1)·w/cols⌉`;
+                // the cursor enters each run at its first member.
                 let x1 = ((cx + 1) * w + cols - 1) / cols;
-                if x0 >= x1 {
+                if x >= x1 {
                     continue;
                 }
                 let nine = grid.nine_neighbors_of_cell(cx, cy);
                 // Preemption: the whole run shares one candidate set, so
                 // one all-frozen check replaces the per-pixel checks.
                 if preempting && nine.iter().all(|&k| !active[k]) {
+                    while x < x1 {
+                        x += step;
+                    }
                     continue;
                 }
                 let mut gx = [0usize; LANES];
                 let mut n = 0usize;
-                for x in x0..x1 {
-                    if let Some((part, s)) = partition {
-                        if part.subset_of(x, y) != s {
-                            continue;
-                        }
-                    }
+                while x < x1 {
                     gx[n] = x;
                     n += 1;
+                    x += step;
                     if n == LANES {
                         self.scan_group(lrow, arow, brow, &gx, n, y, &nine, codes, srow);
                         assigned += LANES as u64;
@@ -463,6 +486,47 @@ mod tests {
             }
             assert!(code(sk.vb[c as usize]) >= c, "v = {v}");
             v = v * 1.17 + 0.73;
+        }
+    }
+
+    #[test]
+    fn direct_threshold_equals_the_table_search_at_every_boundary() {
+        // The binary search `beat_threshold` replaced is the oracle: for
+        // every table entry, the f64 patterns either side of it, 0 and
+        // f64::MAX, the direct index plus its one fix-up step must pick
+        // the same threshold, starting from a guess at most one code off.
+        for distance_bits in 1..=16u8 {
+            for channel_bits in [4u8, 8] {
+                for (m, s) in [
+                    (10.0, 20.0),
+                    (1.0, 4.0),
+                    (40.0, 8.0),
+                    (10.0, 39.19),
+                    (25.0, 60.0),
+                ] {
+                    let sk = SwarKernel::new(&QuantKernel::new(channel_bits, distance_bits, m, s));
+                    let max = sk.vb.len() - 1;
+                    let probes = sk.vb.iter().flat_map(|b| {
+                        let bits = b.to_bits();
+                        [bits.saturating_sub(1), bits, bits + 1].map(f64::from_bits)
+                    });
+                    for v in probes.chain([0.0, f64::MAX]) {
+                        let exact = sk.vb[1..].partition_point(|&b| b <= v);
+                        let at =
+                            format!("bits {distance_bits}/{channel_bits}, m {m}, S {s}, v {v:e}");
+                        assert_eq!(
+                            sk.beat_threshold(v).to_bits(),
+                            sk.vb[exact].to_bits(),
+                            "{at}"
+                        );
+                        let guess = ((v.sqrt() * sk.inv_step + 0.5) as usize).min(max);
+                        assert!(
+                            guess.abs_diff(exact) <= 1,
+                            "{at}: guess {guess}, exact {exact}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

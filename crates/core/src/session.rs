@@ -320,10 +320,12 @@ fn band_kernel(cmd: &Cmd, _band: usize, rows: Range<usize>, slot: &mut BandSlot)
 }
 
 /// One band of PPA assignment over `rows`, writing the band's label stripe
-/// and private counters/maxima into its slot. Skipped pixels (subset
-/// mismatch, all-frozen neighborhoods) keep the stripe's previous value,
-/// which the session keeps synchronized with the central label plane — so
-/// the stripe write-back leaves their labels unchanged.
+/// and private counters/maxima into its slot. Each row visits only the
+/// subset's columns ([`SubsetPartition::row_members`]; every column
+/// without subsampling). Skipped pixels (outside the subset, all-frozen
+/// neighborhoods) keep the stripe's previous value, which the session
+/// keeps synchronized with the central label plane — so the stripe
+/// write-back leaves their labels unchanged.
 fn assign_band(
     ctx: &FrameCtx,
     subset: Option<u32>,
@@ -333,6 +335,7 @@ fn assign_band(
 ) {
     let w = ctx.grid.width();
     slot.new_max.fill(0.0);
+    let part = ctx.partition.as_deref().zip(subset);
     if let (Some(swar), Some(lab8)) = (ctx.swar.as_deref(), ctx.lab8.as_deref()) {
         // The SWAR fixed-point kernel: bit-identical labels (the lane
         // scan replays every scalar comparison — see `crate::kernel`),
@@ -340,10 +343,6 @@ fn assign_band(
         // pixels. SLICO maxima never apply here: adaptive compactness
         // is a float-datapath feature, and `ctx.swar` is only populated
         // on quantized frames.
-        let part = match (subset, ctx.partition.as_deref()) {
-            (Some(s), Some(p)) => Some((p, s)),
-            _ => None,
-        };
         let assigned = swar.assign_rows(
             &ctx.grid,
             lab8,
@@ -365,12 +364,10 @@ fn assign_band(
     let dist = DistCtx::of(ctx);
     let mut assigned = 0u64;
     for y in rows.clone() {
-        for x in 0..w {
-            if let (Some(s), Some(part)) = (subset, ctx.partition.as_deref()) {
-                if part.subset_of(x, y) != s {
-                    continue;
-                }
-            }
+        let Some((first, step)) = part.map_or(Some((0, 1)), |(p, s)| p.row_members(y, s)) else {
+            continue;
+        };
+        for x in (first..w).step_by(step) {
             let nine = ctx.grid.nine_neighbors_of_pixel(x, y);
             // Preemption: if every candidate is frozen, the pixel's
             // assignment cannot change — skip the 9 distances.
@@ -405,7 +402,8 @@ fn assign_band(
 /// One band of sigma accumulation over `rows` into the slot's private
 /// register file (zeroed on entry; folded in ascending band order by the
 /// session, which is what keeps the f64 sums bit-identical across thread
-/// counts despite float non-associativity).
+/// counts despite float non-associativity). With a pixel subset, each row
+/// reads only that subset's columns ([`SubsetPartition::row_members`]).
 fn update_band(
     ctx: &FrameCtx,
     pixel_subset: Option<u32>,
@@ -417,14 +415,13 @@ fn update_band(
     for acc in slot.sigma.iter_mut() {
         *acc = [0.0; 6];
     }
+    let part = ctx.partition.as_deref().zip(pixel_subset);
     let mut pixels_seen = 0u64;
     for y in rows {
-        for x in 0..w {
-            if let (Some(s), Some(part)) = (pixel_subset, ctx.partition.as_deref()) {
-                if part.subset_of(x, y) != s {
-                    continue;
-                }
-            }
+        let Some((first, step)) = part.map_or(Some((0, 1)), |(p, s)| p.row_members(y, s)) else {
+            continue;
+        };
+        for x in (first..w).step_by(step) {
             let k = ctx.labels[(x, y)] as usize;
             if let Some((p, s)) = cluster_subset {
                 if k as u32 % p != s {
@@ -513,7 +510,9 @@ pub struct SegmenterSession {
     /// `None` means every frame runs the (bit-identical) scalar loop.
     swar: Option<Arc<SwarKernel>>,
     converter: Option<HwColorConverter>,
-    dist: Plane<f32>,
+    /// The CPA distance buffer: `Some` exactly for the center-perspective
+    /// algorithms, the only ones that read it.
+    dist: Option<Plane<f32>>,
     conn: ConnScratch,
     pool: BandPool<Cmd, BandSlot>,
     fold_max: Vec<f32>,
@@ -609,7 +608,7 @@ impl SegmenterSession {
         let lab = Arc::new(LabImage::from_fn(width, height, |_, _| [0.0; 3]));
         let lab8 = Arc::new(Lab8Image::from_fn(width, height, |_, _| [0; 3]));
         let labels = Arc::new(Plane::filled(width, height, 0u32));
-        let dist = Plane::filled(width, height, f32::INFINITY);
+        let dist = (!banded_labels).then(|| Plane::filled(width, height, f32::INFINITY));
         let conn = ConnScratch::new(width, height);
         let clusters = Arc::new(vec![Cluster::default(); k]);
         let codes = Arc::new(Vec::with_capacity(k));
@@ -1459,18 +1458,21 @@ impl SegmenterSession {
     /// distance buffer.
     fn assign_cpa(&mut self, subset: Option<(u32, u32)>, recorder: Option<&Recorder>, step: u32) {
         self.refresh_codes();
+        // Every CPA session owns the buffer (see `try_new`).
+        let Some(dist_buffer) = self.dist.as_mut() else {
+            return;
+        };
         // A new round (every SLIC step, subset 0 of an S-SLIC round) lets
         // clusters compete afresh, so stale distances to long-moved centers
         // cannot pin labels forever. Step 0 starts a round, so no attempt
         // or frame reads a distance an earlier one wrote.
         if subset.is_none_or(|(_, s)| s == 0) {
-            self.dist.reset_to(f32::INFINITY);
+            dist_buffer.reset_to(f32::INFINITY);
         }
         let (w, h) = (self.grid.width(), self.grid.height());
         let radius = self.grid.spacing().ceil() as isize; // 2S×2S window
         self.fold_max.fill(0.0);
         let labels = Arc::make_mut(&mut self.labels);
-        let dist_buffer = &mut self.dist;
         let dctx = DistCtx {
             lab: &self.lab,
             lab8: self.quantized.then_some(&*self.lab8),

@@ -95,6 +95,24 @@ impl SubsetPartition {
         subset_of(x, y, self.width, self.height, self.subsets, self.strategy)
     }
 
+    /// The columns of row `y` that belong to subset `s`, as `(first, step)`:
+    /// every `step`-th column from `first`, or `None` when the row has no
+    /// member. Both interleaves advance the subset by one per column, so
+    /// their members sit `P` apart from a per-row phase; a band row is
+    /// either wholly in `s` or not at all.
+    pub(crate) fn row_members(&self, y: usize, s: u32) -> Option<(usize, usize)> {
+        let p = self.subsets as usize;
+        let row_shift = match self.strategy {
+            SubsetStrategy::Interleaved => self.width,
+            SubsetStrategy::Checkerboard => checkerboard_q(p),
+            SubsetStrategy::Bands => return (self.subset_of(0, y) == s).then_some((0, 1)),
+        };
+        // Pixel (x, y) is in subset (y·row_shift + x) mod P.
+        let phase = y * row_shift % p;
+        let first = (s as usize + p - phase) % p;
+        (first < self.width).then_some((first, p))
+    }
+
     /// The subset processed at sub-iteration `step` (round-robin).
     #[inline]
     pub fn subset_for_step(&self, step: u32) -> u32 {
@@ -130,12 +148,14 @@ fn subset_of(
     let p = subsets as usize;
     (match strategy {
         SubsetStrategy::Interleaved => (y * width + x) % p,
-        SubsetStrategy::Checkerboard => {
-            let q = (p as f64).sqrt().ceil() as usize;
-            (x + y * q) % p
-        }
+        SubsetStrategy::Checkerboard => (x + y * checkerboard_q(p)) % p,
         SubsetStrategy::Bands => (y * p / height).min(p - 1),
     }) as u32
+}
+
+/// The Checkerboard row shift `q = ⌈√P⌉`.
+fn checkerboard_q(p: usize) -> usize {
+    (p as f64).sqrt().ceil() as usize
 }
 
 #[cfg(test)]
@@ -197,6 +217,47 @@ mod tests {
     #[should_panic(expected = "subset count")]
     fn zero_subsets_panics() {
         let _ = SubsetPartition::new(8, 8, 0, SubsetStrategy::Interleaved);
+    }
+
+    #[test]
+    fn row_members_enumerate_exactly_the_subset() {
+        for strategy in [
+            SubsetStrategy::Interleaved,
+            SubsetStrategy::Checkerboard,
+            SubsetStrategy::Bands,
+        ] {
+            for p in 1..=6u32 {
+                for (w, h) in [
+                    (1, 1),
+                    (1, 7),
+                    (2, 3),
+                    (3, 5),
+                    (5, 4),
+                    (7, 9),
+                    (10, 3),
+                    (13, 11),
+                ] {
+                    let part = SubsetPartition::new(w, h, p, strategy);
+                    for y in 0..h {
+                        for s in 0..p {
+                            let walked: Vec<usize> = match part.row_members(y, s) {
+                                Some((first, step)) => (first..w).step_by(step).collect(),
+                                None => Vec::new(),
+                            };
+                            let expected: Vec<usize> =
+                                (0..w).filter(|&x| part.subset_of(x, y) == s).collect();
+                            let at = format!("{strategy:?} P={p} {w}x{h} y={y} s={s}");
+                            assert_eq!(walked, expected, "{at}");
+                            assert_eq!(
+                                part.row_members(y, s).is_none(),
+                                expected.is_empty(),
+                                "{at}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -4,6 +4,7 @@
 //! the accumulation itself) fails loudly. Runs under the workspace's
 //! overflow-checked test profile.
 
+use sslic_core::subsample::SubsetStrategy;
 use sslic_core::{
     label_checksum, DistanceMode, Kernel, RunOptions, SegmentRequest, Segmenter, SlicParams,
 };
@@ -48,6 +49,69 @@ const PINNED_PPA_QUANTIZED: u64 = 0x8a1b_9b35_ba38_48cc;
 const PINNED_PPA_FLOAT: u64 = 0xa416_4089_577b_ac01;
 const PINNED_CPA_FLOAT: u64 = 0x1de9_c5e4_8cb9_bffb;
 const PINNED_CPA_QUANTIZED: u64 = 0x1f96_3143_2ca2_8643;
+
+/// An odd-width scene: at P = 3 and P = 4 each row's first Interleaved
+/// member (`y·97 mod P`) and Checkerboard phase (`y·q mod P`) rotate from
+/// row to row, unlike on the even 64-wide scene above.
+fn odd_width_scene() -> SyntheticImage {
+    SyntheticImage::builder(97, 61).seed(2024).regions(5).build()
+}
+
+fn strategy_checksum(
+    img: &SyntheticImage,
+    threads: usize,
+    strategy: SubsetStrategy,
+    subsets: u32,
+    quantized: bool,
+    kernel: Kernel,
+) -> u64 {
+    let params = SlicParams::builder(60)
+        .iterations(5)
+        .threads(threads)
+        .kernel(kernel)
+        .build();
+    let seg = Segmenter::sslic_ppa(params, subsets).with_subset_strategy(strategy);
+    let seg = if quantized {
+        seg.with_distance_mode(DistanceMode::quantized(8))
+    } else {
+        seg
+    };
+    let out = seg.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+    label_checksum(out.labels())
+}
+
+/// `(strategy, P, quantized, checksum)` of `sslic_ppa` on the odd-width
+/// scene, for the strategies and subset counts the 64-wide P = 2 pins
+/// above never reach.
+const PINNED_STRATEGIES: [(SubsetStrategy, u32, bool, u64); 10] = [
+    (SubsetStrategy::Interleaved, 3, false, 0x8c8c_753d_a80e_2377),
+    (SubsetStrategy::Interleaved, 3, true, 0x5c42_603a_77ce_95cc),
+    (SubsetStrategy::Checkerboard, 3, false, 0x6900_a172_b226_dd1e),
+    (SubsetStrategy::Checkerboard, 3, true, 0xc30d_e484_72d6_23b5),
+    (SubsetStrategy::Checkerboard, 4, false, 0x8f56_0402_d3c9_39ab),
+    (SubsetStrategy::Checkerboard, 4, true, 0xd1fc_82d8_3b35_e0d0),
+    (SubsetStrategy::Bands, 3, false, 0x1a17_1ac9_3dff_e5d0),
+    (SubsetStrategy::Bands, 3, true, 0xda18_8345_c09f_0f2f),
+    (SubsetStrategy::Bands, 4, false, 0x74fb_4802_8168_d068),
+    (SubsetStrategy::Bands, 4, true, 0x35aa_1af9_3ef4_5d60),
+];
+
+#[test]
+fn subset_strategies_are_pinned_for_every_thread_count_and_kernel() {
+    let img = odd_width_scene();
+    for (strategy, p, quantized, pin) in PINNED_STRATEGIES {
+        for t in THREADS {
+            for kernel in [Kernel::Scalar, Kernel::Auto] {
+                let sum = strategy_checksum(&img, t, strategy, p, quantized, kernel);
+                assert_eq!(
+                    sum, pin,
+                    "{strategy:?} P={p} quantized={quantized} with {kernel} at {t} threads \
+                     drifted: got {sum:#018x}"
+                );
+            }
+        }
+    }
+}
 
 #[test]
 fn ppa_quantized_is_pinned_for_every_thread_count() {

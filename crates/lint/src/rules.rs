@@ -98,6 +98,7 @@ pub const OVERFLOW_FILES: &[&str] = &[
     "crates/core/src/kernel.rs",
     "crates/core/src/session.rs",
     "crates/core/src/recovery.rs",
+    "crates/core/src/subsample.rs",
 ];
 
 /// How a file participates in rule checking, derived from its path.
