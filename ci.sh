@@ -35,6 +35,12 @@ echo "==> colour identity (the table-driven RGB->Lab8 converter must match its f
 # comparison is #[ignore]d there because it needs an optimised build.
 cargo test --release -q -p sslic-color -- --ignored
 
+echo "==> connectivity identity (the run-length connectivity pass must match its flood-fill oracle on 1280x720 S-SLIC label maps)"
+# The workspace run above checks random maps up to 40x40; the comparison on
+# full-size session label maps is #[ignore]d there because it needs an
+# optimised build.
+cargo test --release -q -p sslic-core --lib connectivity::tests:: -- --ignored
+
 echo "==> sslic-analyze (token rules + overflow/alloc/determinism passes)"
 mkdir -p results
 # Run twice and byte-diff: the analyzer's own output is part of the

@@ -1,5 +1,5 @@
 use sslic_color::LabImage;
-use sslic_image::gradient::{gradient_magnitude, min_gradient_in_3x3};
+use sslic_image::gradient::min_gradient_in_3x3;
 
 use crate::SeedGrid;
 
@@ -34,7 +34,8 @@ impl Cluster {
 
 /// Initializes cluster centers on the seed grid, sampling the color at each
 /// seed and optionally perturbing seeds to the 3×3 minimum-gradient
-/// position (paper §2).
+/// position (paper §2). The gradient is evaluated only inside the seed
+/// windows, straight from the Lab planes.
 ///
 /// # Panics
 ///
@@ -44,24 +45,14 @@ pub fn init_clusters(lab: &LabImage, grid: &SeedGrid, perturb: bool) -> Vec<Clus
         lab.width() == grid.width() && lab.height() == grid.height(),
         "image and grid must share geometry"
     );
-    let gradient = if perturb {
-        Some(gradient_magnitude(&[
-            lab.l.clone(),
-            lab.a.clone(),
-            lab.b.clone(),
-        ]))
-    } else {
-        None
-    };
+    let channels = [&lab.l, &lab.a, &lab.b];
     (0..grid.cluster_count())
         .map(|k| {
             let (fx, fy) = grid.seed_position(k);
             let mut x = (fx as usize).min(lab.width() - 1);
             let mut y = (fy as usize).min(lab.height() - 1);
-            if let Some(g) = &gradient {
-                let (nx, ny) = min_gradient_in_3x3(g, x, y);
-                x = nx;
-                y = ny;
+            if perturb {
+                (x, y) = min_gradient_in_3x3(&channels, x, y);
             }
             let [l, a, b] = lab.pixel(x, y);
             Cluster::new(l, a, b, x as f32, y as f32)
@@ -73,8 +64,105 @@ pub fn init_clusters(lab: &LabImage, grid: &SeedGrid, perturb: bool) -> Vec<Clus
 mod tests {
     use super::*;
 
+    use sslic_image::prng::SplitMix64;
+    use sslic_image::Plane;
+
     fn flat_lab(w: usize, h: usize, v: f32) -> LabImage {
         LabImage::from_fn(w, h, |_, _| [v, 0.0, 0.0])
+    }
+
+    /// The whole-plane seeding `init_clusters` replaced, kept as its
+    /// oracle: clone the Lab planes, build the gradient of every pixel,
+    /// then take the strict minimum over each seed's in-bounds 3×3
+    /// window in row-major order.
+    fn init_clusters_whole_plane(lab: &LabImage, grid: &SeedGrid, perturb: bool) -> Vec<Cluster> {
+        let channels = [lab.l.clone(), lab.a.clone(), lab.b.clone()];
+        let (w, h) = (lab.width(), lab.height());
+        let gradient = Plane::from_fn(w, h, |x, y| {
+            let (xi, yi) = (x as isize, y as isize);
+            let mut gx = 0.0f32;
+            let mut gy = 0.0f32;
+            for c in &channels {
+                let dx = c.get_clamped(xi + 1, yi) - c.get_clamped(xi - 1, yi);
+                let dy = c.get_clamped(xi, yi + 1) - c.get_clamped(xi, yi - 1);
+                gx += dx * dx;
+                gy += dy * dy;
+            }
+            gx + gy
+        });
+        (0..grid.cluster_count())
+            .map(|k| {
+                let (fx, fy) = grid.seed_position(k);
+                let mut x = (fx as usize).min(w - 1);
+                let mut y = (fy as usize).min(h - 1);
+                if perturb {
+                    let (sx, sy) = (x, y);
+                    let mut best_g = gradient[(sx, sy)];
+                    for ny in sy.saturating_sub(1)..(sy + 2).min(h) {
+                        for nx in sx.saturating_sub(1)..(sx + 2).min(w) {
+                            if gradient[(nx, ny)] < best_g {
+                                best_g = gradient[(nx, ny)];
+                                (x, y) = (nx, ny);
+                            }
+                        }
+                    }
+                }
+                let [l, a, b] = lab.pixel(x, y);
+                Cluster::new(l, a, b, x as f32, y as f32)
+            })
+            .collect()
+    }
+
+    fn bits(clusters: &[Cluster]) -> Vec<[u32; 5]> {
+        clusters
+            .iter()
+            .map(|c| [c.l, c.a, c.b, c.x, c.y].map(f32::to_bits))
+            .collect()
+    }
+
+    #[test]
+    fn seed_windows_match_the_whole_plane_gradient_bit_for_bit() {
+        // (width, height, superpixels): 1×1, single columns and rows, odd
+        // sizes, and grids with a seed on every pixel so that every border
+        // and corner window occurs.
+        let geometries = [
+            (1, 1, 1),
+            (1, 9, 3),
+            (1, 7, 7),
+            (11, 1, 4),
+            (9, 1, 9),
+            (5, 3, 15),
+            (7, 5, 12),
+            (13, 9, 117),
+            (31, 17, 40),
+            (97, 61, 150),
+        ];
+        let mut moved = 0;
+        for (w, h, k) in geometries {
+            let grid = SeedGrid::new(w, h, k);
+            for seed in 0..4u64 {
+                let mut rng = SplitMix64::seed_from_u64(seed);
+                // Few distinct values make gradient ties common, so the
+                // tie rule is exercised as well as the minimum.
+                let lab = LabImage::from_fn(w, h, |_, _| {
+                    let r = rng.next_u64();
+                    [(r % 4) as f32 * 25.0, (r >> 8) as f32 % 3.0 - 1.0, 0.5]
+                });
+                for perturb in [false, true] {
+                    let want = init_clusters_whole_plane(&lab, &grid, perturb);
+                    let got = init_clusters(&lab, &grid, perturb);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{w}x{h}, K {k}, seed {seed}, perturb {perturb}"
+                    );
+                }
+                let still = init_clusters(&lab, &grid, false);
+                let perturbed = init_clusters(&lab, &grid, true);
+                moved += still.iter().zip(&perturbed).filter(|(a, b)| a != b).count();
+            }
+        }
+        assert!(moved > 100, "perturbation moved only {moved} seeds");
     }
 
     #[test]

@@ -5,25 +5,45 @@
 //! connectivity, ensuring that any stray pixels that may still be disjoint
 //! are assigned to the closest large SP" (paper §2).
 //!
-//! The standard SLIC post-pass is implemented: scan the label map in raster
-//! order, flood-fill each 4-connected component, and absorb components
-//! smaller than `min_size` into the previously visited adjacent component
-//! (which, after processing, is always a surviving large one).
+//! The result is the standard SLIC post-pass's: every 4-connected
+//! component smaller than `min_size` takes the final label of the pixel
+//! left of its raster-first pixel (above it, in column 0). It is computed
+//! on runs rather than pixels. Each row splits into maximal runs of one
+//! label; a union-find joins every run to the same-label runs it overlaps
+//! in the row above, always linking to the smaller index, so a component's
+//! root is its raster-first run and carries its size. Components are then
+//! resolved in root order and only the runs whose label changes are
+//! rewritten. A 1280×720, K = 600 S-SLIC label map has about 50k runs
+//! against 921 600 pixels.
 
 use sslic_image::Plane;
 
-/// Reusable working memory of the connectivity pass: a visited bitmap
-/// (one byte per pixel), the flood-fill stack, and the member list. A
-/// streaming session allocates one `ConnScratch` per geometry and reuses
-/// it every frame, so steady-state connectivity enforcement is
-/// allocation-free: both queues are pre-sized to their worst case (every
-/// pixel of one component is pushed exactly once, so neither ever exceeds
-/// `width × height` entries).
+/// One maximal run of equal labels within a row.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// First column.
+    start: u32,
+    /// One past the last column.
+    end: u32,
+    /// The input label until the run is resolved, its final label after.
+    label: u32,
+    /// Union-find parent: never a larger index than the run's own.
+    parent: u32,
+    /// Pixel count of the component, while this run is its root.
+    size: u32,
+}
+
+/// Reusable working memory of the connectivity pass: the run table and
+/// each row's first run. A streaming session allocates one `ConnScratch`
+/// per geometry and reuses it every frame, so steady-state connectivity
+/// enforcement is allocation-free: the run table is reserved for the worst
+/// case, one run per pixel (a checkerboard).
 #[derive(Debug)]
 pub struct ConnScratch {
-    visited: Plane<bool>,
-    stack: Vec<(usize, usize)>,
-    members: Vec<(usize, usize)>,
+    width: usize,
+    height: usize,
+    runs: Vec<Run>,
+    row_start: Vec<u32>,
 }
 
 impl ConnScratch {
@@ -31,23 +51,104 @@ impl ConnScratch {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or the map has more than
+    /// `u32::MAX` pixels.
     pub fn new(width: usize, height: usize) -> Self {
+        assert!(
+            width > 0 && height > 0,
+            "label map dimensions must be nonzero"
+        );
+        let pixels = width
+            .checked_mul(height)
+            .filter(|&n| n <= u32::MAX as usize);
+        assert!(
+            pixels.is_some(),
+            "label map {width}x{height} exceeds u32::MAX pixels"
+        );
         ConnScratch {
-            visited: Plane::filled(width, height, false),
-            stack: Vec::with_capacity(width * height),
-            members: Vec::with_capacity(width * height),
+            width,
+            height,
+            runs: Vec::with_capacity(width * height),
+            row_start: Vec::with_capacity(height + 1),
         }
     }
 
     /// Width the scratch was sized for.
     pub fn width(&self) -> usize {
-        self.visited.width()
+        self.width
     }
 
     /// Height the scratch was sized for.
     pub fn height(&self) -> usize {
-        self.visited.height()
+        self.height
+    }
+
+    /// Splits `labels` into runs and joins each run to the same-label runs
+    /// it overlaps in the row above. Afterwards the roots are exactly the
+    /// components' raster-first runs, each holding its component's size.
+    fn join_runs(&mut self, labels: &Plane<u32>) {
+        let w = self.width;
+        self.runs.clear();
+        self.row_start.clear();
+        let mut above = 0;
+        for row in labels.as_slice().chunks_exact(w) {
+            let first = self.runs.len();
+            self.row_start.push(first as u32);
+            let mut start = 0;
+            while start < w {
+                let label = row[start];
+                let end = row[start..]
+                    .iter()
+                    .position(|&l| l != label)
+                    .map_or(w, |n| start + n);
+                let index = self.runs.len() as u32;
+                self.runs.push(Run {
+                    start: start as u32,
+                    end: end as u32,
+                    label,
+                    parent: index,
+                    size: (end - start) as u32,
+                });
+                start = end;
+            }
+            // Runs tile both rows, so advancing whichever run ends first
+            // (both on a tie) visits exactly the overlapping pairs.
+            let (mut a, mut b) = (above, first);
+            while a < first && b < self.runs.len() {
+                let (ra, rb) = (self.runs[a], self.runs[b]);
+                if ra.label == rb.label {
+                    union(&mut self.runs, a, b);
+                }
+                if ra.end <= rb.end {
+                    a += 1;
+                }
+                if rb.end <= ra.end {
+                    b += 1;
+                }
+            }
+            above = first;
+        }
+        self.row_start.push(self.runs.len() as u32);
+    }
+}
+
+/// Root of run `i`, halving the path on the way.
+fn find(runs: &mut [Run], mut i: usize) -> usize {
+    while runs[i].parent as usize != i {
+        let grandparent = runs[runs[i].parent as usize].parent;
+        runs[i].parent = grandparent;
+        i = grandparent as usize;
+    }
+    i
+}
+
+/// Joins the components of runs `a` and `b` under the smaller root.
+fn union(runs: &mut [Run], a: usize, b: usize) {
+    let (ra, rb) = (find(runs, a), find(runs, b));
+    if ra != rb {
+        let (root, child) = (ra.min(rb), ra.max(rb));
+        runs[child].parent = root as u32;
+        runs[root].size += runs[child].size;
     }
 }
 
@@ -55,11 +156,12 @@ impl ConnScratch {
 /// pixels are absorbed by an adjacent region, and returns the number of
 /// absorbed components.
 ///
-/// After the pass every 4-connected component has at least `min_size`
-/// pixels, with one possible exception: the component containing pixel
-/// `(0, 0)`, whose flood-fill seed is the only one with no previously
-/// visited neighbor to absorb into (the same property the reference SLIC
-/// post-pass has).
+/// A small component takes the final label of the pixel left of its
+/// raster-first pixel, or of the pixel above it when that first pixel is
+/// in column 0. After the pass every 4-connected component has at least
+/// `min_size` pixels, with one possible exception: the component
+/// containing pixel `(0, 0)`, the only one with no earlier neighbour to
+/// absorb into (the same property the reference SLIC post-pass has).
 ///
 /// `min_size` is typically `S²/4` — a quarter of the nominal superpixel
 /// area.
@@ -111,91 +213,41 @@ pub fn enforce_connectivity_with(
         w,
         h
     );
-    let visited = &mut scratch.visited;
-    visited.reset_to(false);
-    let stack = &mut scratch.stack;
-    let members = &mut scratch.members;
+    scratch.join_runs(labels);
+    let ConnScratch {
+        runs, row_start, ..
+    } = scratch;
     let mut absorbed = 0usize;
-
-    for sy in 0..h {
-        for sx in 0..w {
-            if visited[(sx, sy)] {
-                continue;
-            }
-            let label = labels[(sx, sy)];
-            // The label of the component visited immediately before this
-            // one in scan order, to absorb into if we turn out small.
-            // Standard SLIC uses the left/top neighbor of the seed.
-            let adjacent = adjacent_label(labels, visited, sx, sy);
-
-            // Flood fill this component.
-            members.clear();
-            stack.clear();
-            stack.push((sx, sy));
-            visited[(sx, sy)] = true;
-            while let Some((x, y)) = stack.pop() {
-                members.push((x, y));
-                for (nx, ny) in neighbors4(x, y, w, h) {
-                    if !visited[(nx, ny)] && labels[(nx, ny)] == label {
-                        visited[(nx, ny)] = true;
-                        stack.push((nx, ny));
-                    }
-                }
-            }
-
-            if members.len() < min_size {
-                if let Some(new_label) = adjacent {
-                    for &(x, y) in members.iter() {
-                        labels[(x, y)] = new_label;
-                    }
-                    absorbed += 1;
-                }
-                // No adjacent component exists only when the whole image is
-                // a single small component; keep it as is.
+    for (y, row) in labels.as_mut_slice().chunks_exact_mut(w).enumerate() {
+        for i in row_start[y] as usize..row_start[y + 1] as usize {
+            // A parent precedes its child, so it already points at its root.
+            let root = runs[runs[i].parent as usize].parent as usize;
+            runs[i].parent = root as u32;
+            let label = if root < i {
+                runs[root].label
+            } else if (runs[i].size as usize) < min_size && i > 0 {
+                // Absorb into the run holding the pixel left of this
+                // component's first pixel (above it, in column 0): an
+                // earlier run, so its label is final. Run 0, at (0, 0),
+                // has no such neighbour and keeps its label.
+                absorbed += 1;
+                let left = if runs[i].start > 0 {
+                    i - 1
+                } else {
+                    row_start[y - 1] as usize
+                };
+                runs[left].label
+            } else {
+                runs[i].label
+            };
+            let run = &mut runs[i];
+            if label != run.label {
+                row[run.start as usize..run.end as usize].fill(label);
+                run.label = label;
             }
         }
     }
     absorbed
-}
-
-/// Label of an already-visited 4-neighbour of `(x, y)`, if any.
-fn adjacent_label(labels: &Plane<u32>, visited: &Plane<bool>, x: usize, y: usize) -> Option<u32> {
-    // In raster order the left and top neighbors are always visited first.
-    if x > 0 && visited[(x - 1, y)] {
-        return Some(labels[(x - 1, y)]);
-    }
-    if y > 0 && visited[(x, y - 1)] {
-        return Some(labels[(x, y - 1)]);
-    }
-    None
-}
-
-#[inline]
-fn neighbors4(
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-) -> impl Iterator<Item = (usize, usize)> {
-    let mut out = [(usize::MAX, usize::MAX); 4];
-    let mut n = 0;
-    if x > 0 {
-        out[n] = (x - 1, y);
-        n += 1;
-    }
-    if x + 1 < w {
-        out[n] = (x + 1, y);
-        n += 1;
-    }
-    if y > 0 {
-        out[n] = (x, y - 1);
-        n += 1;
-    }
-    if y + 1 < h {
-        out[n] = (x, y + 1);
-        n += 1;
-    }
-    out.into_iter().take(n)
 }
 
 /// Renumbers a label map to dense labels `0..n` in first-appearance
@@ -231,42 +283,130 @@ pub fn compact_labels(labels: &Plane<u32>) -> (Plane<u32>, usize) {
     (dense, next as usize)
 }
 
-/// Returns the size of every 4-connected component in `labels` (test and
-/// metric helper; also used by the benches to verify post-conditions).
+/// Returns the size of every 4-connected component in `labels`, in raster
+/// order of the components' first pixels (test and metric helper).
 pub fn component_sizes(labels: &Plane<u32>) -> Vec<usize> {
-    let w = labels.width();
-    let h = labels.height();
-    let mut visited = Plane::filled(w, h, false);
-    let mut sizes = Vec::new();
-    let mut stack = Vec::new();
-    for sy in 0..h {
-        for sx in 0..w {
-            if visited[(sx, sy)] {
-                continue;
-            }
-            let label = labels[(sx, sy)];
-            let mut size = 0usize;
-            stack.push((sx, sy));
-            visited[(sx, sy)] = true;
-            while let Some((x, y)) = stack.pop() {
-                size += 1;
-                for (nx, ny) in neighbors4(x, y, w, h) {
-                    if !visited[(nx, ny)] && labels[(nx, ny)] == label {
-                        visited[(nx, ny)] = true;
-                        stack.push((nx, ny));
-                    }
-                }
-            }
-            sizes.push(size);
-        }
-    }
-    sizes
+    let mut scratch = ConnScratch::new(labels.width(), labels.height());
+    scratch.join_runs(labels);
+    scratch
+        .runs
+        .iter()
+        .enumerate()
+        .filter(|&(i, run)| run.parent as usize == i)
+        .map(|(_, run)| run.size as usize)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use sslic_image::prng::SplitMix64;
+
+    /// The raster flood fill the run-length pass replaced, kept as its
+    /// oracle. It seeds every 4-connected component at its raster-first
+    /// pixel and absorbs a small one into the current label of its left
+    /// neighbour (top, in column 0). Returns the absorbed count and the
+    /// input components' sizes in seed order.
+    fn flood_fill(labels: &mut Plane<u32>, min_size: usize) -> (usize, Vec<usize>) {
+        let (w, h) = (labels.width(), labels.height());
+        let mut visited = Plane::filled(w, h, false);
+        let mut stack = Vec::new();
+        let mut members = Vec::new();
+        let mut sizes = Vec::new();
+        let mut absorbed = 0;
+        for sy in 0..h {
+            for sx in 0..w {
+                if visited[(sx, sy)] {
+                    continue;
+                }
+                let label = labels[(sx, sy)];
+                let adjacent = adjacent_label(labels, &visited, sx, sy);
+                members.clear();
+                stack.push((sx, sy));
+                visited[(sx, sy)] = true;
+                while let Some((x, y)) = stack.pop() {
+                    members.push((x, y));
+                    for (nx, ny) in neighbors4(x, y, w, h) {
+                        if !visited[(nx, ny)] && labels[(nx, ny)] == label {
+                            visited[(nx, ny)] = true;
+                            stack.push((nx, ny));
+                        }
+                    }
+                }
+                sizes.push(members.len());
+                if members.len() < min_size {
+                    if let Some(new_label) = adjacent {
+                        for &(x, y) in &members {
+                            labels[(x, y)] = new_label;
+                        }
+                        absorbed += 1;
+                    }
+                }
+            }
+        }
+        (absorbed, sizes)
+    }
+
+    /// Label of an already-visited 4-neighbour of `(x, y)`, if any.
+    fn adjacent_label(
+        labels: &Plane<u32>,
+        visited: &Plane<bool>,
+        x: usize,
+        y: usize,
+    ) -> Option<u32> {
+        // In raster order the left and top neighbors are always visited first.
+        if x > 0 && visited[(x - 1, y)] {
+            return Some(labels[(x - 1, y)]);
+        }
+        if y > 0 && visited[(x, y - 1)] {
+            return Some(labels[(x, y - 1)]);
+        }
+        None
+    }
+
+    fn neighbors4(x: usize, y: usize, w: usize, h: usize) -> impl Iterator<Item = (usize, usize)> {
+        let mut out = [(usize::MAX, usize::MAX); 4];
+        let mut n = 0;
+        if x > 0 {
+            out[n] = (x - 1, y);
+            n += 1;
+        }
+        if x + 1 < w {
+            out[n] = (x + 1, y);
+            n += 1;
+        }
+        if y > 0 {
+            out[n] = (x, y - 1);
+            n += 1;
+        }
+        if y + 1 < h {
+            out[n] = (x, y + 1);
+            n += 1;
+        }
+        out.into_iter().take(n)
+    }
+
+    /// A `w × h` map over `labels` labels: with probability `stick`/4 a
+    /// pixel repeats its left or upper neighbour, so the maps mix single
+    /// pixels with larger components.
+    fn random_map(w: usize, h: usize, labels: u32, stick: u64, seed: u64) -> Plane<u32> {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let mut map = Plane::filled(w, h, 0u32);
+        for y in 0..h {
+            for x in 0..w {
+                let r = rng.next_u64();
+                let left = (r >> 2) & 1 == 0;
+                map[(x, y)] = match (r % 4 < stick, x > 0, y > 0) {
+                    (true, true, false) => map[(x - 1, y)],
+                    (true, true, true) if left => map[(x - 1, y)],
+                    (true, _, true) => map[(x, y - 1)],
+                    _ => ((r >> 3) % u64::from(labels)) as u32,
+                };
+            }
+        }
+        map
+    }
 
     #[test]
     fn connected_map_is_untouched() {
@@ -340,7 +480,8 @@ mod tests {
     fn scratch_variant_matches_and_is_reusable() {
         let mut scratch = ConnScratch::new(16, 16);
         for seed in 0..4u32 {
-            let mut fresh = Plane::from_fn(16, 16, |x, y| ((x * 7 + y * 13 + seed as usize) % 5) as u32);
+            let mut fresh =
+                Plane::from_fn(16, 16, |x, y| ((x * 7 + y * 13 + seed as usize) % 5) as u32);
             let mut reused = fresh.clone();
             let a = enforce_connectivity(&mut fresh, 6);
             let b = enforce_connectivity_with(&mut reused, 6, &mut scratch);
@@ -448,6 +589,89 @@ mod tests {
         assert!(small <= 1, "sizes {sizes:?}");
     }
 
+    #[test]
+    fn checkerboard_worst_case_never_grows_the_scratch() {
+        // One run per pixel: the case the run table is reserved for.
+        let (w, h) = (33, 17);
+        let mut scratch = ConnScratch::new(w, h);
+        let capacities = |s: &ConnScratch| (s.runs.capacity(), s.row_start.capacity());
+        let before = capacities(&scratch);
+        for min_size in [1usize, 2, 5, 1000] {
+            let mut labels = Plane::from_fn(w, h, |x, y| ((x + y) % 2) as u32);
+            let mut want = labels.clone();
+            let (want_absorbed, _) = flood_fill(&mut want, min_size);
+            let absorbed = enforce_connectivity_with(&mut labels, min_size, &mut scratch);
+            assert_eq!(absorbed, want_absorbed, "min_size {min_size}");
+            assert_eq!(labels, want, "min_size {min_size}");
+            assert_eq!(scratch.runs.len(), w * h);
+            assert_eq!(capacities(&scratch), before, "min_size {min_size}");
+        }
+    }
+
+    #[test]
+    #[ignore = "segments 1280x720 frames; run in release"]
+    fn full_size_session_maps_match_the_flood_fill_oracle() {
+        use crate::{DistanceMode, RunOptions, SegmentRequest, Segmenter, SlicParams};
+        use sslic_image::synthetic::SyntheticImage;
+
+        // The camera workload's engine, with connectivity left to this test.
+        let (w, h) = (1280, 720);
+        let params = SlicParams::builder(600)
+            .iterations(5)
+            .enforce_connectivity(false)
+            .build();
+        let seg = Segmenter::sslic_ppa(params, 2).with_distance_mode(DistanceMode::quantized(8));
+        let mut maps = Vec::new();
+        for seed in [5, 21, 7919] {
+            let img = SyntheticImage::builder(w, h).seed(seed).regions(32).build();
+            let mut session = seg.session(w, h);
+            session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+            maps.push(session.labels().clone());
+        }
+        maps.push(random_map(w, h, 3, 0, 1));
+        let mut scratch = ConnScratch::new(w, h);
+        // S² = 1536 here; the engine's default min_size is S²/4 = 384.
+        for (m, map) in maps.iter().enumerate() {
+            for min_size in [1usize, 16, 96, 384, 1536] {
+                let (mut want, mut got) = (map.clone(), map.clone());
+                let (want_absorbed, _) = flood_fill(&mut want, min_size);
+                let absorbed = enforce_connectivity_with(&mut got, min_size, &mut scratch);
+                assert_eq!(absorbed, want_absorbed, "map {m}, min_size {min_size}");
+                assert!(got == want, "map {m}, min_size {min_size}: labels differ");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn run_length_pass_matches_the_flood_fill_oracle(
+            shape in 0u8..4,
+            w in 1usize..41,
+            h in 1usize..41,
+            labels in 1u32..7,
+            stick in 0u64..4,
+            min_size in 1usize..65,
+            seed in any::<u64>(),
+        ) {
+            // Shapes 0 and 1 are a single row and a single column.
+            let (w, h) = match shape {
+                0 => (w, 1),
+                1 => (1, h),
+                _ => (w, h),
+            };
+            let input = random_map(w, h, labels, stick, seed);
+            let mut want = input.clone();
+            let (want_absorbed, want_sizes) = flood_fill(&mut want, min_size);
+            let mut got = input.clone();
+            let absorbed = enforce_connectivity(&mut got, min_size);
+            prop_assert_eq!(absorbed, want_absorbed);
+            prop_assert!(got == want, "labels differ on a {}x{} map", w, h);
+            prop_assert_eq!(component_sizes(&input), want_sizes);
+        }
+    }
+
     proptest! {
         #[test]
         fn enforce_never_loses_pixels_and_min_size_holds(
@@ -467,8 +691,8 @@ mod tests {
             let sizes = component_sizes(&labels);
             prop_assert_eq!(sizes.iter().sum::<usize>(), 144);
             // Every component respects min_size, except possibly the one
-            // seeded at (0,0): it is the only one whose flood-fill seed has
-            // no previously visited neighbor to absorb into.
+            // at (0,0): it is the only one with no earlier neighbour to
+            // absorb into.
             let small = sizes.iter().filter(|&&s| s < min_size).count();
             prop_assert!(small <= 1, "at most the scan-first component may stay small");
         }

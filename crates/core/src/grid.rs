@@ -114,6 +114,31 @@ impl SeedGrid {
         cy * self.cols + cx
     }
 
+    /// The grid column of every pixel column (`cell_of_pixel(x, _).0` for
+    /// `x` in `0..width`): the W-entry table [`SeedGrid::home_row`] reads.
+    /// Build it once per geometry.
+    pub fn column_cells(&self) -> Vec<u32> {
+        (0..self.width)
+            .map(|x| self.cell_of_pixel(x, 0).0 as u32)
+            .collect()
+    }
+
+    /// The home cluster of every pixel of row `y`, left to right: the
+    /// row's first cluster index plus each column's entry in
+    /// `column_cells` (from [`SeedGrid::column_cells`]). Equal to
+    /// [`SeedGrid::home_cluster_of_pixel`] pixel for pixel, without its two
+    /// divisions per pixel — the tile map the accelerator precomputes
+    /// (paper §4.3), kept as one row template.
+    #[inline]
+    pub fn home_row<'a>(
+        &self,
+        column_cells: &'a [u32],
+        y: usize,
+    ) -> impl Iterator<Item = u32> + 'a {
+        let base = (self.cell_of_pixel(0, y).1 * self.cols) as u32;
+        column_cells.iter().map(move |&cx| base + cx)
+    }
+
     /// The 9 candidate cluster indices for a cell (3×3 block clamped at
     /// borders; entries may repeat at edges, matching fixed 9-way
     /// hardware).
@@ -174,6 +199,29 @@ mod tests {
         for y in 0..23 {
             for x in 0..37 {
                 assert!(g.home_cluster_of_pixel(x, y) < g.cluster_count());
+            }
+        }
+    }
+
+    #[test]
+    fn home_rows_match_home_cluster_of_pixel() {
+        for (w, h, k) in [
+            (1, 1, 1),
+            (1, 9, 3),
+            (11, 1, 4),
+            (37, 23, 12),
+            (64, 48, 20),
+            (5, 3, 15),
+        ] {
+            let g = SeedGrid::new(w, h, k);
+            let cells = g.column_cells();
+            assert_eq!(cells.len(), w);
+            for y in 0..h {
+                let row: Vec<u32> = g.home_row(&cells, y).collect();
+                let want: Vec<u32> = (0..w)
+                    .map(|x| g.home_cluster_of_pixel(x, y) as u32)
+                    .collect();
+                assert_eq!(row, want, "{w}x{h}, K {k}, row {y}");
             }
         }
     }

@@ -4,7 +4,7 @@
 //! A [`SegmenterSession`] is created once from a [`Segmenter`] and a frame
 //! geometry. It owns every piece of per-frame working memory — the CIELAB
 //! feature planes, the label plane, the distance buffer, per-band sigma
-//! register files, the connectivity flood-fill queues, the cluster slots —
+//! register files, the connectivity run table, the cluster slots —
 //! plus a persistent [`BandPool`] of parked workers. Each
 //! [`SegmenterSession::run`] call segments one frame by *reusing* that
 //! memory: after the first (cold) frame, a steady-state frame performs zero
@@ -495,6 +495,9 @@ struct AttemptOutcome {
 pub struct SegmenterSession {
     config: Segmenter,
     grid: SeedGrid,
+    /// [`SeedGrid::column_cells`]: every home label is written from this
+    /// W-entry table, so the session keeps no home-label plane.
+    column_cells: Vec<u32>,
     quantized: bool,
     lab: Arc<LabImage>,
     lab8: Arc<Lab8Image>,
@@ -575,6 +578,7 @@ impl SegmenterSession {
             "adaptive compactness is a float-datapath feature"
         );
         let grid = SeedGrid::new(width, height, params.superpixels());
+        let column_cells = grid.column_cells();
         let k = grid.cluster_count();
         let spacing = grid.spacing();
         let m = params.compactness();
@@ -648,6 +652,7 @@ impl SegmenterSession {
         Ok(SegmenterSession {
             config,
             grid,
+            column_cells,
             quantized,
             lab,
             lab8,
@@ -1086,9 +1091,10 @@ impl SegmenterSession {
                 }
             }
             let labels = Arc::make_mut(&mut self.labels);
-            for y in 0..h {
-                for x in 0..w {
-                    labels[(x, y)] = self.grid.home_cluster_of_pixel(x, y) as u32;
+            for (y, row) in labels.as_mut_slice().chunks_exact_mut(w).enumerate() {
+                let homes = self.grid.home_row(&self.column_cells, y);
+                for (label, home) in row.iter_mut().zip(homes) {
+                    *label = home;
                 }
             }
             // PPA algorithms: re-sync every band's stripe with the central
@@ -1228,15 +1234,18 @@ impl SegmenterSession {
         // Invariant guard: any out-of-range label (possible only via
         // corruption) is repaired in place to the pixel's home cluster,
         // keeping the map a valid index into `clusters` for connectivity
-        // and callers.
+        // and callers. A clean map costs one flat read-only scan.
         let labels = Arc::make_mut(&mut self.labels);
         let k = self.clusters.len() as u32;
         let mut label_repairs = 0u64;
-        for y in 0..h {
-            for x in 0..w {
-                if labels[(x, y)] >= k {
-                    labels[(x, y)] = self.grid.home_cluster_of_pixel(x, y) as u32;
-                    label_repairs += 1;
+        if labels.as_slice().iter().any(|&label| label >= k) {
+            for (y, row) in labels.as_mut_slice().chunks_exact_mut(w).enumerate() {
+                let homes = self.grid.home_row(&self.column_cells, y);
+                for (label, home) in row.iter_mut().zip(homes) {
+                    if *label >= k {
+                        *label = home;
+                        label_repairs += 1;
+                    }
                 }
             }
         }

@@ -249,8 +249,13 @@ impl Accelerator {
                 }
             })
             .collect();
-        let mut labels: Plane<u32> =
-            Plane::from_fn(w, h, |x, y| grid.home_cluster_of_pixel(x, y) as u32);
+        let column_cells = grid.column_cells();
+        let mut labels = Plane::filled(w, h, 0u32);
+        for (y, row) in labels.as_mut_slice().chunks_exact_mut(w).enumerate() {
+            for (label, home) in row.iter_mut().zip(grid.home_row(&column_cells, y)) {
+                *label = home;
+            }
+        }
         let partition = SubsetPartition::new(w, h, cfg.subsets, SubsetStrategy::Interleaved);
 
         // --- Phases 3 & 4: cluster + center updates ----------------------
@@ -403,21 +408,21 @@ impl Accelerator {
         // cluster so the returned map stays a valid index into `centers`.
         if let Some(f) = faults.as_deref_mut() {
             let k = centers.len() as u32;
-            for y in 0..h {
-                for x in 0..w {
-                    let read = f.index_read((y * w + x) as u64, labels[(x, y)]);
+            for (y, row) in labels.as_mut_slice().chunks_exact_mut(w).enumerate() {
+                let homes = grid.home_row(&column_cells, y);
+                for ((x, label), home) in row.iter_mut().enumerate().zip(homes) {
+                    let read = f.index_read((y * w + x) as u64, *label);
                     scratchpads.index.record_reads(2);
                     if read.retried {
                         scratchpads.index.record_retries(1);
                         traffic.read(RETRY_BURST_BYTES);
                         retry_bursts += 1;
                     }
-                    let mut label = read.value;
-                    if label >= k {
-                        label = grid.home_cluster_of_pixel(x, y) as u32;
+                    *label = read.value;
+                    if *label >= k {
+                        *label = home;
                         label_repairs += 1;
                     }
-                    labels[(x, y)] = label;
                 }
             }
         }

@@ -11,7 +11,7 @@
 //! * [`RgbImage`] — an interleaved 8-bit RGB image with planar accessors.
 //! * [`ppm`] — minimal Netpbm (P5/P6) readers and writers so real images can
 //!   be segmented without external decoders.
-//! * [`gradient`] — the 3×3 gradient magnitude used by SLIC's center
+//! * [`gradient`] — the 3×3 seed-window gradient search of SLIC's center
 //!   perturbation step.
 //! * [`synthetic`] — a seeded generator of Berkeley-like natural-statistics
 //!   images with exact ground-truth region maps, substituting for the
