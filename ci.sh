@@ -231,6 +231,20 @@ for subsets in 2 3; do
             "results/kernel-ds/seg-swar-$subsets-$threads.labels.pgm"
     done
 done
+# The benchmark's camera-720p configuration: K = 600 over 1280x720 at
+# P = 2 puts about 20 subset members in a grid-cell run, against about 6
+# in the 160x120 frame above, so full four-lane groups dominate.
+./target/release/sslic dataset results/kernel-ds/720p --count 1 --width 1280 --height 720 >/dev/null
+for threads in 1 4; do
+    for kernel in scalar swar; do
+        ./target/release/sslic segment results/kernel-ds/720p/000.ppm \
+            --superpixels 600 --iterations 5 --algo hw8 --kernel "$kernel" \
+            --subsets 2 --threads "$threads" \
+            --out "results/kernel-ds/seg720-$kernel-$threads" >/dev/null
+    done
+    cmp "results/kernel-ds/seg720-scalar-$threads.labels.pgm" \
+        "results/kernel-ds/seg720-swar-$threads.labels.pgm"
+done
 rm -rf results/kernel-ds
 
 echo "==> bench trajectory (insight bench must see no counter regression across PR seeds)"

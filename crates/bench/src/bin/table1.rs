@@ -55,10 +55,28 @@ fn main() {
         "{:<14} {:>11}% {:>15}% {:>14}% {:>7}%",
         "paper S-SLIC", 18.7, 59.7, 17.9, 3.7
     );
+
+    // The shape checks are read off the table above, not asserted.
+    let (_, slic) = rows[0];
+    let (_, sslic) = rows[1];
+    let dominates = |(cc, dm, cu, other): (f64, f64, f64, f64)| dm > cc && dm > cu && dm > other;
+    let pick = |holds: bool, yes: &'static str, no: &'static str| if holds { yes } else { no };
     println!();
     println!(
-        "Shape checks: distance+min dominates both; S-SLIC shifts share from\n\
-         distance+min toward center update (it updates centers more often per\n\
-         full pass)."
+        "Shape checks: distance+min {} in both rows. Against SLIC, S-SLIC's\n\
+         distance+min share is {} ({:.1}% vs {:.1}%) and its center-update share\n\
+         is {} ({:.1}% vs {:.1}%); the paper's S-SLIC shifts share from\n\
+         distance+min toward center update.",
+        pick(
+            dominates(slic) && dominates(sslic),
+            "dominates",
+            "does not dominate"
+        ),
+        pick(sslic.1 < slic.1, "lower", "not lower"),
+        sslic.1,
+        slic.1,
+        pick(sslic.2 > slic.2, "higher", "not higher"),
+        sslic.2,
+        slic.2,
     );
 }

@@ -14,17 +14,22 @@
 //! # Why the labels are bit-identical
 //!
 //! The scalar path compares `quantizer.encode(sqrt(V))` codes, where
-//! `V = dc2 + m2_over_s2 * ds2` is an f64. `encode` is monotone
-//! non-decreasing in `V`, so "candidate code < best code" is equivalent to
-//! `V < VB[best_code]`, where `VB[c]` is the smallest non-negative f64
-//! whose code reaches `c`. [`SwarKernel`] precomputes that threshold table
-//! by binary search over f64 *bit patterns* (order-isomorphic to the
-//! non-negative reals) with the scalar quantizer as the oracle, and
-//! replicates the scalar `V` computation bit-for-bit via two 512-entry
-//! squared-delta LUTs indexed by the biased SWAR lanes. Every comparison
-//! is one `V < threshold` test, decided identically to the scalar one;
-//! only a candidate that becomes the best pays a `sqrt`, to index its
-//! new threshold directly.
+//! `V = dc2 + m2_over_s2 * ds2` is an f64, and keeps the first candidate
+//! with the smallest code. [`SwarKernel`] replicates the scalar `V`
+//! computation bit-for-bit via two 512-entry squared-delta LUTs indexed by
+//! the biased SWAR lanes, and evaluates all nine candidates for all four
+//! lanes before comparing anything — the software form of the paper's D
+//! distance ways feeding one 9:1 minimum unit. `encode` is monotone
+//! non-decreasing in `V`, so the smallest code is the code of the smallest
+//! `V`, and a candidate has that code exactly when its `V` lies below
+//! `VB[code + 1]`, where `VB[c]` is the smallest non-negative f64 whose
+//! code reaches `c` (`+∞` past the top code). [`SwarKernel`] precomputes
+//! that threshold table by binary search over f64 *bit patterns*
+//! (order-isomorphic to the non-negative reals) with the scalar quantizer
+//! as the oracle. Each pixel then pays one `sqrt`, for the code of its
+//! minimum `V`, and its winner is the first candidate whose `V` is below
+//! that code's upper threshold — the scalar first-wins strict-`<` argmin
+//! over codes.
 //!
 //! # Dispatch resolution
 //!
@@ -154,12 +159,16 @@ pub(crate) struct SwarKernel {
     /// `lsq[i] = ((i − 256) · 100/255)²` in f64 — the L channel term of
     /// `dc2`, indexed by a biased lane value. Matches the scalar
     /// `dl * dl` rounding exactly (same two-operation f64 evaluation).
-    lsq: Vec<f64>,
+    /// A fixed-size array, so the `& 511` lane index needs no bounds
+    /// check.
+    lsq: Box<[f64; 512]>,
     /// `isq[i] = (i − 256)²` as f64 — the a/b channel terms. Exact
     /// integers (≤ 255² < 2⁵³), so identical to the scalar `da * da`.
-    isq: Vec<f64>,
+    isq: Box<[f64; 512]>,
     /// `vb[c]` = smallest non-negative f64 `V` with
-    /// `encode(sqrt(V)) ≥ c`. `vb[0]` is 0.0; the table is sorted.
+    /// `encode(sqrt(V)) ≥ c`, for every code `c ≤ max_code`, then `+∞`
+    /// (no `V` reaches `max_code + 1`). `vb[0]` is 0.0; the table is
+    /// sorted.
     vb: Vec<f64>,
     /// `1 / step` of the distance quantizer: `sqrt(V) · inv_step`
     /// rounds to within one code of `encode(sqrt(V))`.
@@ -180,23 +189,19 @@ impl SwarKernel {
         const L_SCALE: f64 = 100.0 / 255.0;
         let shift = qk.chan_shift();
         let lane = (0xFFu64 >> shift) << shift;
-        let lsq: Vec<f64> = (0..512)
-            .map(|i| {
-                let d = (i - 256) as f64 * L_SCALE;
-                d * d
-            })
-            .collect();
-        let isq: Vec<f64> = (0..512)
-            .map(|i| {
-                let d = (i - 256) as f64;
-                d * d
-            })
-            .collect();
+        let lsq = Box::new(std::array::from_fn(|i| {
+            let d = (i as f64 - 256.0) * L_SCALE;
+            d * d
+        }));
+        let isq = Box::new(std::array::from_fn(|i| {
+            let d = i as f64 - 256.0;
+            d * d
+        }));
 
         let q = qk.quantizer();
         let code_of = |bits: u64| q.encode(f64::from_bits(bits).sqrt());
         let max_code = q.max_code();
-        let mut vb = Vec::with_capacity(max_code as usize + 1);
+        let mut vb = Vec::with_capacity(max_code as usize + 2);
         vb.push(0.0f64);
         let mut prev = 0u64; // bit pattern of vb[c - 1]
         for c in 1..=max_code {
@@ -221,6 +226,7 @@ impl SwarKernel {
             vb.push(f64::from_bits(hi));
             prev = hi;
         }
+        vb.push(f64::INFINITY);
 
         SwarKernel {
             chan_mask: lane * LANE_ONES,
@@ -232,26 +238,43 @@ impl SwarKernel {
         }
     }
 
-    /// The threshold a future candidate must beat after a candidate with
-    /// value `v` became the current best: `vb[encode(sqrt(v))]`. A later
-    /// candidate `v'` wins under the scalar rule (`code' < code`) exactly
-    /// when `v' < vb[code]`, because `encode(sqrt(·))` is monotone.
-    ///
-    /// The code is the largest `c` with `vb[c] ≤ v`. The rounded guess
-    /// `sqrt(v) · inv_step` is within one code of it, so one step against
-    /// the table lands on it exactly.
+    /// The distance code of `v`, `encode(sqrt(v))`: the largest `c` with
+    /// `vb[c] ≤ v`. The rounded guess `sqrt(v) · inv_step` is within one
+    /// code of it, so one step against the table lands on it exactly.
     #[inline]
-    fn beat_threshold(&self, v: f64) -> f64 {
-        let max = self.vb.len() - 1;
+    fn code(&self, v: f64) -> usize {
+        let max = self.vb.len() - 2;
         let guess = ((v.sqrt() * self.inv_step + 0.5) as usize).min(max);
-        let code = if guess < max && self.vb[guess + 1] <= v {
+        if self.vb[guess + 1] <= v {
             guess + 1
         } else if self.vb[guess] > v {
             guess - 1
         } else {
             guess
-        };
-        self.vb[code]
+        }
+    }
+
+    /// Phase 2 of [`Self::scan_group`]: each lane's winning candidate
+    /// index, given every candidate's `V` and the lane minimum. The
+    /// smallest code among the nine is `code(vmin)`, and a candidate has
+    /// it exactly when its `V` is below `t = vb[code(vmin) + 1]` (`+∞` at
+    /// the top code), so the first such candidate is the scalar
+    /// first-wins strict-`<` argmin over codes. The minimum itself is
+    /// below `t`: when none of candidates 0–7 is, candidate 8 is, so the
+    /// walk down from it is a select per candidate, with no data-dependent
+    /// branch.
+    #[inline]
+    fn resolve(&self, vs: &[[f64; LANES]; 9], vmin: &[f64; LANES]) -> [usize; LANES] {
+        let t: [f64; LANES] = std::array::from_fn(|j| self.vb[self.code(vmin[j]) + 1]);
+        let mut win = [8usize; LANES];
+        for i in (0..8).rev() {
+            for j in 0..LANES {
+                if vs[i][j] < t[j] {
+                    win[j] = i;
+                }
+            }
+        }
+        win
     }
 
     /// The SWAR replacement of the scalar per-band assign loop. Each row
@@ -311,18 +334,13 @@ impl SwarKernel {
                     continue;
                 }
                 let mut gx = [0usize; LANES];
-                let mut n = 0usize;
                 while x < x1 {
-                    gx[n] = x;
-                    n += 1;
-                    x += step;
-                    if n == LANES {
-                        self.scan_group(lrow, arow, brow, &gx, n, y, &nine, codes, srow);
-                        assigned += LANES as u64;
-                        n = 0;
+                    let mut n = 0usize;
+                    while n < LANES && x < x1 {
+                        gx[n] = x;
+                        n += 1;
+                        x += step;
                     }
-                }
-                if n > 0 {
                     self.scan_group(lrow, arow, brow, &gx, n, y, &nine, codes, srow);
                     assigned += n as u64;
                 }
@@ -331,10 +349,13 @@ impl SwarKernel {
         assigned
     }
 
-    /// Scans the 9 candidates for up to four gathered pixels at once.
-    /// Lanes `n..LANES` of a partial group hold stale packs and are never
-    /// read back. The per-lane comparison replays the scalar first-wins
-    /// strict-`<` argmin through the code-threshold table.
+    /// Scans the 9 candidates for up to four gathered pixels at once, in
+    /// two phases. Phase 1 evaluates `V` for all nine candidates in all
+    /// four lanes, with no branch, and keeps each lane's minimum; lanes
+    /// `n..LANES` of a partial group hold stale packs and are computed
+    /// but never read back. Phase 2 ([`Self::resolve`]) turns each lane's
+    /// minimum into one code threshold and picks the first candidate
+    /// below it.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     fn scan_group(
@@ -363,8 +384,8 @@ impl SwarKernel {
         let pl = pack4(lb) & self.chan_mask;
         let pa = pack4(ab) & self.chan_mask;
         let pb = pack4(bb) & self.chan_mask;
-        let mut best = [0u32; LANES];
-        let mut thresh = [0f64; LANES];
+        let mut vs = [[0f64; LANES]; 9];
+        let mut vmin = [f64::INFINITY; LANES];
         for (i, &k) in nine.iter().enumerate() {
             let c = &codes[k];
             // Center codes are truncated 8-bit values, so `as u8` is
@@ -374,11 +395,13 @@ impl SwarKernel {
             let db = biased_deltas(pb, c.b as u8);
             let dy = (y as i32 - c.y) as f64;
             let dy2 = dy * dy;
-            for j in 0..n {
+            for j in 0..LANES {
+                // Biased lanes lie in [1, 511], so `& 511` keeps them
+                // unchanged and proves the table index in range.
                 let sh = 16 * j as u32;
-                let il = ((dl >> sh) & 0xFFFF) as usize;
-                let ia = ((da >> sh) & 0xFFFF) as usize;
-                let ib = ((db >> sh) & 0xFFFF) as usize;
+                let il = ((dl >> sh) & 511) as usize;
+                let ia = ((da >> sh) & 511) as usize;
+                let ib = ((db >> sh) & 511) as usize;
                 // Identical f64 evaluation order to the scalar
                 // `dist_code`: (dl² + da²) + db², dx² + dy², then
                 // dc2 + m²/S² · ds2.
@@ -386,14 +409,13 @@ impl SwarKernel {
                 let dx = (gx[j] as i32 - c.x) as f64;
                 let ds2 = dx * dx + dy2;
                 let v = dc2 + self.m2_over_s2 * ds2;
-                if i == 0 || v < thresh[j] {
-                    best[j] = k as u32;
-                    thresh[j] = self.beat_threshold(v);
-                }
+                vs[i][j] = v;
+                vmin[j] = if v < vmin[j] { v } else { vmin[j] };
             }
         }
+        let win = self.resolve(&vs, &vmin);
         for j in 0..n {
-            srow[gx[j]] = best[j];
+            srow[gx[j]] = nine[win[j]] as u32;
         }
     }
 }
@@ -457,27 +479,39 @@ mod tests {
         assert_eq!((d >> 16) & 0xFFFF, 1);
     }
 
+    /// The (m, S) pairs the table tests sweep: the paper default, small
+    /// and large spatial weights, a non-integer S, and a large grid step.
+    const M_S: [(f32, f32); 5] = [
+        (10.0, 20.0),
+        (1.0, 4.0),
+        (40.0, 8.0),
+        (10.0, 39.19),
+        (25.0, 60.0),
+    ];
+
     #[test]
     fn threshold_table_is_sorted_and_starts_at_zero() {
         let qk = QuantKernel::new(8, 8, 10.0, 20.0);
         let sk = SwarKernel::new(&qk);
         assert_eq!(sk.vb[0], 0.0);
         assert!(sk.vb.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(sk.vb.len(), qk.quantizer().max_code() as usize + 1);
+        // One threshold per code, then the +∞ that no V reaches.
+        assert_eq!(sk.vb.len(), qk.quantizer().max_code() as usize + 2);
+        assert_eq!(sk.vb.last(), Some(&f64::INFINITY));
     }
 
     #[test]
     fn thresholds_replay_the_scalar_code_comparison() {
-        // For a sweep of V values, `v < vb[code(best)]` must agree with
-        // the scalar `code(v) < code(best)` comparison exactly.
+        // For a sweep of V values, the code helper must equal the scalar
+        // `encode(sqrt(v))`, and `vb` must bracket it: `v' < vb[c]`
+        // exactly when `code(v') < c`.
         let qk = QuantKernel::new(8, 8, 10.0, 20.0);
         let sk = SwarKernel::new(&qk);
         let code = |v: f64| qk.quantizer().encode(v.sqrt());
         let mut v = 0.0f64;
         while v < 200_000.0 {
             let c = code(v);
-            // beat_threshold(v) is vb[code(v)].
-            assert_eq!(sk.beat_threshold(v), sk.vb[c as usize], "v = {v}");
+            assert_eq!(sk.code(v), c as usize, "v = {v}");
             // A value strictly below the threshold has a strictly
             // smaller code; a value at/above it does not.
             if c > 0 {
@@ -491,38 +525,111 @@ mod tests {
 
     #[test]
     fn direct_threshold_equals_the_table_search_at_every_boundary() {
-        // The binary search `beat_threshold` replaced is the oracle: for
+        // The binary search the direct index replaced is the oracle: for
         // every table entry, the f64 patterns either side of it, 0 and
         // f64::MAX, the direct index plus its one fix-up step must pick
-        // the same threshold, starting from a guess at most one code off.
+        // the same code, starting from a guess at most one code off.
         for distance_bits in 1..=16u8 {
             for channel_bits in [4u8, 8] {
-                for (m, s) in [
-                    (10.0, 20.0),
-                    (1.0, 4.0),
-                    (40.0, 8.0),
-                    (10.0, 39.19),
-                    (25.0, 60.0),
-                ] {
+                for (m, s) in M_S {
                     let sk = SwarKernel::new(&QuantKernel::new(channel_bits, distance_bits, m, s));
-                    let max = sk.vb.len() - 1;
-                    let probes = sk.vb.iter().flat_map(|b| {
+                    let max = sk.vb.len() - 2;
+                    let probes = sk.vb[..=max].iter().flat_map(|b| {
                         let bits = b.to_bits();
                         [bits.saturating_sub(1), bits, bits + 1].map(f64::from_bits)
                     });
                     for v in probes.chain([0.0, f64::MAX]) {
-                        let exact = sk.vb[1..].partition_point(|&b| b <= v);
+                        let exact = sk.vb[1..=max].partition_point(|&b| b <= v);
                         let at =
                             format!("bits {distance_bits}/{channel_bits}, m {m}, S {s}, v {v:e}");
-                        assert_eq!(
-                            sk.beat_threshold(v).to_bits(),
-                            sk.vb[exact].to_bits(),
-                            "{at}"
-                        );
+                        assert_eq!(sk.code(v), exact, "{at}");
                         let guess = ((v.sqrt() * sk.inv_step + 0.5) as usize).min(max);
                         assert!(
                             guess.abs_diff(exact) <= 1,
                             "{at}: guess {guess}, exact {exact}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resolve_replays_the_sequential_scalar_argmin() {
+        // Phase 2 against the scalar rule it replaces: walk the nine
+        // candidates in order and keep the first one whose code
+        // `encode(sqrt(v))` is strictly below the best so far. Columns
+        // sit on and either side of the table boundaries (dense ties and
+        // values one ulp from a code change), all equal, entirely at the
+        // top code (the +∞ threshold), or uniformly random.
+        let mut rng = sslic_image::prng::SplitMix64::seed_from_u64(20);
+        for distance_bits in 1..=16u8 {
+            for (m, s) in M_S {
+                let qk = QuantKernel::new(8, distance_bits, m, s);
+                let sk = SwarKernel::new(&qk);
+                let q = qk.quantizer();
+                let max = sk.vb.len() - 2;
+                let near = |c: usize, ulps: u64| {
+                    let bits = sk.vb[c.min(max)].to_bits();
+                    f64::from_bits(match ulps {
+                        0 => bits.saturating_sub(1),
+                        1 => bits,
+                        _ => bits + 1,
+                    })
+                };
+                let mut columns: Vec<[f64; 9]> = Vec::new();
+                // On and either side of every boundary, nine codes wide.
+                for c in 0..=max {
+                    for ulps in 0..3 {
+                        columns.push(std::array::from_fn(|i| {
+                            near(c + i % 3, (ulps + i as u64) % 3)
+                        }));
+                        columns.push([near(c, ulps); 9]);
+                    }
+                }
+                // Entirely at the top code, where every candidate ties.
+                let top = [sk.vb[max], near(max, 2), sk.vb[max] * 4.0, f64::MAX];
+                columns.push(std::array::from_fn(|i| top[i % 4]));
+                columns.push([f64::MAX; 9]);
+                // Random draws: near a few neighbouring boundaries, so the
+                // minimum's code is shared by several candidates, or
+                // anywhere up to twice the top threshold.
+                for _ in 0..2000 {
+                    let base = rng.below(max as u64 + 1) as usize;
+                    columns.push(std::array::from_fn(|_| {
+                        near(base + rng.below(3) as usize, rng.below(3))
+                    }));
+                    let span = 2.0 * sk.vb[max].max(1.0);
+                    columns.push(std::array::from_fn(|_| rng.next_f64() * span));
+                }
+                for group in columns.chunks(LANES) {
+                    let mut vs = [[0f64; LANES]; 9];
+                    let mut vmin = [f64::INFINITY; LANES];
+                    for (j, col) in group.iter().enumerate() {
+                        for i in 0..9 {
+                            vs[i][j] = col[i];
+                            vmin[j] = vmin[j].min(col[i]);
+                        }
+                    }
+                    // Lanes beyond a short last group repeat lane 0.
+                    for j in group.len()..LANES {
+                        for lanes in &mut vs {
+                            lanes[j] = lanes[0];
+                        }
+                        vmin[j] = vmin[0];
+                    }
+                    let win = sk.resolve(&vs, &vmin);
+                    for (j, col) in group.iter().enumerate() {
+                        let code = |v: f64| q.encode(v.sqrt());
+                        let mut best = 0;
+                        for i in 1..9 {
+                            if code(col[i]) < code(col[best]) {
+                                best = i;
+                            }
+                        }
+                        assert_eq!(
+                            win[j], best,
+                            "bits {distance_bits}, m {m}, S {s}, column {col:?}"
                         );
                     }
                 }

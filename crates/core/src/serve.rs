@@ -31,6 +31,12 @@ pub const WIRE_STATS: u8 = 0x03;
 /// before any buffer grows.
 pub const WIRE_MAX_PAYLOAD: usize = 1 << 26;
 
+/// Most bytes a frame record's length prefix reserves before they arrive
+/// (1 MiB, above any QVGA frame). A prefix that claims more than follows
+/// costs at most this much; a longer genuine payload grows the buffer as
+/// its bytes are read.
+const PAYLOAD_RESERVE_CAP: usize = 1 << 20;
+
 /// Encodes one [`WIRE_FRAME`] record.
 ///
 /// # Errors
@@ -328,10 +334,18 @@ pub fn serve<R: Read, W: Write>(
                          {WIRE_MAX_PAYLOAD}-byte wire cap"
                     ));
                 }
-                payload.resize(len, 0);
-                input
-                    .read_exact(&mut payload)
-                    .map_err(|e| format!("serve: truncated frame payload: {e}"))?;
+                payload.clear();
+                payload.reserve(len.min(PAYLOAD_RESERVE_CAP));
+                let got = input
+                    .by_ref()
+                    .take(len as u64)
+                    .read_to_end(&mut payload)
+                    .map_err(|e| format!("serve: read failed: {e}"))?;
+                if got < len {
+                    return Err(format!(
+                        "serve: truncated frame payload: {got} of {len} bytes"
+                    ));
+                }
                 let Ok(image) = ppm::read_ppm(&payload[..]) else {
                     summary.rejected += 1;
                     emit_reject(out, stream, "bad-frame")?;

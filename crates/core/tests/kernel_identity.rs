@@ -86,7 +86,9 @@ proptest! {
         iterations in 1u32..6,
         subsets in 1u32..4,
         strategy in arb_strategy(),
-        bits in 4u8..13,
+        // Every distance width, 1..=16: coarse widths tie densely and
+        // reach the top code; 13–16 bits exercise the widest tables.
+        bits in 1u8..17,
         threads in prop_oneof![Just(1usize), Just(2), Just(8)],
         preempt in prop_oneof![Just(None), (0.1f32..2.0).prop_map(Some)],
         faults in any::<bool>(),
@@ -142,7 +144,7 @@ proptest! {
     fn auto_resolves_to_swar_and_matches_both_forced_kernels(
         seed in 0u64..300,
         k in 8usize..60,
-        bits in 4u8..13,
+        bits in 1u8..17,
     ) {
         let img = SyntheticImage::builder(48, 36).seed(seed).regions(5).build();
         let auto = run_forced(

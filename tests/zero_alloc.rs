@@ -10,6 +10,11 @@
 //! `Mutex`/`Condvar` never allocate on use, so the assertion holds at any
 //! thread count.
 //!
+//! The allocator also records the largest single request, which bounds
+//! what untrusted input can make the serve loop reserve: a frame record
+//! whose length prefix claims far more than follows must not reserve the
+//! claimed size.
+//!
 //! The counter is process-global, so the scenarios must never overlap: a
 //! neighbour's allocations, or a test harness spawning threads and
 //! printing results, would land inside another scenario's counting
@@ -26,25 +31,35 @@ use sslic::image::synthetic::SyntheticImage;
 use sslic::prelude::*;
 
 /// Counts every allocation and reallocation routed through the global
-/// allocator. Deallocations are deliberately not counted: a steady-state
-/// frame must not acquire memory; releasing none follows from that.
+/// allocator, and records the largest size any of them asked for.
+/// Deallocations are deliberately not counted: a steady-state frame must
+/// not acquire memory; releasing none follows from that.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// The largest single `alloc`/`alloc_zeroed`/`realloc` size, in bytes,
+/// since a scenario last reset it.
+static LARGEST: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::SeqCst);
+    LARGEST.fetch_max(size as u64, Ordering::SeqCst);
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -249,8 +264,36 @@ fn steady_state_fleet_frames_never_touch_the_heap() {
     }
 }
 
+fn lying_length_prefix_allocates_only_what_arrives() {
+    // One frame record whose length prefix claims 60 MiB (under the
+    // 64 MiB wire cap) but carries 1 KiB before EOF. The pump must report
+    // the truncation without ever asking for more than the 1 MiB it may
+    // reserve up front: the buffer grows only with bytes that arrive.
+    use sslic::core::{serve, ServeOptions, WIRE_FRAME};
+
+    let claimed: u32 = 60 << 20;
+    let mut wire = vec![WIRE_FRAME];
+    wire.extend_from_slice(&7u64.to_le_bytes());
+    wire.extend_from_slice(&claimed.to_le_bytes());
+    wire.extend_from_slice(&[0x50; 1024]);
+    let seg = Segmenter::sslic_ppa(SlicParams::builder(60).build(), 2);
+    let cfg = FleetConfig::builder().with_slots(2).build();
+    let mut out = Vec::new();
+    LARGEST.store(0, Ordering::SeqCst);
+    let result = serve(&seg, cfg, &mut &wire[..], &mut out, &ServeOptions::new());
+    let largest = LARGEST.load(Ordering::SeqCst);
+    assert!(
+        matches!(&result, Err(e) if e.contains("truncated frame payload")),
+        "a record 1 KiB into a claimed {claimed}-byte payload must fail as truncated, got {result:?}"
+    );
+    assert!(
+        largest <= 1 << 20,
+        "a lying length prefix made serve ask for {largest} bytes in one allocation"
+    );
+}
+
 /// Every scenario, in the order [`main`] runs them.
-const SCENARIOS: [(&str, fn()); 3] = [
+const SCENARIOS: [(&str, fn()); 4] = [
     (
         "steady_state_frames_never_touch_the_heap",
         steady_state_frames_never_touch_the_heap,
@@ -262,6 +305,10 @@ const SCENARIOS: [(&str, fn()); 3] = [
     (
         "self_healing_frames_stay_allocation_free",
         self_healing_frames_stay_allocation_free,
+    ),
+    (
+        "lying_length_prefix_allocates_only_what_arrives",
+        lying_length_prefix_allocates_only_what_arrives,
     ),
 ];
 
