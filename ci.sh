@@ -14,6 +14,11 @@ echo "==> warning gate (every target builds with zero warnings)"
 # hatches added to get there.
 RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --workspace --all-targets --release
 
+echo "==> rustdoc gate (every crate documents with zero warnings)"
+# A dangling intra-doc link to a deleted item builds and tests fine; only
+# rustdoc sees it.
+RUSTDOCFLAGS="${RUSTDOCFLAGS:-} -D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo test (workspace, overflow-checks on)"
 cargo test --workspace -q
 

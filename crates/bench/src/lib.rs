@@ -112,6 +112,12 @@ pub struct CorpusResult {
     pub boundary_recall: f64,
     /// Mean wall-clock per image, milliseconds.
     pub time_ms: f64,
+    /// Mean per-image `RunCounters::pixel_color_reads`: the pixels the
+    /// assign passes label plus those the center updates sum. A
+    /// deterministic count of the per-step work, unlike `time_ms`; it
+    /// leaves out per-frame costs such as colour conversion and
+    /// connectivity.
+    pub pixel_color_reads: f64,
 }
 
 /// Runs `segmenter` over every corpus image and averages the metrics.
@@ -119,10 +125,12 @@ pub fn evaluate(segmenter: &Segmenter, corpus: &SyntheticDataset) -> CorpusResul
     let mut use_sum = 0.0;
     let mut br_sum = 0.0;
     let mut time_sum = 0.0;
+    let mut reads_sum = 0.0;
     for img in corpus.iter() {
         let start = Instant::now();
         let seg = segmenter.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
         time_sum += start.elapsed().as_secs_f64() * 1e3;
+        reads_sum += seg.report().counters().pixel_color_reads as f64;
         use_sum += undersegmentation_error(seg.labels(), &img.ground_truth);
         br_sum += boundary_recall(seg.labels(), &img.ground_truth, BR_TOLERANCE);
     }
@@ -131,6 +139,7 @@ pub fn evaluate(segmenter: &Segmenter, corpus: &SyntheticDataset) -> CorpusResul
         use_err: use_sum / n,
         boundary_recall: br_sum / n,
         time_ms: time_sum / n,
+        pixel_color_reads: reads_sum / n,
     }
 }
 
@@ -185,6 +194,9 @@ mod tests {
         assert!(r.use_err >= 0.0);
         assert!((0.0..=1.0).contains(&r.boundary_recall));
         assert!(r.time_ms > 0.0);
+        // S-SLIC (0.5): each of the 3 sub-iterations assigns and sums
+        // half of the 96×64 pixels.
+        assert_eq!(r.pixel_color_reads, (3 * 96 * 64) as f64);
     }
 
     #[test]

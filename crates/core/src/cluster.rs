@@ -25,8 +25,10 @@ impl Cluster {
         Cluster { l, a, b, x, y }
     }
 
-    /// L1 distance moved from `previous`, in pixels (the paper's
-    /// convergence criterion tracks center movement).
+    /// L1 distance moved from `previous`, in pixels: the per-cluster
+    /// halting test of [`Segmenter::with_preemption`].
+    ///
+    /// [`Segmenter::with_preemption`]: crate::Segmenter::with_preemption
     pub fn movement_from(&self, previous: &Cluster) -> f32 {
         (self.x - previous.x).abs() + (self.y - previous.y).abs()
     }

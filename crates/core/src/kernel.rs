@@ -38,8 +38,8 @@
 //! a pure function of the request and the configuration's eligibility:
 //! `Scalar` always runs the reference loop; `Swar` and `Auto` run the SWAR
 //! kernel when the configuration qualifies (quantized distance mode,
-//! pixel-perspective algorithm, non-adaptive) and fall back to the —
-//! bit-identical — scalar loop otherwise.
+//! pixel-perspective algorithm) and fall back to the — bit-identical —
+//! scalar loop otherwise.
 
 use std::fmt;
 use std::ops::Range;
@@ -83,7 +83,7 @@ pub enum Kernel {
     Scalar,
     /// The 4-lane SWAR fixed-point kernel. Falls back to the scalar loop
     /// on frames that do not qualify (float mode, center-perspective
-    /// algorithms, adaptive compactness).
+    /// algorithms).
     Swar,
 }
 

@@ -15,7 +15,6 @@ use crate::kernel::Kernel;
 /// let p = SlicParams::builder(900)
 ///     .compactness(10.0)
 ///     .iterations(10)
-///     .convergence_threshold(Some(0.25))
 ///     .threads(4)
 ///     .build();
 /// assert_eq!(p.superpixels(), 900);
@@ -27,11 +26,8 @@ pub struct SlicParams {
     superpixels: usize,
     compactness: f32,
     iterations: u32,
-    convergence_threshold: Option<f32>,
     perturb_seeds: bool,
     enforce_connectivity: bool,
-    min_region_divisor: u32,
-    adaptive_compactness: bool,
     threads: NonZeroUsize,
     kernel: Kernel,
 }
@@ -50,11 +46,8 @@ impl SlicParams {
                 superpixels,
                 compactness: 10.0,
                 iterations: 10,
-                convergence_threshold: None,
                 perturb_seeds: true,
                 enforce_connectivity: true,
-                min_region_divisor: 4,
-                adaptive_compactness: false,
                 threads: NonZeroUsize::MIN,
                 kernel: Kernel::Auto,
             },
@@ -73,17 +66,12 @@ impl SlicParams {
         self.compactness
     }
 
-    /// Maximum number of center-update steps. For subsampled variants this
-    /// counts *sub-iterations* (one subset pass each); one full-image pass
-    /// equals `subsets` sub-iterations. Default 10.
+    /// Number of center-update steps; every frame runs exactly this many.
+    /// For subsampled variants this counts *sub-iterations* (one subset
+    /// pass each); one full-image pass equals `subsets` sub-iterations.
+    /// Default 10.
     pub fn iterations(&self) -> u32 {
         self.iterations
-    }
-
-    /// Early-exit threshold on the mean per-cluster center movement in
-    /// pixels (L1). `None` disables early exit. Default `None`.
-    pub fn convergence_threshold(&self) -> Option<f32> {
-        self.convergence_threshold
     }
 
     /// Whether initial seeds are moved to the 3×3 minimum-gradient
@@ -95,21 +83,6 @@ impl SlicParams {
     /// Whether the connectivity-enforcement post-pass runs. Default `true`.
     pub fn enforce_connectivity(&self) -> bool {
         self.enforce_connectivity
-    }
-
-    /// Components smaller than `S²/min_region_divisor` are absorbed by the
-    /// connectivity pass. Default 4.
-    pub fn min_region_divisor(&self) -> u32 {
-        self.min_region_divisor
-    }
-
-    /// Whether SLICO-style adaptive compactness is enabled: each cluster
-    /// normalizes color distance by the maximum color distance observed
-    /// among its members in the previous pass, making `m` self-tuning per
-    /// region (Achanta's zero-parameter SLIC follow-up). Float datapath
-    /// only. Default `false`.
-    pub fn adaptive_compactness(&self) -> bool {
-        self.adaptive_compactness
     }
 
     /// Worker-thread count for the banded parallel execution layer of the
@@ -143,9 +116,6 @@ pub enum ParamError {
     InvalidCompactness,
     /// `iterations == 0`: at least one center-update step is required.
     ZeroIterations,
-    /// `min_region_divisor == 0`: the connectivity pass would divide by
-    /// zero.
-    ZeroMinRegionDivisor,
     /// `threads == 0`: the banded execution layer needs at least one
     /// worker.
     ZeroThreads,
@@ -160,7 +130,6 @@ impl std::fmt::Display for ParamError {
             ParamError::ZeroSuperpixels => "superpixel count must be nonzero",
             ParamError::InvalidCompactness => "compactness must be positive and finite",
             ParamError::ZeroIterations => "at least one iteration required",
-            ParamError::ZeroMinRegionDivisor => "min_region_divisor must be nonzero",
             ParamError::ZeroThreads => "thread count must be nonzero",
             ParamError::UnknownKernel => "kernel must be one of auto, scalar, swar",
         };
@@ -189,15 +158,9 @@ impl SlicParamsBuilder {
         self
     }
 
-    /// Sets the maximum number of center-update steps.
+    /// Sets the number of center-update steps.
     pub fn iterations(mut self, iterations: u32) -> Self {
         self.params.iterations = iterations;
-        self
-    }
-
-    /// Sets (or disables, with `None`) the early-exit movement threshold.
-    pub fn convergence_threshold(mut self, threshold: Option<f32>) -> Self {
-        self.params.convergence_threshold = threshold;
         self
     }
 
@@ -210,23 +173,6 @@ impl SlicParamsBuilder {
     /// Enables or disables the connectivity post-pass.
     pub fn enforce_connectivity(mut self, on: bool) -> Self {
         self.params.enforce_connectivity = on;
-        self
-    }
-
-    /// Enables SLICO-style adaptive compactness (see
-    /// [`SlicParams::adaptive_compactness`]).
-    pub fn adaptive_compactness(mut self, on: bool) -> Self {
-        self.params.adaptive_compactness = on;
-        self
-    }
-
-    /// Sets the minimum-region divisor for the connectivity pass.
-    ///
-    /// # Panics
-    ///
-    /// `build` panics if the divisor is zero.
-    pub fn min_region_divisor(mut self, divisor: u32) -> Self {
-        self.params.min_region_divisor = divisor;
         self
     }
 
@@ -259,9 +205,7 @@ impl SlicParamsBuilder {
     ///
     /// Returns the first violated constraint among
     /// [`ParamError::ZeroSuperpixels`], [`ParamError::InvalidCompactness`],
-    /// [`ParamError::ZeroIterations`],
-    /// [`ParamError::ZeroMinRegionDivisor`], and
-    /// [`ParamError::ZeroThreads`].
+    /// [`ParamError::ZeroIterations`], and [`ParamError::ZeroThreads`].
     pub fn try_build(self) -> Result<SlicParams, ParamError> {
         let mut p = self.params;
         if p.superpixels == 0 {
@@ -273,9 +217,6 @@ impl SlicParamsBuilder {
         if p.iterations == 0 {
             return Err(ParamError::ZeroIterations);
         }
-        if p.min_region_divisor == 0 {
-            return Err(ParamError::ZeroMinRegionDivisor);
-        }
         p.threads = NonZeroUsize::new(self.threads).ok_or(ParamError::ZeroThreads)?;
         Ok(p)
     }
@@ -285,7 +226,7 @@ impl SlicParamsBuilder {
     /// # Panics
     ///
     /// Panics if `superpixels == 0`, `compactness <= 0`, `iterations == 0`,
-    /// `min_region_divisor == 0`, or `threads == 0`. Use
+    /// or `threads == 0`. Use
     /// [`Self::try_build`] to receive these as typed errors instead.
     pub fn build(self) -> SlicParams {
         let mut p = self.params;
@@ -295,7 +236,6 @@ impl SlicParamsBuilder {
             "compactness must be positive and finite"
         );
         assert!(p.iterations > 0, "at least one iteration required");
-        assert!(p.min_region_divisor > 0, "min_region_divisor must be nonzero");
         assert!(self.threads > 0, "thread count must be nonzero");
         p.threads = NonZeroUsize::new(self.threads).unwrap_or(NonZeroUsize::MIN);
         p
@@ -311,7 +251,6 @@ mod tests {
         let p = SlicParams::builder(900).build();
         assert_eq!(p.compactness(), 10.0);
         assert_eq!(p.iterations(), 10);
-        assert_eq!(p.convergence_threshold(), None);
         assert!(p.perturb_seeds());
         assert!(p.enforce_connectivity());
     }
@@ -328,19 +267,15 @@ mod tests {
         let p = SlicParams::builder(42)
             .compactness(25.0)
             .iterations(3)
-            .convergence_threshold(Some(0.5))
             .perturb_seeds(false)
             .enforce_connectivity(false)
-            .min_region_divisor(8)
             .kernel(Kernel::Swar)
             .build();
         assert_eq!(p.superpixels(), 42);
         assert_eq!(p.compactness(), 25.0);
         assert_eq!(p.iterations(), 3);
-        assert_eq!(p.convergence_threshold(), Some(0.5));
         assert!(!p.perturb_seeds());
         assert!(!p.enforce_connectivity());
-        assert_eq!(p.min_region_divisor(), 8);
         assert_eq!(p.kernel(), Kernel::Swar);
     }
 
@@ -376,10 +311,6 @@ mod tests {
         assert_eq!(
             SlicParams::builder(10).iterations(0).try_build(),
             Err(ParamError::ZeroIterations)
-        );
-        assert_eq!(
-            SlicParams::builder(10).min_region_divisor(0).try_build(),
-            Err(ParamError::ZeroMinRegionDivisor)
         );
     }
 

@@ -52,6 +52,10 @@ use crate::SeedGrid;
 /// (`core.band.pixels`): powers of four from 256 to 64k pixels.
 const BAND_PIXEL_BOUNDS: [u64; 5] = [1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16];
 
+/// The connectivity pass absorbs components smaller than `S² / 4`, the
+/// SLIC reference implementation's minimum segment size.
+const MIN_REGION_DIVISOR: f32 = 4.0;
+
 /// Why a segmentation request could not run. Returned by the fallible
 /// entry points ([`Segmenter::try_run`], [`SegmenterSession::try_run`]);
 /// the panicking twins raise the same conditions as panics carrying the
@@ -202,14 +206,12 @@ struct FrameCtx {
     clusters: Arc<Vec<Cluster>>,
     codes: Arc<Vec<ClusterCodes>>,
     active: Arc<Vec<bool>>,
-    max_dc2: Option<Arc<Vec<f32>>>,
     partition: Option<Arc<SubsetPartition>>,
     kernel: Option<QuantKernel>,
     /// `Some` exactly when the session runs [`Kernel::Swar`]: the shared
     /// SWAR tables the band workers scan with.
     swar: Option<Arc<SwarKernel>>,
     m2_over_s2: f32,
-    inv_s2: f32,
 }
 
 /// One dispatch to the band pool.
@@ -230,27 +232,23 @@ enum Cmd {
 }
 
 /// Pre-allocated per-band output slot: the band's label stripe (PPA
-/// algorithms only), its private sigma register file and SLICO maxima, and
-/// its counter partial. Reused across every dispatch of the session.
+/// algorithms only), its private sigma register file, and its counter
+/// partial. Reused across every dispatch of the session.
 struct BandSlot {
     stripe: Vec<u32>,
     sigma: Vec<[f64; 6]>,
-    new_max: Vec<f32>,
     counters: RunCounters,
 }
 
 /// Borrowed distance-datapath view over a [`FrameCtx`]: the scalar
-/// `distance`/`dc2_ds2` logic shared by the banded kernels and the serial
-/// CPA scan.
+/// `distance` logic shared by the banded kernels and the serial CPA scan.
 struct DistCtx<'a> {
     lab: &'a LabImage,
     lab8: Option<&'a Lab8Image>,
     clusters: &'a [Cluster],
     codes: &'a [ClusterCodes],
     kernel: Option<&'a QuantKernel>,
-    max_dc2: Option<&'a [f32]>,
     m2_over_s2: f32,
-    inv_s2: f32,
 }
 
 impl<'a> DistCtx<'a> {
@@ -261,9 +259,7 @@ impl<'a> DistCtx<'a> {
             clusters: &ctx.clusters,
             codes: &ctx.codes,
             kernel: ctx.kernel.as_ref(),
-            max_dc2: ctx.max_dc2.as_deref().map(Vec::as_slice),
             m2_over_s2: ctx.m2_over_s2,
-            inv_s2: ctx.inv_s2,
         }
     }
 
@@ -272,12 +268,6 @@ impl<'a> DistCtx<'a> {
     /// each other within one pixel's candidate set.
     #[inline]
     fn distance(&self, x: usize, y: usize, k: usize) -> f32 {
-        if let Some(max_dc2) = self.max_dc2 {
-            // SLICO objective: color and space each normalized by their
-            // per-cluster / grid maxima.
-            let (dc2, ds2) = self.dc2_ds2(x, y, k);
-            return dc2 / max_dc2[k] + ds2 * self.inv_s2;
-        }
         match (self.kernel, self.lab8) {
             (Some(kernel), Some(lab8)) => {
                 let px = lab8.pixel(x, y);
@@ -290,16 +280,6 @@ impl<'a> DistCtx<'a> {
                 self.m2_over_s2,
             ),
         }
-    }
-
-    /// Squared color and spatial distances separately (float path).
-    #[inline]
-    fn dc2_ds2(&self, x: usize, y: usize, k: usize) -> (f32, f32) {
-        let [l, a, b] = self.lab.pixel(x, y);
-        let c = &self.clusters[k];
-        let (dl, da, db) = (l - c.l, a - c.a, b - c.b);
-        let (dx, dy) = (x as f32 - c.x, y as f32 - c.y);
-        (dl * dl + da * da + db * db, dx * dx + dy * dy)
     }
 }
 
@@ -320,7 +300,7 @@ fn band_kernel(cmd: &Cmd, _band: usize, rows: Range<usize>, slot: &mut BandSlot)
 }
 
 /// One band of PPA assignment over `rows`, writing the band's label stripe
-/// and private counters/maxima into its slot. Each row visits only the
+/// and private counters into its slot. Each row visits only the
 /// subset's columns ([`SubsetPartition::row_members`]; every column
 /// without subsampling). Skipped pixels (outside the subset, all-frozen
 /// neighborhoods) keep the stripe's previous value, which the session
@@ -334,15 +314,12 @@ fn assign_band(
     preempting: bool,
 ) {
     let w = ctx.grid.width();
-    slot.new_max.fill(0.0);
     let part = ctx.partition.as_deref().zip(subset);
     if let (Some(swar), Some(lab8)) = (ctx.swar.as_deref(), ctx.lab8.as_deref()) {
         // The SWAR fixed-point kernel: bit-identical labels (the lane
         // scan replays every scalar comparison — see `crate::kernel`),
         // identical counters, identical stripe semantics for skipped
-        // pixels. SLICO maxima never apply here: adaptive compactness
-        // is a float-datapath feature, and `ctx.swar` is only populated
-        // on quantized frames.
+        // pixels.
         let assigned = swar.assign_rows(
             &ctx.grid,
             lab8,
@@ -384,10 +361,6 @@ fn assign_band(
                 }
             }
             slot.stripe[(y - rows.start) * w + x] = best as u32;
-            if ctx.max_dc2.is_some() {
-                let (dc2, _) = dist.dc2_ds2(x, y, best);
-                slot.new_max[best] = slot.new_max[best].max(dc2);
-            }
             assigned += 1;
         }
     }
@@ -459,14 +432,6 @@ enum AttemptInit {
     Cold,
 }
 
-/// What one attempt of a frame produced, evaluated at the end-of-attempt
-/// serial sync point (bit-identical across thread counts).
-struct AttemptOutcome {
-    iterations_run: u32,
-    verdict: GuardVerdict,
-    converged: bool,
-}
-
 /// A persistent streaming segmentation session: a [`Segmenter`]
 /// configuration bound to one frame geometry, owning all per-frame working
 /// memory and a parked worker pool.
@@ -505,7 +470,6 @@ pub struct SegmenterSession {
     clusters: Arc<Vec<Cluster>>,
     codes: Arc<Vec<ClusterCodes>>,
     active: Arc<Vec<bool>>,
-    max_dc2: Option<Arc<Vec<f32>>>,
     partition: Option<Arc<SubsetPartition>>,
     kernel: Option<QuantKernel>,
     /// SWAR assign tables, built at construction only when the params'
@@ -518,12 +482,10 @@ pub struct SegmenterSession {
     dist: Option<Plane<f32>>,
     conn: ConnScratch,
     pool: BandPool<Cmd, BandSlot>,
-    fold_max: Vec<f32>,
     fold_sigma: Vec<[f64; 6]>,
     band_counters: Vec<RunCounters>,
     counters: RunCounters,
     m2_over_s2: f32,
-    inv_s2: f32,
     frames: u64,
     /// Last-known-good center table, snapshotted at the serial point
     /// right after attempt 0's Init each frame (post-Init state is always
@@ -558,12 +520,6 @@ impl SegmenterSession {
     /// # Errors
     ///
     /// [`SegmentError::EmptyFrame`] if either dimension is zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration combines adaptive compactness with a
-    /// quantized distance mode ("adaptive compactness is a float-datapath
-    /// feature").
     pub fn try_new(
         config: Segmenter,
         width: usize,
@@ -573,10 +529,6 @@ impl SegmenterSession {
             return Err(SegmentError::EmptyFrame { width, height });
         }
         let params = *config.params();
-        assert!(
-            !(params.adaptive_compactness() && config.distance_mode().is_quantized()),
-            "adaptive compactness is a float-datapath feature"
-        );
         let grid = SeedGrid::new(width, height, params.superpixels());
         let column_cells = grid.column_cells();
         let k = grid.cluster_count();
@@ -617,16 +569,10 @@ impl SegmenterSession {
         let clusters = Arc::new(vec![Cluster::default(); k]);
         let codes = Arc::new(Vec::with_capacity(k));
         let active = Arc::new(vec![true; k]);
-        let max_dc2 = params
-            .adaptive_compactness()
-            .then(|| Arc::new(vec![m * m; k]));
         let checkpoint = vec![Cluster::default(); k];
-        let fold_max = vec![0f32; k];
         let fold_sigma = vec![[0f64; 6]; k];
         // SWAR assign-kernel tables (squared-delta LUTs + code-threshold
         // table), built only when the params' kernel resolves to SWAR.
-        // Quantized + adaptive is rejected above, so `kernel` being `Some`
-        // already implies the non-adaptive datapath.
         let swar = match &kernel {
             Some(qk) if params.kernel().resolve(banded_labels) == Kernel::Swar => {
                 Some(Arc::new(SwarKernel::new(qk)))
@@ -642,7 +588,6 @@ impl SegmenterSession {
                 BandSlot {
                     stripe: vec![0u32; stripe_len],
                     sigma: vec![[0f64; 6]; k],
-                    new_max: vec![0f32; k],
                     counters: RunCounters::default(),
                 }
             },
@@ -660,7 +605,6 @@ impl SegmenterSession {
             clusters,
             codes,
             active,
-            max_dc2,
             partition,
             kernel,
             swar,
@@ -668,12 +612,10 @@ impl SegmenterSession {
             dist,
             conn,
             pool,
-            fold_max,
             fold_sigma,
             band_counters,
             counters: RunCounters::default(),
             m2_over_s2: (m * m) / (spacing * spacing),
-            inv_s2: 1.0 / (spacing * spacing),
             frames: 0,
             checkpoint,
             checkpoint_sum: 0,
@@ -832,6 +774,8 @@ impl SegmenterSession {
         let recorder = options.recorder;
         let policy = options.recovery;
         let spacing = self.grid.spacing();
+        // Every attempt runs the full iteration budget.
+        let iterations_run = params.iterations();
         let mut breakdown = PhaseBreakdown::new();
 
         if let Some(f) = options.faults {
@@ -857,31 +801,25 @@ impl SegmenterSession {
         let mut total_guards: u64 = 0;
         let mut escalations: u32 = 0;
         let (last, guard_clean) = loop {
-            let outcome = self.run_attempt(options, init, cold, attempt, &mut breakdown);
-            total_guards = total_guards.wrapping_add(outcome.verdict.guards_fired());
-            let action = if outcome.verdict.clean() {
+            let verdict = self.run_attempt(options, init, cold, attempt, &mut breakdown);
+            total_guards = total_guards.wrapping_add(verdict.guards_fired());
+            let action = if verdict.clean() {
                 None
             } else {
-                policy.map(|p| p.action_for(self.frames, &outcome.verdict, attempt))
+                policy.map(|p| p.action_for(self.frames, &verdict, attempt))
             };
             match action {
                 Some(act @ (RecoveryAction::Rollback | RecoveryAction::ColdRestart)) => {
                     if let Some(rec) = recorder {
-                        let clock = LogicalClock::step(outcome.iterations_run.saturating_sub(1));
+                        let clock = LogicalClock::step(iterations_run.saturating_sub(1));
                         rec.span_end(
                             "core.run",
                             clock,
                             vec![
-                                (
-                                    "iterations_run",
-                                    Value::U64(u64::from(outcome.iterations_run)),
-                                ),
+                                ("iterations_run", Value::U64(u64::from(iterations_run))),
                                 (
                                     "repairs",
-                                    Value::U64(
-                                        outcome.verdict.center_repairs
-                                            + outcome.verdict.label_repairs,
-                                    ),
+                                    Value::U64(verdict.center_repairs + verdict.label_repairs),
                                 ),
                                 ("status", Value::from("retrying")),
                             ],
@@ -892,7 +830,7 @@ impl SegmenterSession {
                             vec![
                                 ("attempt", Value::U64(u64::from(attempt + 1))),
                                 ("action", Value::from(act.as_str())),
-                                ("guards_fired", Value::U64(outcome.verdict.guards_fired())),
+                                ("guards_fired", Value::U64(verdict.guards_fired())),
                             ],
                         );
                     }
@@ -917,21 +855,19 @@ impl SegmenterSession {
                     // centers so the next frame warm-starts clean instead
                     // of propagating corruption.
                     Arc::make_mut(&mut self.clusters).copy_from_slice(&self.checkpoint);
-                    break (outcome, false);
+                    break (verdict, false);
                 }
                 None => {
-                    let clean = outcome.verdict.clean();
-                    break (outcome, clean);
+                    let clean = verdict.clean();
+                    break (verdict, clean);
                 }
             }
         };
-        let iterations_run = last.iterations_run;
-        let repairs = last.verdict.center_repairs + last.verdict.label_repairs;
+        let repairs = last.center_repairs + last.label_repairs;
         if params.enforce_connectivity() {
             let (labels, conn) = (Arc::make_mut(&mut self.labels), &mut self.conn);
             breakdown.time(Phase::Connectivity, || {
-                let min_size =
-                    ((spacing * spacing) / params.min_region_divisor() as f32).max(1.0) as usize;
+                let min_size = ((spacing * spacing) / MIN_REGION_DIVISOR).max(1.0) as usize;
                 enforce_connectivity_with(labels, min_size.max(1), conn);
             });
         }
@@ -944,14 +880,8 @@ impl SegmenterSession {
         } else {
             RecoveryOutcome::Clean
         };
-        // Exhausting the iteration budget while a convergence threshold is
-        // configured and unmet is the non-convergence signature of
-        // corruption: the run terminated (budget bound) but did not settle.
-        // Non-convergence is *not* a guard (it never triggers a retry) but
-        // it still degrades the reported status.
         let status = match outcome {
             RecoveryOutcome::Failed => SegmentationStatus::Degraded,
-            _ if !last.converged => SegmentationStatus::Degraded,
             RecoveryOutcome::Recovered => SegmentationStatus::Recovered,
             RecoveryOutcome::Clean => SegmentationStatus::Ok,
         };
@@ -1042,7 +972,9 @@ impl SegmenterSession {
     /// Runs one attempt of a frame: attempt init, the iteration loop, and
     /// the center/label/sigma/poison guards — everything up to the retry
     /// decision, which stays in [`SegmenterSession::frame`] together with
-    /// the finishing passes (connectivity, reporting).
+    /// the finishing passes (connectivity, reporting). Returns the guard
+    /// verdict, evaluated at the end-of-attempt serial sync point
+    /// (bit-identical across thread counts).
     ///
     /// Emits this attempt's `core.run` span-begin, step spans, and repair
     /// instants; the caller closes the span with the attempt's
@@ -1054,7 +986,7 @@ impl SegmenterSession {
         cold: bool,
         attempt: u32,
         breakdown: &mut PhaseBreakdown,
-    ) -> AttemptOutcome {
+    ) -> GuardVerdict {
         let (w, h) = (self.grid.width(), self.grid.height());
         let params = *self.config.params();
         let algorithm = self.config.algorithm();
@@ -1140,17 +1072,11 @@ impl SegmenterSession {
         // attempt's workload (matching the labels it actually produced).
         // The CPA distance buffer is reset by `assign_cpa` itself.
         Arc::make_mut(&mut self.active).fill(true);
-        let m = params.compactness();
-        if let Some(max_dc2) = &mut self.max_dc2 {
-            Arc::make_mut(max_dc2).fill(m * m);
-        }
         self.counters = RunCounters::default();
         self.poisoned = 0;
         self.sigma_mismatch = 0;
 
-        let mut iterations_run = 0u32;
         let mut center_repairs = 0u64;
-        let mut last_movement = 0.0f32;
         for step in 0..params.iterations() {
             if let Some(rec) = recorder {
                 rec.span_begin(
@@ -1162,7 +1088,7 @@ impl SegmenterSession {
                     )],
                 );
             }
-            let movement = match algorithm {
+            match algorithm {
                 Algorithm::SlicCpa => {
                     breakdown.time(Phase::DistanceMin, || {
                         self.assign_cpa(None, recorder, step);
@@ -1197,10 +1123,8 @@ impl SegmenterSession {
                         self.update_centers(None, Some((subsets, subset)), preemption, recorder, step)
                     })
                 }
-            };
+            }
             self.counters.sub_iterations += 1;
-            iterations_run = step + 1;
-            last_movement = movement;
             if let Some(f) = options.faults {
                 f.corrupt_centers(step, Arc::make_mut(&mut self.clusters).as_mut_slice());
             }
@@ -1223,11 +1147,6 @@ impl SegmenterSession {
                     LogicalClock::step(step),
                     vec![("sub_iterations", Value::U64(1))],
                 );
-            }
-            if let Some(threshold) = params.convergence_threshold() {
-                if movement <= threshold {
-                    break;
-                }
             }
         }
 
@@ -1253,23 +1172,16 @@ impl SegmenterSession {
             if label_repairs > 0 {
                 rec.instant(
                     "core.repair.labels",
-                    LogicalClock::step(iterations_run.saturating_sub(1)),
+                    LogicalClock::step(params.iterations().saturating_sub(1)),
                     vec![("repaired", Value::U64(label_repairs))],
                 );
             }
         }
-        let converged = params
-            .convergence_threshold()
-            .map_or(true, |t| last_movement <= t);
-        AttemptOutcome {
-            iterations_run,
-            verdict: GuardVerdict {
-                center_repairs,
-                label_repairs,
-                sigma_mismatch: self.sigma_mismatch,
-                poisoned_bands: self.poisoned,
-            },
-            converged,
+        GuardVerdict {
+            center_repairs,
+            label_repairs,
+            sigma_mismatch: self.sigma_mismatch,
+            poisoned_bands: self.poisoned,
         }
     }
 
@@ -1331,12 +1243,10 @@ impl SegmenterSession {
             clusters: Arc::clone(&self.clusters),
             codes: Arc::clone(&self.codes),
             active: Arc::clone(&self.active),
-            max_dc2: self.max_dc2.as_ref().map(Arc::clone),
             partition: self.partition.as_ref().map(Arc::clone),
             kernel: self.kernel.clone(),
             swar: self.swar.as_ref().map(Arc::clone),
             m2_over_s2: self.m2_over_s2,
-            inv_s2: self.inv_s2,
         }
     }
 
@@ -1398,7 +1308,7 @@ impl SegmenterSession {
 
     /// Pixel-perspective assignment: one pool dispatch, then the serial
     /// fold — stripes copy back into the label plane in ascending band
-    /// order, SLICO maxima and counters merge the same way.
+    /// order, and counters merge the same way.
     fn assign_ppa(
         &mut self,
         subset: Option<u32>,
@@ -1414,19 +1324,14 @@ impl SegmenterSession {
             preempting,
         };
         self.poisoned += self.pool.run(cmd);
-        self.fold_max.fill(0.0);
         self.band_counters.clear();
         let labels = Arc::make_mut(&mut self.labels);
         for b in 0..self.pool.band_count() {
             let rows = self.pool.bands()[b].clone();
             let slot = self.pool.slot(b);
             labels.as_mut_slice()[rows.start * w..rows.end * w].copy_from_slice(&slot.stripe);
-            for (cur, &seen) in self.fold_max.iter_mut().zip(&slot.new_max) {
-                *cur = cur.max(seen);
-            }
             self.band_counters.push(slot.counters);
         }
-        self.merge_adaptive_maxima();
         // Per-band counter partials fold in ascending band order at this
         // serial sync point: the totals depend only on the band layout
         // (a pure function of the image height), never the thread count.
@@ -1480,7 +1385,6 @@ impl SegmenterSession {
         }
         let (w, h) = (self.grid.width(), self.grid.height());
         let radius = self.grid.spacing().ceil() as isize; // 2S×2S window
-        self.fold_max.fill(0.0);
         let labels = Arc::make_mut(&mut self.labels);
         let dctx = DistCtx {
             lab: &self.lab,
@@ -1488,11 +1392,8 @@ impl SegmenterSession {
             clusters: &self.clusters,
             codes: &self.codes,
             kernel: self.kernel.as_ref(),
-            max_dc2: self.max_dc2.as_deref().map(Vec::as_slice),
             m2_over_s2: self.m2_over_s2,
-            inv_s2: self.inv_s2,
         };
-        let adaptive = dctx.max_dc2.is_some();
         let mut visits = 0u64;
         let mut improvements = 0u64;
         let mut clusters_processed = 0u64;
@@ -1520,15 +1421,10 @@ impl SegmenterSession {
                         dist_buffer[(x, y)] = d;
                         labels[(x, y)] = k as u32;
                         improvements += 1;
-                        if adaptive {
-                            let (dc2, _) = dctx.dc2_ds2(x, y, k);
-                            self.fold_max[k] = self.fold_max[k].max(dc2);
-                        }
                     }
                 }
             }
         }
-        self.merge_adaptive_maxima();
         self.counters.distance_calcs += visits;
         self.counters.pixel_color_reads += visits;
         self.counters.dist_buffer_reads += visits;
@@ -1553,24 +1449,8 @@ impl SegmenterSession {
         }
     }
 
-    /// Folds the pass's observed per-cluster color-distance maxima
-    /// (accumulated in `fold_max`) into the SLICO state — clusters with no
-    /// observations keep their previous maximum; a floor of 1.0 avoids
-    /// division blow-ups in flat regions.
-    fn merge_adaptive_maxima(&mut self) {
-        if let Some(max_dc2) = &mut self.max_dc2 {
-            let cur = Arc::make_mut(max_dc2);
-            for (cur, &seen) in cur.iter_mut().zip(&self.fold_max) {
-                if seen > 0.0 {
-                    *cur = seen.max(1.0);
-                }
-            }
-        }
-    }
-
     /// Center update: one banded sigma-accumulation dispatch, the
-    /// ascending-band fold, then the serial center recomputation. Returns
-    /// the mean L1 center movement over the updated clusters.
+    /// ascending-band fold, then the serial center recomputation.
     fn update_centers(
         &mut self,
         pixel_subset: Option<u32>,
@@ -1578,7 +1458,7 @@ impl SegmenterSession {
         preemption: Option<f32>,
         recorder: Option<&Recorder>,
         step: u32,
-    ) -> f32 {
+    ) {
         let cmd = Cmd::Update {
             ctx: self.frame_ctx(),
             pixel_subset,
@@ -1636,7 +1516,6 @@ impl SegmenterSession {
 
         let clusters = Arc::make_mut(&mut self.clusters);
         let active = Arc::make_mut(&mut self.active);
-        let mut movement = 0.0f32;
         let mut updated = 0u64;
         for (k, acc) in self.fold_sigma.iter().enumerate() {
             if let Some((p, s)) = cluster_subset {
@@ -1658,15 +1537,11 @@ impl SegmenterSession {
                 (acc[3] / n) as f32,
                 (acc[4] / n) as f32,
             );
-            let moved = new.movement_from(&clusters[k]);
-            movement += moved;
+            if preemption.is_some_and(|threshold| new.movement_from(&clusters[k]) < threshold) {
+                active[k] = false;
+            }
             clusters[k] = new;
             updated += 1;
-            if let Some(threshold) = preemption {
-                if moved < threshold {
-                    active[k] = false;
-                }
-            }
         }
         self.counters.center_updates += updated;
         if let Some(rec) = recorder {
@@ -1675,11 +1550,6 @@ impl SegmenterSession {
                 LogicalClock::step(step),
                 vec![("center_updates", Value::U64(updated))],
             );
-        }
-        if updated == 0 {
-            0.0
-        } else {
-            movement / updated as f32
         }
     }
 }

@@ -100,7 +100,7 @@ impl SubsetPartition {
     /// member. Both interleaves advance the subset by one per column, so
     /// their members sit `P` apart from a per-row phase; a band row is
     /// either wholly in `s` or not at all.
-    pub(crate) fn row_members(&self, y: usize, s: u32) -> Option<(usize, usize)> {
+    pub fn row_members(&self, y: usize, s: u32) -> Option<(usize, usize)> {
         let p = self.subsets as usize;
         let row_shift = match self.strategy {
             SubsetStrategy::Interleaved => self.width,

@@ -46,13 +46,6 @@ fn every_param_error_variant_is_reachable_via_try_build() {
         ParamError::ZeroIterations
     );
     assert_eq!(
-        SlicParams::builder(100)
-            .min_region_divisor(0)
-            .try_build()
-            .unwrap_err(),
-        ParamError::ZeroMinRegionDivisor
-    );
-    assert_eq!(
         SlicParams::builder(100).threads(0).try_build().unwrap_err(),
         ParamError::ZeroThreads
     );
@@ -81,7 +74,6 @@ fn param_errors_display_distinct_messages() {
         ParamError::ZeroSuperpixels,
         ParamError::InvalidCompactness,
         ParamError::ZeroIterations,
-        ParamError::ZeroMinRegionDivisor,
         ParamError::ZeroThreads,
         ParamError::UnknownKernel,
     ];

@@ -96,11 +96,16 @@ impl Accelerator {
     ///
     /// # Panics
     ///
-    /// Panics if the superpixel, iteration, or subset count is zero.
+    /// Panics if the superpixel, iteration, or subset count or the buffer
+    /// size is zero.
     pub fn new(config: AcceleratorConfig) -> Self {
         assert!(config.superpixels > 0, "superpixel count must be nonzero");
         assert!(config.iterations > 0, "iteration count must be nonzero");
         assert!(config.subsets > 0, "subset count must be nonzero");
+        assert!(
+            config.buffer_bytes_per_channel > 0,
+            "buffer size must be nonzero"
+        );
         Accelerator {
             config,
             dram: DramModel::default(),
@@ -293,10 +298,10 @@ impl Accelerator {
             scratchpads.index.record_writes(n * 2);
 
             for y in 0..h {
-                for x in 0..w {
-                    if partition.subset_of(x, y) != subset {
-                        continue;
-                    }
+                let Some((first, stride)) = partition.row_members(y, subset) else {
+                    continue;
+                };
+                for x in (first..w).step_by(stride) {
                     let mut px = lab8.pixel(x, y);
                     scratchpads.ch1.record_reads(1);
                     scratchpads.ch2.record_reads(1);
@@ -660,6 +665,15 @@ mod tests {
     fn zero_iterations_panics() {
         let _ = Accelerator::new(AcceleratorConfig {
             iterations: 0,
+            ..small_cfg()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer size must be nonzero")]
+    fn zero_buffer_panics() {
+        let _ = Accelerator::new(AcceleratorConfig {
+            buffer_bytes_per_channel: 0,
             ..small_cfg()
         });
     }

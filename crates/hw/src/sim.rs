@@ -229,10 +229,15 @@ impl FrameSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if the superpixel or iteration count is zero.
+    /// Panics if the superpixel count, iteration count or buffer size is
+    /// zero.
     pub fn simulate(&self) -> FrameReport {
         assert!(self.superpixels > 0, "superpixel count must be nonzero");
         assert!(self.iterations > 0, "iteration count must be nonzero");
+        assert!(
+            self.buffer_bytes_per_channel > 0,
+            "buffer size must be nonzero"
+        );
         let n = self.resolution.pixels();
         let tile_pixels = self.buffer_bytes_per_channel as u64;
         let k = self.realized_superpixels() as u64;
@@ -575,6 +580,14 @@ mod tests {
     fn zero_superpixels_panics() {
         let _ = FrameSimulator::paper_default(Resolution::VGA)
             .with_superpixels(0)
+            .simulate();
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer size must be nonzero")]
+    fn zero_buffer_panics() {
+        let _ = FrameSimulator::paper_default(Resolution::VGA)
+            .with_buffer_bytes(0)
             .simulate();
     }
 

@@ -11,7 +11,7 @@
 //!    giving curvy, natural-looking region boundaries.
 //! 2. Appearance: a distinct base color per region, plus multi-octave value
 //!    noise texture, a smooth illumination ramp, per-pixel Gaussian-ish
-//!    noise, and optional passes of [`box_blur`](crate::filter::box_blur)
+//!    noise, and optional passes of [`box_blur`]
 //!    that soften boundaries the way camera optics do.
 //!
 //! Because every algorithm variant in this repository sees identical inputs,

@@ -7,7 +7,7 @@
 //!
 //! * the [`proptest!`] macro (with optional `#![proptest_config(..)]`),
 //! * [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assert_ne!`],
-//! * range strategies (`0u64..100`, `0.0f64..1.0`, …), [`any`], `Just`,
+//! * range strategies (`0u64..100`, `0.0f64..1.0`, …), [`any`](strategy::any), `Just`,
 //!   [`prop_oneof!`], tuple strategies, and `.prop_map(..)`,
 //! * `prop::num::{u64::ANY, f64::NORMAL}`.
 //!

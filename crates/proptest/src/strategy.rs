@@ -25,7 +25,7 @@ pub trait Strategy {
     }
 
     /// Type-erases the strategy so differently-shaped strategies producing
-    /// the same value type can share a container (see [`prop_oneof!`]).
+    /// the same value type can share a container (see [`prop_oneof!`](crate::prop_oneof!)).
     fn boxed(self) -> BoxedStrategy<Self::Value>
     where
         Self: Sized + 'static,
@@ -85,7 +85,7 @@ where
 }
 
 /// Uniformly picks one of several boxed strategies per generated value.
-/// Built by [`prop_oneof!`].
+/// Built by [`prop_oneof!`](crate::prop_oneof!).
 pub struct UnionStrategy<T> {
     arms: Vec<BoxedStrategy<T>>,
 }

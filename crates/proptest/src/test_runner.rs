@@ -1,4 +1,4 @@
-//! Deterministic RNG and failure type backing the [`proptest!`] runner.
+//! Deterministic RNG and failure type backing the [`proptest!`](crate::proptest!) runner.
 
 use std::fmt;
 

@@ -42,15 +42,6 @@ fn main() {
             Segmenter::sslic_ppa(params, 2).with_distance_mode(DistanceMode::quantized(8)),
         ),
         (
-            "SLICO (adaptive m)",
-            Segmenter::slic_ppa(
-                SlicParams::builder(224)
-                    .iterations(8)
-                    .adaptive_compactness(true)
-                    .build(),
-            ),
-        ),
-        (
             "Preemptive SLIC",
             Segmenter::slic_ppa(params).with_preemption(0.5),
         ),

@@ -13,8 +13,8 @@ use std::process::ExitCode;
 
 use sslic::core::{
     build_run_report, serve, write_wire_close, write_wire_frame, write_wire_stats, DistanceMode,
-    FleetConfig, Kernel, RecoveryOutcome, RecoveryPolicy, RunOptions, SegmentRequest, Segmenter,
-    ServeOptions, SessionFleet, SlicParams, StreamId,
+    FleetConfig, Kernel, ParamError, RecoveryOutcome, RecoveryPolicy, RunOptions, SegmentRequest,
+    Segmenter, ServeOptions, SessionFleet, SlicParams, StreamId,
 };
 use sslic::hw::export;
 use sslic::hw::sim::{FrameSimulator, Resolution};
@@ -169,7 +169,17 @@ fn segmenter_from_flags(
         .iterations(iterations)
         .threads(threads)
         .kernel(kernel)
-        .build();
+        .try_build()
+        .map_err(|e| match e {
+            ParamError::ZeroSuperpixels => format!("--superpixels {k}: {e}"),
+            ParamError::InvalidCompactness => format!("--compactness {m}: {e}"),
+            ParamError::ZeroIterations => format!("--iterations {iterations}: {e}"),
+            ParamError::ZeroThreads => format!("--threads {threads}: {e}"),
+            _ => e.to_string(),
+        })?;
+    if subsets == 0 {
+        return Err("--subsets 0: subset count must be nonzero".into());
+    }
     let segmenter = match algo.as_str() {
         "slic" => Segmenter::slic(params),
         "ppa" => Segmenter::slic_ppa(params),
@@ -509,6 +519,11 @@ fn cmd_dataset(args: &[String]) -> CliResult {
     let width: usize = flag(args, "--width")?.unwrap_or(481);
     let height: usize = flag(args, "--height")?.unwrap_or(321);
     let seed: u64 = flag(args, "--seed")?.unwrap_or(2016);
+    if width == 0 || height == 0 {
+        return Err(
+            format!("--width {width} --height {height}: image dimensions must be nonzero").into(),
+        );
+    }
 
     std::fs::create_dir_all(dir)?;
     for i in 0..count {
@@ -542,15 +557,24 @@ fn cmd_hwsim(args: &[String]) -> CliResult {
     };
     let mut sim = FrameSimulator::paper_default(resolution);
     if let Some(kb) = flag::<usize>(args, "--buffer-kb")? {
-        sim = sim.with_buffer_bytes(kb * 1024);
+        let bytes = kb.checked_mul(1024).filter(|&b| b > 0).ok_or_else(|| {
+            format!("--buffer-kb {kb}: buffer size must be nonzero and fit in usize")
+        })?;
+        sim = sim.with_buffer_bytes(bytes);
     }
     if let Some(cores) = flag::<u32>(args, "--cores")? {
         sim = sim.with_cores(cores);
     }
     if let Some(ghz) = flag::<f64>(args, "--clock-ghz")? {
+        if !(ghz > 0.0 && ghz.is_finite()) {
+            return Err(format!("--clock-ghz {ghz}: clock must be positive and finite").into());
+        }
         sim = sim.with_clock_ghz(ghz);
     }
     if let Some(k) = flag::<usize>(args, "--superpixels")? {
+        if k == 0 {
+            return Err("--superpixels 0: superpixel count must be nonzero".into());
+        }
         sim = sim.with_superpixels(k);
     }
     let r = sim.simulate();

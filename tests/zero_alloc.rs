@@ -103,14 +103,9 @@ fn scenarios() -> Vec<(&'static str, Segmenter)> {
             ));
         }
         out.push(("sslic_cpa/float", Segmenter::sslic_cpa(p(threads), 2)));
-        let adaptive = SlicParams::builder(60)
-            .iterations(5)
-            .threads(threads)
-            .adaptive_compactness(true)
-            .build();
         out.push((
-            "slic_ppa/adaptive+preemption",
-            Segmenter::slic_ppa(adaptive).with_preemption(0.25),
+            "slic_ppa/preemption",
+            Segmenter::slic_ppa(p(threads)).with_preemption(0.25),
         ));
     }
     out
