@@ -220,7 +220,8 @@ echo "==> kernel identity (scalar and SWAR assign kernels must emit byte-identic
 # and byte-diff the 16-bit label maps — any divergence fails CI here
 # before the pinned-checksum suites even run. At P = 3 the first subset
 # member of a 160-wide row (y·160 mod 3) rotates from row to row; at
-# P = 2 every row starts at the same column.
+# P = 2 every row starts at the same column; P = 1 walks every column,
+# the one-subset walk SLIC-PPA takes.
 ./target/release/sslic dataset results/kernel-ds --count 1 --width 160 --height 120 >/dev/null
 kernel_seg() {
     ./target/release/sslic segment results/kernel-ds/000.ppm \
@@ -228,7 +229,7 @@ kernel_seg() {
         --subsets "$2" --threads "$3" \
         --out "results/kernel-ds/seg-$1-$2-$3" >/dev/null
 }
-for subsets in 2 3; do
+for subsets in 1 2 3; do
     for threads in 1 4; do
         kernel_seg scalar "$subsets" "$threads"
         kernel_seg swar "$subsets" "$threads"
@@ -255,5 +256,14 @@ rm -rf results/kernel-ds
 echo "==> bench trajectory (insight bench must see no counter regression across PR seeds)"
 ./target/release/sslic insight bench BENCH_7.json BENCH_8.json BENCH_9.json \
     BENCH_10.json > results/bench-trajectory.txt
+
+echo "==> artifact identity (every regenerated results/ file must match its committed bytes)"
+# The steps above rewrite every committed artifact under results/. A
+# change that means to move one stages it first, so this compares against
+# the index. The analyzer report is excluded: it carries source line
+# numbers, which move with any edit.
+if git rev-parse --git-dir >/dev/null 2>&1; then
+    git diff --exit-code --stat -- results/ ':!results/analyze-report.json'
+fi
 
 echo "CI OK"

@@ -20,19 +20,12 @@ pub enum Algorithm {
     SlicPpa,
     /// S-SLIC, pixel-perspective: pixels split into `subsets` equal groups
     /// traversed round-robin; one group per center-update step (the
-    /// paper's primary algorithm, Fig. 1b).
+    /// paper's primary algorithm, Fig. 1b). SLIC is the one-subset case.
     SSlicPpa {
         /// Number of pixel subsets `P` (subsampling ratio `1/P`).
         subsets: u32,
         /// Spatial layout of the subsets.
         strategy: SubsetStrategy,
-    },
-    /// S-SLIC, center-perspective: the superpixel centers are split into
-    /// `subsets` groups; one group is updated per step (the examined
-    /// alternative of §3).
-    SSlicCpa {
-        /// Number of center subsets `P`.
-        subsets: u32,
     },
 }
 
@@ -41,7 +34,7 @@ impl Algorithm {
     pub fn steps_per_full_pass(&self) -> u32 {
         match self {
             Algorithm::SlicCpa | Algorithm::SlicPpa => 1,
-            Algorithm::SSlicPpa { subsets, .. } | Algorithm::SSlicCpa { subsets } => *subsets,
+            Algorithm::SSlicPpa { subsets, .. } => *subsets,
         }
     }
 
@@ -51,7 +44,6 @@ impl Algorithm {
             Algorithm::SlicCpa => "slic_cpa",
             Algorithm::SlicPpa => "slic_ppa",
             Algorithm::SSlicPpa { .. } => "sslic_ppa",
-            Algorithm::SSlicCpa { .. } => "sslic_cpa",
         }
     }
 }
@@ -261,7 +253,7 @@ pub struct Segmenter {
 impl Segmenter {
     /// Creates a segmenter for an explicit algorithm choice.
     pub fn new(params: SlicParams, algorithm: Algorithm) -> Self {
-        if let Algorithm::SSlicPpa { subsets, .. } | Algorithm::SSlicCpa { subsets } = algorithm {
+        if let Algorithm::SSlicPpa { subsets, .. } = algorithm {
             assert!(subsets > 0, "subset count must be nonzero");
         }
         Segmenter {
@@ -297,15 +289,6 @@ impl Segmenter {
                 strategy: SubsetStrategy::default(),
             },
         )
-    }
-
-    /// S-SLIC with `subsets` center subsets (the CPA alternative of §3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subsets == 0`.
-    pub fn sslic_cpa(params: SlicParams, subsets: u32) -> Self {
-        Self::new(params, Algorithm::SSlicCpa { subsets })
     }
 
     /// Selects the numeric mode of the distance datapath.
@@ -433,7 +416,6 @@ mod tests {
             Segmenter::slic(params(60, 3)),
             Segmenter::slic_ppa(params(60, 3)),
             Segmenter::sslic_ppa(params(60, 4), 2),
-            Segmenter::sslic_cpa(params(60, 4), 2),
         ] {
             let out = seg.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
             assert_eq!(out.labels().width(), 64);

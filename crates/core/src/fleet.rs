@@ -217,11 +217,11 @@ const FRAME_LATENCY_EXP: (u32, u32) = (8, 36);
 const QUEUE_WAIT_EXP: (u32, u32) = (0, 36);
 
 /// One fleet slot: a session plus the stream bound to it (if any) and its
-/// per-stream tallies.
+/// per-stream tallies. The stream's frame count is the session's
+/// [`SegmenterSession::frames`], which admission resets.
 struct Slot {
     session: SegmenterSession,
     stream: Option<StreamId>,
-    frames: u64,
     recovered: u64,
     /// Per-stream frame-latency histogram; reset on rebind along with the
     /// session, so it describes exactly the currently bound stream.
@@ -352,7 +352,6 @@ impl SessionFleet {
             slots.push(Slot {
                 session: SegmenterSession::try_new(config.clone(), width, height)?,
                 stream: None,
-                frames: 0,
                 recovered: 0,
                 latency: LatencyHistogram::log2(FRAME_LATENCY_EXP.0, FRAME_LATENCY_EXP.1),
             });
@@ -440,7 +439,6 @@ impl SessionFleet {
             if self.slots[i].stream.is_none() {
                 let slot = &mut self.slots[i];
                 slot.stream = Some(stream);
-                slot.frames = 0;
                 slot.recovered = 0;
                 slot.latency.reset();
                 slot.session.reset();
@@ -474,7 +472,6 @@ impl SessionFleet {
             None => report.counters().distance_calcs,
         };
         self.frames += 1;
-        self.slots[slot].frames += 1;
         self.frame_latency.observe(latency);
         self.slots[slot].latency.observe(latency);
         let recovered = report.status() == SegmentationStatus::Recovered;
@@ -685,7 +682,7 @@ impl SessionFleet {
             let labels: [(&str, &str); 1] = [("stream", &sid)];
             m.counter_add(
                 &telemetry::label("sslic_stream_frames_total", &labels),
-                slot.frames,
+                slot.session.frames(),
             );
             m.counter_add(
                 &telemetry::label("sslic_stream_recovered_total", &labels),
@@ -702,7 +699,7 @@ impl SessionFleet {
     /// Per-stream tallies, if the stream is currently bound.
     pub fn stream_stats(&self, stream: StreamId) -> Option<StreamStats> {
         self.slot_of(stream).map(|i| StreamStats {
-            frames: self.slots[i].frames,
+            frames: self.slots[i].session.frames(),
             recovered: self.slots[i].recovered,
         })
     }
@@ -755,7 +752,7 @@ impl SessionFleet {
         run.height = self.height as u64;
         run.fleet = Some(ReportFleet {
             stream: stream.0,
-            frames: slot.frames,
+            frames: slot.session.frames(),
             recovered: slot.recovered,
             queue_depth: self.queue.len() as u64,
             rejected: self.rejected,

@@ -83,7 +83,7 @@ pub enum Kernel {
     Scalar,
     /// The 4-lane SWAR fixed-point kernel. Falls back to the scalar loop
     /// on frames that do not qualify (float mode, center-perspective
-    /// algorithms).
+    /// SLIC).
     Swar,
 }
 
@@ -278,8 +278,9 @@ impl SwarKernel {
     }
 
     /// The SWAR replacement of the scalar per-band assign loop. Each row
-    /// is walked by one cursor over its subset members (every column
-    /// without subsampling), carried across the row's grid-cell runs:
+    /// is walked by one cursor over the members of `partition`'s subset
+    /// `subset` (every column of a one-subset partition), carried across
+    /// the row's grid-cell runs:
     /// the pixels of one run share their 9-candidate set and are gathered
     /// four at a time into SWAR lanes, and the per-pixel argmin labels go
     /// into the band stripe. Pixels outside the subset or skipped by
@@ -293,7 +294,8 @@ impl SwarKernel {
         lab8: &Lab8Image,
         codes: &[ClusterCodes],
         active: &[bool],
-        partition: Option<(&SubsetPartition, u32)>,
+        partition: &SubsetPartition,
+        subset: u32,
         preempting: bool,
         rows: Range<usize>,
         stripe: &mut [u32],
@@ -304,8 +306,7 @@ impl SwarKernel {
         let grows = grid.rows();
         let mut assigned = 0u64;
         for y in rows.clone() {
-            let Some((first, step)) = partition.map_or(Some((0, 1)), |(p, s)| p.row_members(y, s))
-            else {
+            let Some((first, step)) = partition.row_members(y, subset) else {
                 continue;
             };
             let cy = (y * grows / h).min(grows - 1);

@@ -6,11 +6,12 @@
 //!   (each superpixel scans a `2S×2S` window — [`Algorithm::SlicCpa`]) and
 //!   the gSLIC-style *pixel-perspective* form (each pixel considers its 9
 //!   nearest initial centers — [`Algorithm::SlicPpa`]).
-//! * **S-SLIC**, the paper's subsampled variant: the image pixels (PPA) or
-//!   the superpixel centers (CPA) are split into equal subsets traversed
+//! * **S-SLIC**, the paper's subsampled variant in its pixel-perspective
+//!   form: the image pixels are split into equal subsets traversed
 //!   round-robin, so each center-update step touches only a fraction of the
 //!   data while converging almost as fast per step
-//!   ([`Algorithm::SSlicPpa`] / [`Algorithm::SSlicCpa`]).
+//!   ([`Algorithm::SSlicPpa`]). SLIC is the one-subset case: every step
+//!   of every algorithm walks one subset of one pixel partition.
 //! * A **quantized datapath** ([`DistanceMode::Quantized`]) reproducing the
 //!   accelerator's reduced-precision distance pipeline for the paper's
 //!   §6.1 bit-width exploration.

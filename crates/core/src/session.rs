@@ -45,7 +45,7 @@ use crate::profile::{Phase, PhaseBreakdown};
 use crate::recovery::{
     center_checksum, GuardVerdict, RecoveryAction, RecoveryOutcome, RecoveryReport,
 };
-use crate::subsample::SubsetPartition;
+use crate::subsample::{SubsetPartition, SubsetStrategy};
 use crate::SeedGrid;
 
 /// Fixed bucket boundaries of the per-band assigned-pixel histogram
@@ -206,7 +206,7 @@ struct FrameCtx {
     clusters: Arc<Vec<Cluster>>,
     codes: Arc<Vec<ClusterCodes>>,
     active: Arc<Vec<bool>>,
-    partition: Option<Arc<SubsetPartition>>,
+    partition: Arc<SubsetPartition>,
     kernel: Option<QuantKernel>,
     /// `Some` exactly when the session runs [`Kernel::Swar`]: the shared
     /// SWAR tables the band workers scan with.
@@ -214,21 +214,18 @@ struct FrameCtx {
     m2_over_s2: f32,
 }
 
-/// One dispatch to the band pool.
+/// One dispatch to the band pool, over one subset of the session's
+/// pixel partition.
 #[derive(Clone)]
 enum Cmd {
-    /// Pixel-perspective assignment over all pixels or one subset.
+    /// Pixel-perspective assignment.
     Assign {
         ctx: FrameCtx,
-        subset: Option<u32>,
+        subset: u32,
         preempting: bool,
     },
     /// Banded sigma accumulation for the center update.
-    Update {
-        ctx: FrameCtx,
-        pixel_subset: Option<u32>,
-        cluster_subset: Option<(u32, u32)>,
-    },
+    Update { ctx: FrameCtx, subset: u32 },
 }
 
 /// Pre-allocated per-band output slot: the band's label stripe (PPA
@@ -291,30 +288,25 @@ fn band_kernel(cmd: &Cmd, _band: usize, rows: Range<usize>, slot: &mut BandSlot)
             subset,
             preempting,
         } => assign_band(ctx, *subset, rows, slot, *preempting),
-        Cmd::Update {
-            ctx,
-            pixel_subset,
-            cluster_subset,
-        } => update_band(ctx, *pixel_subset, *cluster_subset, rows, slot),
+        Cmd::Update { ctx, subset } => update_band(ctx, *subset, rows, slot),
     }
 }
 
 /// One band of PPA assignment over `rows`, writing the band's label stripe
 /// and private counters into its slot. Each row visits only the
-/// subset's columns ([`SubsetPartition::row_members`]; every column
-/// without subsampling). Skipped pixels (outside the subset, all-frozen
+/// subset's columns ([`SubsetPartition::row_members`]; every column of a
+/// one-subset partition). Skipped pixels (outside the subset, all-frozen
 /// neighborhoods) keep the stripe's previous value, which the session
 /// keeps synchronized with the central label plane — so the stripe
 /// write-back leaves their labels unchanged.
 fn assign_band(
     ctx: &FrameCtx,
-    subset: Option<u32>,
+    subset: u32,
     rows: Range<usize>,
     slot: &mut BandSlot,
     preempting: bool,
 ) {
     let w = ctx.grid.width();
-    let part = ctx.partition.as_deref().zip(subset);
     if let (Some(swar), Some(lab8)) = (ctx.swar.as_deref(), ctx.lab8.as_deref()) {
         // The SWAR fixed-point kernel: bit-identical labels (the lane
         // scan replays every scalar comparison — see `crate::kernel`),
@@ -325,7 +317,8 @@ fn assign_band(
             lab8,
             &ctx.codes,
             &ctx.active,
-            part,
+            &ctx.partition,
+            subset,
             preempting,
             rows,
             &mut slot.stripe,
@@ -341,7 +334,7 @@ fn assign_band(
     let dist = DistCtx::of(ctx);
     let mut assigned = 0u64;
     for y in rows.clone() {
-        let Some((first, step)) = part.map_or(Some((0, 1)), |(p, s)| p.row_members(y, s)) else {
+        let Some((first, step)) = ctx.partition.row_members(y, subset) else {
             continue;
         };
         for x in (first..w).step_by(step) {
@@ -375,32 +368,20 @@ fn assign_band(
 /// One band of sigma accumulation over `rows` into the slot's private
 /// register file (zeroed on entry; folded in ascending band order by the
 /// session, which is what keeps the f64 sums bit-identical across thread
-/// counts despite float non-associativity). With a pixel subset, each row
-/// reads only that subset's columns ([`SubsetPartition::row_members`]).
-fn update_band(
-    ctx: &FrameCtx,
-    pixel_subset: Option<u32>,
-    cluster_subset: Option<(u32, u32)>,
-    rows: Range<usize>,
-    slot: &mut BandSlot,
-) {
+/// counts despite float non-associativity). Each row reads only the
+/// subset's columns ([`SubsetPartition::row_members`]).
+fn update_band(ctx: &FrameCtx, subset: u32, rows: Range<usize>, slot: &mut BandSlot) {
     let w = ctx.grid.width();
     for acc in slot.sigma.iter_mut() {
         *acc = [0.0; 6];
     }
-    let part = ctx.partition.as_deref().zip(pixel_subset);
     let mut pixels_seen = 0u64;
     for y in rows {
-        let Some((first, step)) = part.map_or(Some((0, 1)), |(p, s)| p.row_members(y, s)) else {
+        let Some((first, step)) = ctx.partition.row_members(y, subset) else {
             continue;
         };
         for x in (first..w).step_by(step) {
             let k = ctx.labels[(x, y)] as usize;
-            if let Some((p, s)) = cluster_subset {
-                if k as u32 % p != s {
-                    continue;
-                }
-            }
             let [l, a, b] = ctx.lab.pixel(x, y);
             let acc = &mut slot.sigma[k];
             acc[0] += l as f64;
@@ -470,15 +451,17 @@ pub struct SegmenterSession {
     clusters: Arc<Vec<Cluster>>,
     codes: Arc<Vec<ClusterCodes>>,
     active: Arc<Vec<bool>>,
-    partition: Option<Arc<SubsetPartition>>,
+    /// The pixel subsets the sub-iterations walk round-robin: `P` for
+    /// S-SLIC, one (every pixel) for SLIC.
+    partition: Arc<SubsetPartition>,
     kernel: Option<QuantKernel>,
     /// SWAR assign tables, built at construction only when the params'
     /// kernel resolves to [`Kernel::Swar`] (quantized + pixel-perspective);
     /// `None` means every frame runs the (bit-identical) scalar loop.
     swar: Option<Arc<SwarKernel>>,
     converter: Option<HwColorConverter>,
-    /// The CPA distance buffer: `Some` exactly for the center-perspective
-    /// algorithms, the only ones that read it.
+    /// The CPA distance buffer: `Some` exactly for center-perspective
+    /// SLIC, the only algorithm that reads it.
     dist: Option<Plane<f32>>,
     conn: ConnScratch,
     pool: BandPool<Cmd, BandSlot>,
@@ -547,12 +530,11 @@ impl SegmenterSession {
                 spacing,
             )),
         };
-        let partition = match config.algorithm() {
-            Algorithm::SSlicPpa { subsets, strategy } => {
-                Some(Arc::new(SubsetPartition::new(width, height, subsets, strategy)))
-            }
-            _ => None,
+        let (subsets, strategy) = match config.algorithm() {
+            Algorithm::SSlicPpa { subsets, strategy } => (subsets, strategy),
+            Algorithm::SlicCpa | Algorithm::SlicPpa => (1, SubsetStrategy::default()),
         };
+        let partition = Arc::new(SubsetPartition::new(width, height, subsets, strategy));
         let banded_labels = matches!(
             config.algorithm(),
             Algorithm::SlicPpa | Algorithm::SSlicPpa { .. }
@@ -1078,52 +1060,21 @@ impl SegmenterSession {
 
         let mut center_repairs = 0u64;
         for step in 0..params.iterations() {
+            let subset = self.partition.subset_for_step(step);
             if let Some(rec) = recorder {
                 rec.span_begin(
                     "core.step",
                     LogicalClock::step(step),
-                    vec![(
-                        "subset",
-                        Value::U64(u64::from(step % algorithm.steps_per_full_pass())),
-                    )],
+                    vec![("subset", Value::U64(u64::from(subset)))],
                 );
             }
-            match algorithm {
-                Algorithm::SlicCpa => {
-                    breakdown.time(Phase::DistanceMin, || {
-                        self.assign_cpa(None, recorder, step);
-                    });
-                    breakdown.time(Phase::CenterUpdate, || {
-                        self.update_centers(None, None, preemption, recorder, step)
-                    })
-                }
-                Algorithm::SlicPpa => {
-                    breakdown.time(Phase::DistanceMin, || {
-                        self.assign_ppa(None, preemption.is_some(), recorder, step);
-                    });
-                    breakdown.time(Phase::CenterUpdate, || {
-                        self.update_centers(None, None, preemption, recorder, step)
-                    })
-                }
-                Algorithm::SSlicPpa { subsets, .. } => {
-                    let subset = step % subsets;
-                    breakdown.time(Phase::DistanceMin, || {
-                        self.assign_ppa(Some(subset), preemption.is_some(), recorder, step);
-                    });
-                    breakdown.time(Phase::CenterUpdate, || {
-                        self.update_centers(Some(subset), None, preemption, recorder, step)
-                    })
-                }
-                Algorithm::SSlicCpa { subsets } => {
-                    let subset = step % subsets;
-                    breakdown.time(Phase::DistanceMin, || {
-                        self.assign_cpa(Some((subsets, subset)), recorder, step);
-                    });
-                    breakdown.time(Phase::CenterUpdate, || {
-                        self.update_centers(None, Some((subsets, subset)), preemption, recorder, step)
-                    })
-                }
-            }
+            breakdown.time(Phase::DistanceMin, || match algorithm {
+                Algorithm::SlicCpa => self.assign_cpa(recorder, step),
+                _ => self.assign_ppa(subset, preemption.is_some(), recorder, step),
+            });
+            breakdown.time(Phase::CenterUpdate, || {
+                self.update_centers(subset, preemption, recorder, step)
+            });
             self.counters.sub_iterations += 1;
             if let Some(f) = options.faults {
                 f.corrupt_centers(step, Arc::make_mut(&mut self.clusters).as_mut_slice());
@@ -1243,7 +1194,7 @@ impl SegmenterSession {
             clusters: Arc::clone(&self.clusters),
             codes: Arc::clone(&self.codes),
             active: Arc::clone(&self.active),
-            partition: self.partition.as_ref().map(Arc::clone),
+            partition: Arc::clone(&self.partition),
             kernel: self.kernel.clone(),
             swar: self.swar.as_ref().map(Arc::clone),
             m2_over_s2: self.m2_over_s2,
@@ -1311,7 +1262,7 @@ impl SegmenterSession {
     /// order, and counters merge the same way.
     fn assign_ppa(
         &mut self,
-        subset: Option<u32>,
+        subset: u32,
         preempting: bool,
         recorder: Option<&Recorder>,
         step: u32,
@@ -1367,22 +1318,18 @@ impl SegmenterSession {
         }
     }
 
-    /// Center-perspective assignment: a serial window scan over all
-    /// clusters or the subset `k % p == s`, against the persistent
-    /// distance buffer.
-    fn assign_cpa(&mut self, subset: Option<(u32, u32)>, recorder: Option<&Recorder>, step: u32) {
+    /// Center-perspective assignment: a serial window scan over every
+    /// cluster against the distance buffer.
+    fn assign_cpa(&mut self, recorder: Option<&Recorder>, step: u32) {
         self.refresh_codes();
         // Every CPA session owns the buffer (see `try_new`).
         let Some(dist_buffer) = self.dist.as_mut() else {
             return;
         };
-        // A new round (every SLIC step, subset 0 of an S-SLIC round) lets
-        // clusters compete afresh, so stale distances to long-moved centers
-        // cannot pin labels forever. Step 0 starts a round, so no attempt
-        // or frame reads a distance an earlier one wrote.
-        if subset.is_none_or(|(_, s)| s == 0) {
-            dist_buffer.reset_to(f32::INFINITY);
-        }
+        // Every step lets clusters compete afresh, so stale distances to
+        // long-moved centers cannot pin labels, and no step, attempt or
+        // frame reads a distance an earlier one wrote.
+        dist_buffer.reset_to(f32::INFINITY);
         let (w, h) = (self.grid.width(), self.grid.height());
         let radius = self.grid.spacing().ceil() as isize; // 2S×2S window
         let labels = Arc::make_mut(&mut self.labels);
@@ -1398,11 +1345,6 @@ impl SegmenterSession {
         let mut improvements = 0u64;
         let mut clusters_processed = 0u64;
         for k in 0..dctx.clusters.len() {
-            if let Some((p, s)) = subset {
-                if k as u32 % p != s {
-                    continue;
-                }
-            }
             if !self.active[k] {
                 continue; // preempted: this cluster's window no longer scans
             }
@@ -1449,20 +1391,19 @@ impl SegmenterSession {
         }
     }
 
-    /// Center update: one banded sigma-accumulation dispatch, the
-    /// ascending-band fold, then the serial center recomputation.
+    /// Center update: one banded sigma-accumulation dispatch over
+    /// `subset`, the ascending-band fold, then the serial center
+    /// recomputation.
     fn update_centers(
         &mut self,
-        pixel_subset: Option<u32>,
-        cluster_subset: Option<(u32, u32)>,
+        subset: u32,
         preemption: Option<f32>,
         recorder: Option<&Recorder>,
         step: u32,
     ) {
         let cmd = Cmd::Update {
             ctx: self.frame_ctx(),
-            pixel_subset,
-            cluster_subset,
+            subset,
         };
         self.poisoned += self.pool.run(cmd);
         // Banded sigma fold in ascending band order: the f64 sums always
@@ -1518,11 +1459,6 @@ impl SegmenterSession {
         let active = Arc::make_mut(&mut self.active);
         let mut updated = 0u64;
         for (k, acc) in self.fold_sigma.iter().enumerate() {
-            if let Some((p, s)) = cluster_subset {
-                if k as u32 % p != s {
-                    continue;
-                }
-            }
             if !active[k] {
                 continue; // preempted: center is frozen
             }
@@ -1658,7 +1594,6 @@ mod tests {
             Segmenter::slic_ppa(params(48, 4)),
             Segmenter::sslic_ppa(params(48, 4), 2)
                 .with_distance_mode(DistanceMode::quantized(8)),
-            Segmenter::sslic_cpa(params(48, 4), 2),
         ];
         for seg in configs {
             let mut session = seg.session(64, 48);
@@ -1685,7 +1620,6 @@ mod tests {
             Segmenter::slic(params(60, 5)),
             Segmenter::slic_ppa(params(60, 5)),
             Segmenter::sslic_ppa(params(60, 5), 2),
-            Segmenter::sslic_cpa(params(60, 5), 2),
         ];
         let imgs = frames(3);
         for seg in configs {

@@ -13,7 +13,6 @@ fn arb_algorithm() -> impl Strategy<Value = Algorithm> {
         Just(Algorithm::SlicPpa),
         (1u32..4, arb_strategy())
             .prop_map(|(p, strategy)| Algorithm::SSlicPpa { subsets: p, strategy }),
-        (1u32..4).prop_map(|p| Algorithm::SSlicCpa { subsets: p }),
     ]
 }
 

@@ -30,7 +30,7 @@ fn checksum_with_kernel(threads: usize, cpa: bool, quantized: bool, kernel: Kern
         .kernel(kernel)
         .build();
     let seg = if cpa {
-        Segmenter::sslic_cpa(params, 2)
+        Segmenter::slic(params)
     } else {
         Segmenter::sslic_ppa(params, 2)
     };
@@ -47,8 +47,8 @@ fn checksum_with_kernel(threads: usize, cpa: bool, quantized: bool, kernel: Kern
 /// the two suites deliberately share this value.
 const PINNED_PPA_QUANTIZED: u64 = 0x8a1b_9b35_ba38_48cc;
 const PINNED_PPA_FLOAT: u64 = 0xa416_4089_577b_ac01;
-const PINNED_CPA_FLOAT: u64 = 0x1de9_c5e4_8cb9_bffb;
-const PINNED_CPA_QUANTIZED: u64 = 0x1f96_3143_2ca2_8643;
+const PINNED_CPA_FLOAT: u64 = 0x04aa_dc79_e680_b98d;
+const PINNED_CPA_QUANTIZED: u64 = 0x2508_aa7b_3c23_18ee;
 
 /// An odd-width scene: at P = 3 and P = 4 each row's first Interleaved
 /// member (`y·97 mod P`) and Checkerboard phase (`y·q mod P`) rotate from
@@ -203,7 +203,7 @@ fn run_counters_are_bit_identical_across_thread_counts() {
         let baseline = {
             let params = SlicParams::builder(60).iterations(5).threads(1).build();
             let seg = if cpa {
-                Segmenter::sslic_cpa(params, 2)
+                Segmenter::slic(params)
             } else {
                 Segmenter::sslic_ppa(params, 2)
             };
@@ -219,7 +219,7 @@ fn run_counters_are_bit_identical_across_thread_counts() {
         for t in [2usize, 8] {
             let params = SlicParams::builder(60).iterations(5).threads(t).build();
             let seg = if cpa {
-                Segmenter::sslic_cpa(params, 2)
+                Segmenter::slic(params)
             } else {
                 Segmenter::sslic_ppa(params, 2)
             };
@@ -234,6 +234,42 @@ fn run_counters_are_bit_identical_across_thread_counts() {
                 &baseline,
                 "counters drifted at {t} threads (cpa={cpa}, quantized={quantized})"
             );
+        }
+    }
+}
+
+#[test]
+fn slic_ppa_is_sslic_ppa_with_one_subset() {
+    // SLIC-PPA walks a one-subset partition: every row's members are
+    // `(0, 1)`, so it must equal S-SLIC-PPA at P = 1 in labels, centers
+    // and counters, on both datapaths, both kernels and any thread count.
+    let scene = fixed_scene();
+    for quantized in [false, true] {
+        for kernel in [Kernel::Scalar, Kernel::Auto] {
+            for t in [1usize, 4] {
+                let params = SlicParams::builder(60)
+                    .iterations(5)
+                    .threads(t)
+                    .kernel(kernel)
+                    .build();
+                let [slic, sslic] = [Segmenter::slic_ppa(params), Segmenter::sslic_ppa(params, 1)]
+                    .map(|seg| {
+                        let seg = if quantized {
+                            seg.with_distance_mode(DistanceMode::quantized(8))
+                        } else {
+                            seg
+                        };
+                        seg.run(SegmentRequest::Rgb(&scene.rgb), &RunOptions::new())
+                    });
+                let case = format!("quantized={quantized} {kernel} at {t} threads");
+                assert_eq!(slic.labels(), sslic.labels(), "labels: {case}");
+                assert_eq!(slic.clusters(), sslic.clusters(), "centers: {case}");
+                assert_eq!(
+                    slic.report().counters(),
+                    sslic.report().counters(),
+                    "counters: {case}"
+                );
+            }
         }
     }
 }

@@ -112,12 +112,6 @@ impl Accelerator {
         }
     }
 
-    /// Replaces the DRAM model.
-    pub fn with_dram(mut self, dram: DramModel) -> Self {
-        self.dram = dram;
-        self
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &AcceleratorConfig {
         &self.config

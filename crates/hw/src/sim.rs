@@ -132,21 +132,15 @@ impl FrameSimulator {
         self
     }
 
-    /// Selects the Cluster Update Unit configuration.
-    pub fn with_cluster_config(mut self, config: ClusterUnitConfig) -> Self {
-        self.cluster_config = config;
-        self
-    }
-
     /// Sets the per-channel scratchpad size in bytes (the Fig. 6 knob).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes == 0`: the DRAM model streams the frame in
+    /// buffer-sized tiles.
     pub fn with_buffer_bytes(mut self, bytes: usize) -> Self {
+        assert!(bytes > 0, "buffer size must be nonzero");
         self.buffer_bytes_per_channel = bytes;
-        self
-    }
-
-    /// Overrides the DRAM model.
-    pub fn with_dram(mut self, dram: DramModel) -> Self {
-        self.dram = dram;
         self
     }
 
@@ -229,15 +223,10 @@ impl FrameSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if the superpixel count, iteration count or buffer size is
-    /// zero.
+    /// Panics if the superpixel count or iteration count is zero.
     pub fn simulate(&self) -> FrameReport {
         assert!(self.superpixels > 0, "superpixel count must be nonzero");
         assert!(self.iterations > 0, "iteration count must be nonzero");
-        assert!(
-            self.buffer_bytes_per_channel > 0,
-            "buffer size must be nonzero"
-        );
         let n = self.resolution.pixels();
         let tile_pixels = self.buffer_bytes_per_channel as u64;
         let k = self.realized_superpixels() as u64;
@@ -586,9 +575,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "buffer size must be nonzero")]
     fn zero_buffer_panics() {
-        let _ = FrameSimulator::paper_default(Resolution::VGA)
-            .with_buffer_bytes(0)
-            .simulate();
+        let _ = FrameSimulator::paper_default(Resolution::VGA).with_buffer_bytes(0);
     }
 
     #[test]

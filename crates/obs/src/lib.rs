@@ -8,8 +8,7 @@
 //!
 //! * [`sink::to_jsonl`] — one JSON object per line, byte-diffable by CI;
 //! * [`sink::to_chrome_trace`] — Chrome trace-event format, loadable in
-//!   Perfetto or `chrome://tracing`;
-//! * [`sink::summary`] — a human-readable digest.
+//!   Perfetto or `chrome://tracing`.
 //!
 //! The determinism contract: with a [`Recorder`] in
 //! [`Determinism::Deterministic`] mode, the rendered trace bytes are a

@@ -181,12 +181,6 @@ impl Recorder {
     pub fn to_chrome_trace(&self) -> String {
         sink::to_chrome_trace(&self.lock().events)
     }
-
-    /// Renders a human-readable summary of the trace and metrics.
-    pub fn summary(&self) -> String {
-        let inner = self.lock();
-        sink::summary(&inner.events, &inner.metrics)
-    }
 }
 
 #[cfg(test)]

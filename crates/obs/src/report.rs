@@ -202,7 +202,7 @@ pub struct TrafficEntry {
 /// One traced run, serialized.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// Algorithm name (`slic_cpa`, `slic_ppa`, `sslic_ppa` or `sslic_cpa`).
+    /// Algorithm name (`slic_cpa`, `slic_ppa` or `sslic_ppa`).
     pub algorithm: String,
     /// Image width in pixels.
     pub width: u64,

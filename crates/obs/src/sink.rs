@@ -1,5 +1,5 @@
-//! Trace sinks: JSON-lines, Chrome trace-event format, and a
-//! human-readable summary.
+//! Trace sinks: JSON-lines and Chrome trace-event format. `sslic insight`
+//! renders the human view of a JSONL trace.
 //!
 //! Serialization is hand-rolled (the workspace is zero-dependency) and
 //! fully deterministic: attribute order is emission order, map iteration
@@ -8,7 +8,6 @@
 
 use crate::clock::NO_BAND;
 use crate::event::{Event, EventKind, Value};
-use crate::metrics::MetricsRegistry;
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn escape_json(s: &str) -> String {
@@ -140,55 +139,6 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
     out
 }
 
-/// Renders a human-readable summary: event counts per name, then the
-/// metrics registry.
-pub fn summary(events: &[Event], metrics: &MetricsRegistry) -> String {
-    use std::collections::BTreeMap;
-    let mut by_name: BTreeMap<&str, u64> = BTreeMap::new();
-    for e in events {
-        *by_name.entry(e.name).or_insert(0) += 1;
-    }
-    let mut out = String::new();
-    out.push_str(&format!("trace summary: {} events\n", events.len()));
-    for (name, n) in &by_name {
-        out.push_str(&format!("  {name:<28} {n}\n"));
-    }
-    let mut wrote_header = false;
-    for (name, v) in metrics.counters() {
-        if !wrote_header {
-            out.push_str("counters:\n");
-            wrote_header = true;
-        }
-        out.push_str(&format!("  {name:<28} {v}\n"));
-    }
-    wrote_header = false;
-    for (name, v) in metrics.gauges() {
-        if !wrote_header {
-            out.push_str("gauges:\n");
-            wrote_header = true;
-        }
-        out.push_str(&format!("  {name:<28} {v}\n"));
-    }
-    wrote_header = false;
-    for (name, h) in metrics.histograms() {
-        if !wrote_header {
-            out.push_str("histograms:\n");
-            wrote_header = true;
-        }
-        out.push_str(&format!("  {name:<28} count={} sum={}\n", h.count(), h.sum()));
-        let mut cumulative: u64 = 0;
-        for (i, &n) in h.buckets().iter().enumerate() {
-            cumulative = cumulative.saturating_add(n);
-            let le = match h.boundaries().get(i) {
-                Some(b) => b.to_string(),
-                None => "+Inf".to_string(),
-            };
-            out.push_str(&format!("    le {le:<16} {n:>8}  cum {cumulative}\n"));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,36 +198,5 @@ mod tests {
         assert_eq!(escape_json("a\nb"), "a\\nb");
         assert_eq!(escape_json("\u{1}"), "\\u0001");
         assert_eq!(escape_json("q\"\\"), "q\\\"\\\\");
-    }
-
-    #[test]
-    fn summary_lists_names_and_metrics() {
-        let mut m = MetricsRegistry::new();
-        m.counter_add("ops", 9);
-        let s = summary(&sample_events(), &m);
-        assert!(s.contains("3 events"));
-        assert!(s.contains("core.assign.band"));
-        assert!(s.contains("ops"));
-    }
-
-    #[test]
-    fn summary_renders_histogram_boundaries_and_cumulative_counts() {
-        let mut m = MetricsRegistry::new();
-        for v in [3u64, 5, 40, 900] {
-            m.histogram_observe("lat", &[8, 64], v);
-        }
-        let s = summary(&[], &m);
-        assert!(s.contains("lat"), "histogram name present:\n{s}");
-        assert!(s.contains("count=4 sum=948"));
-        // Each bucket row shows its upper boundary, its own count, and
-        // the cumulative count up to that boundary.
-        assert!(s.contains("le 8"));
-        assert!(s.contains("cum 2"));
-        assert!(s.contains("le 64"));
-        assert!(s.contains("cum 3"));
-        assert!(s.contains("le +Inf"));
-        assert!(s.contains("cum 4"));
-        // The old opaque debug dump is gone.
-        assert!(!s.contains("buckets=["));
     }
 }

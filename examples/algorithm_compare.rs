@@ -36,7 +36,6 @@ fn main() {
         ("SLIC (PPA)", Segmenter::slic_ppa(params)),
         ("S-SLIC PPA 0.5", Segmenter::sslic_ppa(params, 2)),
         ("S-SLIC PPA 0.25", Segmenter::sslic_ppa(params, 4)),
-        ("S-SLIC CPA 0.5", Segmenter::sslic_cpa(params, 2)),
         (
             "S-SLIC 0.5 @8bit",
             Segmenter::sslic_ppa(params, 2).with_distance_mode(DistanceMode::quantized(8)),

@@ -32,7 +32,6 @@ fn every_variant_beats_a_horizontal_bands_strawman() {
             subsets: 2,
             strategy: Default::default(),
         },
-        Algorithm::SSlicCpa { subsets: 2 },
     ] {
         let seg = Segmenter::new(params(120, 6), algorithm).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
         let use_err = undersegmentation_error(seg.labels(), &img.ground_truth);

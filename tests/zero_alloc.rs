@@ -102,7 +102,6 @@ fn scenarios() -> Vec<(&'static str, Segmenter)> {
                 Segmenter::sslic_ppa(params, 2).with_distance_mode(DistanceMode::quantized(8)),
             ));
         }
-        out.push(("sslic_cpa/float", Segmenter::sslic_cpa(p(threads), 2)));
         out.push((
             "slic_ppa/preemption",
             Segmenter::slic_ppa(p(threads)).with_preemption(0.25),
