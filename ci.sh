@@ -46,6 +46,13 @@ echo "==> connectivity identity (the run-length connectivity pass must match its
 # optimised build.
 cargo test --release -q -p sslic-core --lib connectivity::tests:: -- --ignored
 
+echo "==> camera session identity (the benchmark's 1280x720 camera configuration must reproduce its pinned per-frame labels and centers)"
+# The workspace run above pins 64x48 frames, which run 1-2 rows per band;
+# this 10-frame warm clip runs 32 bands of 22-23 rows and full four-lane
+# SWAR groups, at 1 and 2 threads, with and without preemption. It is
+# #[ignore]d there because it needs an optimised build.
+cargo test --release -q -p sslic-core --test session_identity -- --ignored
+
 echo "==> sslic-analyze (token rules + overflow/alloc/determinism passes)"
 mkdir -p results
 # Run twice and byte-diff: the analyzer's own output is part of the

@@ -34,11 +34,42 @@ pub fn encode([l, a, b]: [f64; 3]) -> [u8; 3] {
 
 /// Decodes scratchpad bytes back to real `[L, a, b]`.
 #[inline]
-pub fn decode([l8, a8, b8]: [u8; 3]) -> [f64; 3] {
+pub const fn decode([l8, a8, b8]: [u8; 3]) -> [f64; 3] {
     [
         l8 as f64 * 100.0 / 255.0,
         a8 as f64 - 128.0,
         b8 as f64 - 128.0,
+    ]
+}
+
+/// [`decode`] of every code, narrowed to the `f32` a
+/// [`LabImage`](crate::LabImage) plane stores: `DECODED[c][code]` is
+/// channel `c` of `decode` at `code`, `as f32`. Each channel decodes on its
+/// own, so three 256-entry tables reproduce every value
+/// [`Lab8Image::decode_into`](crate::Lab8Image::decode_into) writes, and an
+/// engine that keeps only the codes reads them through [`decode_f32`].
+pub const DECODED: [[f32; 256]; 3] = {
+    let mut table = [[0.0f32; 256]; 3];
+    let mut code = 0;
+    while code < 256 {
+        let [l, a, b] = decode([code as u8; 3]);
+        table[0][code] = l as f32;
+        table[1][code] = a as f32;
+        table[2][code] = b as f32;
+        code += 1;
+    }
+    table
+};
+
+/// The `f32` values of one pixel's codes, read from [`DECODED`]: bit for
+/// bit what [`Lab8Image::decode_into`](crate::Lab8Image::decode_into)
+/// stores for them.
+#[inline]
+pub fn decode_f32([l8, a8, b8]: [u8; 3]) -> [f32; 3] {
+    [
+        DECODED[0][l8 as usize],
+        DECODED[1][a8 as usize],
+        DECODED[2][b8 as usize],
     ]
 }
 
@@ -69,6 +100,16 @@ mod tests {
             assert!((dl - l).abs() <= MAX_QUANTIZATION_ERROR[0] + 1e-9);
             assert!((da - a).abs() <= MAX_QUANTIZATION_ERROR[1] + 1e-9);
             assert!((db - b).abs() <= MAX_QUANTIZATION_ERROR[2] + 1e-9);
+        }
+    }
+
+    #[test]
+    fn decode_tables_match_decode_bit_for_bit() {
+        for code in 0..=255u8 {
+            for codes in [[code, 0, 255], [255, code, 0], [0, 255, code]] {
+                let want = decode(codes).map(|v| (v as f32).to_bits());
+                assert_eq!(decode_f32(codes).map(f32::to_bits), want, "{codes:?}");
+            }
         }
     }
 

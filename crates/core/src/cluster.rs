@@ -1,5 +1,6 @@
-use sslic_color::LabImage;
-use sslic_image::gradient::min_gradient_in_3x3;
+use sslic_color::{lab8::DECODED, Lab8Image, LabImage};
+use sslic_image::gradient::{min_gradient_in_3x3, Channel};
+use sslic_image::Plane;
 
 use crate::SeedGrid;
 
@@ -43,20 +44,65 @@ impl Cluster {
 ///
 /// Panics if `lab` and `grid` disagree on geometry.
 pub fn init_clusters(lab: &LabImage, grid: &SeedGrid, perturb: bool) -> Vec<Cluster> {
+    seed_on_grid(&[&lab.l, &lab.a, &lab.b], grid, perturb)
+}
+
+/// [`init_clusters`] over 8-bit codes, read through
+/// [`DECODED`](sslic_color::lab8::DECODED): the seed samples and every
+/// gradient window see the `f32` values [`Lab8Image::decode`] would
+/// produce, so the centers equal `init_clusters(&lab8.decode(), ..)` bit
+/// for bit, without the decoded planes.
+///
+/// # Panics
+///
+/// Panics if `lab8` and `grid` disagree on geometry.
+pub(crate) fn init_clusters_from_codes(
+    lab8: &Lab8Image,
+    grid: &SeedGrid,
+    perturb: bool,
+) -> Vec<Cluster> {
+    let [l, a, b] = &DECODED;
+    let channels =
+        [(&lab8.l, l), (&lab8.a, a), (&lab8.b, b)].map(|(codes, values)| Decoded { codes, values });
+    seed_on_grid(&channels, grid, perturb)
+}
+
+/// One channel of 8-bit codes, read as the `f32` values they decode to.
+struct Decoded<'a> {
+    codes: &'a Plane<u8>,
+    values: &'a [f32; 256],
+}
+
+impl Channel for Decoded<'_> {
+    fn dims(&self) -> (usize, usize) {
+        (self.codes.width(), self.codes.height())
+    }
+
+    #[inline]
+    fn get_clamped(&self, x: isize, y: isize) -> f32 {
+        self.values[usize::from(self.codes.get_clamped(x, y))]
+    }
+}
+
+/// Cold seeding over three `[L, a, b]` channels: the seed sample of each
+/// grid cell, moved to its 3×3 minimum-gradient position when `perturb`.
+fn seed_on_grid<C: Channel>(channels: &[C; 3], grid: &SeedGrid, perturb: bool) -> Vec<Cluster> {
+    let (w, h) = channels[0].dims();
     assert!(
-        lab.width() == grid.width() && lab.height() == grid.height(),
+        w == grid.width() && h == grid.height(),
         "image and grid must share geometry"
     );
-    let channels = [&lab.l, &lab.a, &lab.b];
     (0..grid.cluster_count())
         .map(|k| {
             let (fx, fy) = grid.seed_position(k);
-            let mut x = (fx as usize).min(lab.width() - 1);
-            let mut y = (fy as usize).min(lab.height() - 1);
+            let mut x = (fx as usize).min(w - 1);
+            let mut y = (fy as usize).min(h - 1);
             if perturb {
-                (x, y) = min_gradient_in_3x3(&channels, x, y);
+                (x, y) = min_gradient_in_3x3(channels, x, y);
             }
-            let [l, a, b] = lab.pixel(x, y);
+            let [l, a, b] = channels
+                .each_ref()
+                .map(|c| c.get_clamped(x as isize, y as isize));
             Cluster::new(l, a, b, x as f32, y as f32)
         })
         .collect()
@@ -139,7 +185,7 @@ mod tests {
             (31, 17, 40),
             (97, 61, 150),
         ];
-        let mut moved = 0;
+        let (mut moved, mut moved_codes) = (0, 0);
         for (w, h, k) in geometries {
             let grid = SeedGrid::new(w, h, k);
             for seed in 0..4u64 {
@@ -150,21 +196,40 @@ mod tests {
                     let r = rng.next_u64();
                     [(r % 4) as f32 * 25.0, (r >> 8) as f32 % 3.0 - 1.0, 0.5]
                 });
+                // Codes drawn from a few values per channel, ties again
+                // common; seeding from them must equal seeding from their
+                // decoded planes.
+                let lab8 = Lab8Image::from_fn(w, h, |_, _| {
+                    let r = rng.next_u64();
+                    [
+                        (r % 3) as u8 * 127,
+                        126 + (r >> 8) as u8 % 3,
+                        (r >> 16) as u8,
+                    ]
+                });
+                let decoded = lab8.decode();
                 for perturb in [false, true] {
+                    let at = format!("{w}x{h}, K {k}, seed {seed}, perturb {perturb}");
                     let want = init_clusters_whole_plane(&lab, &grid, perturb);
                     let got = init_clusters(&lab, &grid, perturb);
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "{w}x{h}, K {k}, seed {seed}, perturb {perturb}"
-                    );
+                    assert_eq!(bits(&got), bits(&want), "{at}");
+                    let want = init_clusters_whole_plane(&decoded, &grid, perturb);
+                    let got = init_clusters_from_codes(&lab8, &grid, perturb);
+                    assert_eq!(bits(&got), bits(&want), "codes: {at}");
                 }
                 let still = init_clusters(&lab, &grid, false);
                 let perturbed = init_clusters(&lab, &grid, true);
                 moved += still.iter().zip(&perturbed).filter(|(a, b)| a != b).count();
+                let still = init_clusters_from_codes(&lab8, &grid, false);
+                let perturbed = init_clusters_from_codes(&lab8, &grid, true);
+                moved_codes += still.iter().zip(&perturbed).filter(|(a, b)| a != b).count();
             }
         }
         assert!(moved > 100, "perturbation moved only {moved} seeds");
+        assert!(
+            moved_codes > 100,
+            "perturbation moved only {moved_codes} code seeds"
+        );
     }
 
     #[test]

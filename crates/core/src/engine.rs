@@ -106,11 +106,12 @@ pub enum SegmentRequest<'a> {
     /// quantized mode, the exact float converter otherwise.
     Rgb(&'a RgbImage),
     /// A pre-encoded 8-bit CIELAB image — exactly the accelerator's
-    /// channel-memory contents. The float working image is decoded from
-    /// the supplied codes, so assignment and sigma accumulation see this
-    /// data bit for bit; in quantized mode the codes also feed the
-    /// distance datapath directly. This is the entry point for externally
-    /// converted (or externally corrupted) pixel features.
+    /// channel-memory contents. The engine reads the supplied codes
+    /// directly, each as the `f32` value it decodes to, so assignment and
+    /// sigma accumulation see this data bit for bit; in quantized mode the
+    /// codes also feed the distance datapath as codes. This is the entry
+    /// point for externally converted (or externally corrupted) pixel
+    /// features.
     Lab8(&'a Lab8Image),
 }
 

@@ -42,14 +42,12 @@
 //! scalar loop otherwise.
 
 use std::fmt;
-use std::ops::Range;
 use std::str::FromStr;
 
 use sslic_color::Lab8Image;
 
 use crate::distance::{ClusterCodes, QuantKernel};
 use crate::params::ParamError;
-use crate::subsample::SubsetPartition;
 use crate::SeedGrid;
 
 /// Pixels evaluated per SWAR step: four 16-bit lanes of a `u64`.
@@ -277,74 +275,64 @@ impl SwarKernel {
         win
     }
 
-    /// The SWAR replacement of the scalar per-band assign loop. Each row
-    /// is walked by one cursor over the members of `partition`'s subset
-    /// `subset` (every column of a one-subset partition), carried across
-    /// the row's grid-cell runs:
-    /// the pixels of one run share their 9-candidate set and are gathered
-    /// four at a time into SWAR lanes, and the per-pixel argmin labels go
-    /// into the band stripe. Pixels outside the subset or skipped by
-    /// preemption keep their stripe value, exactly like the scalar loop.
-    /// Returns the number of pixels assigned (the scalar loop's
-    /// `assigned` counter).
+    /// The SWAR replacement of the scalar assign loop over one row `y`,
+    /// whose subset members are `first, first + step, …`: one cursor over
+    /// the members, carried across the row's grid-cell runs. The pixels of
+    /// one run share their 9-candidate set and are gathered four at a
+    /// time into SWAR lanes, and the per-pixel argmin labels go into
+    /// `srow`, the row of the band stripe. Pixels outside the subset or
+    /// skipped by preemption keep their stripe value, exactly like the
+    /// scalar loop. Returns the number of pixels assigned (the scalar
+    /// loop's `assigned` counter).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assign_rows(
+    pub(crate) fn assign_row(
         &self,
         grid: &SeedGrid,
         lab8: &Lab8Image,
         codes: &[ClusterCodes],
         active: &[bool],
-        partition: &SubsetPartition,
-        subset: u32,
         preempting: bool,
-        rows: Range<usize>,
-        stripe: &mut [u32],
+        y: usize,
+        (first, step): (usize, usize),
+        srow: &mut [u32],
     ) -> u64 {
         let w = grid.width();
-        let h = grid.height();
         let cols = grid.cols();
         let grows = grid.rows();
+        let cy = (y * grows / grid.height()).min(grows - 1);
+        let lrow = lab8.l.row(y);
+        let arow = lab8.a.row(y);
+        let brow = lab8.b.row(y);
         let mut assigned = 0u64;
-        for y in rows.clone() {
-            let Some((first, step)) = partition.row_members(y, subset) else {
+        // The cursor: the row's next subset member.
+        let mut x = first;
+        for cx in 0..cols {
+            // Grid cell `cx` covers the columns with
+            // `x * cols / w == cx`, which end at `⌈(cx+1)·w/cols⌉`;
+            // the cursor enters each run at its first member.
+            let x1 = ((cx + 1) * w + cols - 1) / cols;
+            if x >= x1 {
                 continue;
-            };
-            let cy = (y * grows / h).min(grows - 1);
-            let row_off = (y - rows.start) * w;
-            let srow = &mut stripe[row_off..row_off + w];
-            let lrow = lab8.l.row(y);
-            let arow = lab8.a.row(y);
-            let brow = lab8.b.row(y);
-            // The cursor: the row's next subset member.
-            let mut x = first;
-            for cx in 0..cols {
-                // Grid cell `cx` covers the columns with
-                // `x * cols / w == cx`, which end at `⌈(cx+1)·w/cols⌉`;
-                // the cursor enters each run at its first member.
-                let x1 = ((cx + 1) * w + cols - 1) / cols;
-                if x >= x1 {
-                    continue;
-                }
-                let nine = grid.nine_neighbors_of_cell(cx, cy);
-                // Preemption: the whole run shares one candidate set, so
-                // one all-frozen check replaces the per-pixel checks.
-                if preempting && nine.iter().all(|&k| !active[k]) {
-                    while x < x1 {
-                        x += step;
-                    }
-                    continue;
-                }
-                let mut gx = [0usize; LANES];
+            }
+            let nine = grid.nine_neighbors_of_cell(cx, cy);
+            // Preemption: the whole run shares one candidate set, so
+            // one all-frozen check replaces the per-pixel checks.
+            if preempting && nine.iter().all(|&k| !active[k]) {
                 while x < x1 {
-                    let mut n = 0usize;
-                    while n < LANES && x < x1 {
-                        gx[n] = x;
-                        n += 1;
-                        x += step;
-                    }
-                    self.scan_group(lrow, arow, brow, &gx, n, y, &nine, codes, srow);
-                    assigned += n as u64;
+                    x += step;
                 }
+                continue;
+            }
+            let mut gx = [0usize; LANES];
+            while x < x1 {
+                let mut n = 0usize;
+                while n < LANES && x < x1 {
+                    gx[n] = x;
+                    n += 1;
+                    x += step;
+                }
+                self.scan_group(lrow, arow, brow, &gx, n, y, &nine, codes, srow);
+                assigned += n as u64;
             }
         }
         assigned

@@ -84,10 +84,10 @@ fn run_band_contained<C, S>(
     slot: &mut S,
 ) -> u64 {
     // AssertUnwindSafe: the slot is per-band scratch that the session
-    // re-derives every dispatch (stripes re-sync from the label plane,
-    // sigma files zero on entry), so observing a half-written slot after
-    // a caught panic is exactly the "poisoned band" state the guards are
-    // built to flag — never silently trusted.
+    // re-derives (stripes are rewritten at every attempt's init, sigma
+    // files zero on entry to every dispatch), so observing a half-written
+    // slot after a caught panic is exactly the "poisoned band" state the
+    // guards are built to flag — never silently trusted.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         kernel(cmd, band, rows, slot);
     }));

@@ -28,11 +28,11 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use sslic_color::{float, hw::HwColorConverter, Lab8Image, LabImage};
+use sslic_color::{float, hw::HwColorConverter, lab8, Lab8Image, LabImage};
 use sslic_image::Plane;
 use sslic_obs::{LogicalClock, Recorder, Value};
 
-use crate::cluster::{init_clusters, Cluster};
+use crate::cluster::{init_clusters, init_clusters_from_codes, Cluster};
 use crate::connectivity::{enforce_connectivity_with, ConnScratch};
 use crate::distance::{dist2_float, ClusterCodes, DistanceMode, QuantKernel};
 use crate::engine::{
@@ -191,6 +191,81 @@ impl FrameReport {
     }
 }
 
+/// A frame's pixel colours as the engine reads them. Float sessions keep
+/// an `f32` Lab plane; quantized sessions keep only the 8-bit codes and
+/// read each `f32` value through [`lab8::DECODED`], which reproduces the
+/// decoded plane bit for bit. A float session fed a
+/// [`SegmentRequest::Lab8`] frame reads that frame's codes the same way.
+#[derive(Clone)]
+enum Pixels {
+    Plane(Arc<LabImage>),
+    Codes(Arc<Lab8Image>),
+}
+
+impl Pixels {
+    /// The `[L, a, b]` of pixel `(x, y)`.
+    #[inline]
+    fn lab(&self, x: usize, y: usize) -> [f32; 3] {
+        match self {
+            Pixels::Plane(lab) => lab.pixel(x, y),
+            Pixels::Codes(lab8) => lab8::decode_f32(lab8.pixel(x, y)),
+        }
+    }
+
+    /// Adds row `y`'s subset members `first, first + step, …` to `sigma`,
+    /// each under its label in `labels` (the row's labels). Returns the
+    /// member count.
+    fn sum_row(
+        &self,
+        sigma: &mut [[f64; 6]],
+        labels: &[u32],
+        y: usize,
+        (first, step): (usize, usize),
+    ) -> u64 {
+        match self {
+            Pixels::Plane(lab) => {
+                let [l, a, b] = [&lab.l, &lab.a, &lab.b].map(|p| p.row(y));
+                sum_members(sigma, labels, y, first, step, |x| [l[x], a[x], b[x]])
+            }
+            Pixels::Codes(lab8) => {
+                let [l, a, b] = [&lab8.l, &lab8.a, &lab8.b].map(|p| p.row(y));
+                sum_members(sigma, labels, y, first, step, |x| {
+                    lab8::decode_f32([l[x], a[x], b[x]])
+                })
+            }
+        }
+    }
+}
+
+/// The center-update sums of one row: adds the members `first, first +
+/// step, …` of row `y` to `sigma[labels[x]]` in ascending x. Bands sum
+/// their rows in ascending order and the session folds the bands in
+/// ascending order, so every cluster's f64 sums group the same way at any
+/// thread count. Returns the member count.
+#[inline(always)]
+fn sum_members(
+    sigma: &mut [[f64; 6]],
+    labels: &[u32],
+    y: usize,
+    first: usize,
+    step: usize,
+    lab: impl Fn(usize) -> [f32; 3],
+) -> u64 {
+    let mut members = 0u64;
+    for x in (first..labels.len()).step_by(step) {
+        let [l, a, b] = lab(x);
+        let acc = &mut sigma[labels[x] as usize];
+        acc[0] += l as f64;
+        acc[1] += a as f64;
+        acc[2] += b as f64;
+        acc[3] += x as f64;
+        acc[4] += y as f64;
+        acc[5] += 1.0;
+        members += 1;
+    }
+    members
+}
+
 /// Everything a band worker needs to execute one dispatch, shared by `Arc`:
 /// cloning a `FrameCtx` bumps reference counts and copies plain scalars —
 /// it never touches the heap. Workers drop their clone before signaling
@@ -198,10 +273,9 @@ impl FrameReport {
 #[derive(Clone)]
 struct FrameCtx {
     grid: SeedGrid,
-    lab: Arc<LabImage>,
-    /// `Some` exactly when `kernel` is: the quantized datapath reads the
-    /// 8-bit codes.
-    lab8: Option<Arc<Lab8Image>>,
+    pixels: Pixels,
+    /// The central label plane, which only SLIC-CPA's sums read: PPA
+    /// bands keep their labels in their stripes.
     labels: Arc<Plane<u32>>,
     clusters: Arc<Vec<Cluster>>,
     codes: Arc<Vec<ClusterCodes>>,
@@ -218,30 +292,34 @@ struct FrameCtx {
 /// pixel partition.
 #[derive(Clone)]
 enum Cmd {
-    /// Pixel-perspective assignment.
+    /// Pixel-perspective assignment, which also sums the subset into each
+    /// band's sigma partial.
     Assign {
         ctx: FrameCtx,
         subset: u32,
         preempting: bool,
     },
-    /// Banded sigma accumulation for the center update.
+    /// SLIC-CPA's banded sigma accumulation: its window scan is serial,
+    /// so its sums take a dispatch of their own.
     Update { ctx: FrameCtx, subset: u32 },
 }
 
 /// Pre-allocated per-band output slot: the band's label stripe (PPA
-/// algorithms only), its private sigma register file, and its counter
-/// partial. Reused across every dispatch of the session.
+/// algorithms only; it holds the band's labels for a whole attempt), its
+/// private sigma register file, and its counter partials, one for the
+/// assignment and one for the sums. Reused across every dispatch of the
+/// session.
 struct BandSlot {
     stripe: Vec<u32>,
     sigma: Vec<[f64; 6]>,
-    counters: RunCounters,
+    assign: RunCounters,
+    update: RunCounters,
 }
 
 /// Borrowed distance-datapath view over a [`FrameCtx`]: the scalar
 /// `distance` logic shared by the banded kernels and the serial CPA scan.
 struct DistCtx<'a> {
-    lab: &'a LabImage,
-    lab8: Option<&'a Lab8Image>,
+    pixels: &'a Pixels,
     clusters: &'a [Cluster],
     codes: &'a [ClusterCodes],
     kernel: Option<&'a QuantKernel>,
@@ -251,8 +329,7 @@ struct DistCtx<'a> {
 impl<'a> DistCtx<'a> {
     fn of(ctx: &'a FrameCtx) -> Self {
         DistCtx {
-            lab: &ctx.lab,
-            lab8: ctx.lab8.as_deref(),
+            pixels: &ctx.pixels,
             clusters: &ctx.clusters,
             codes: &ctx.codes,
             kernel: ctx.kernel.as_ref(),
@@ -265,13 +342,13 @@ impl<'a> DistCtx<'a> {
     /// each other within one pixel's candidate set.
     #[inline]
     fn distance(&self, x: usize, y: usize, k: usize) -> f32 {
-        match (self.kernel, self.lab8) {
-            (Some(kernel), Some(lab8)) => {
+        match (self.kernel, self.pixels) {
+            (Some(kernel), Pixels::Codes(lab8)) => {
                 let px = lab8.pixel(x, y);
                 kernel.dist_code(px, (x as i32, y as i32), &self.codes[k]) as f32
             }
             _ => dist2_float(
-                self.lab.pixel(x, y),
+                self.pixels.lab(x, y),
                 (x as f32, y as f32),
                 &self.clusters[k],
                 self.m2_over_s2,
@@ -292,13 +369,14 @@ fn band_kernel(cmd: &Cmd, _band: usize, rows: Range<usize>, slot: &mut BandSlot)
     }
 }
 
-/// One band of PPA assignment over `rows`, writing the band's label stripe
-/// and private counters into its slot. Each row visits only the
-/// subset's columns ([`SubsetPartition::row_members`]; every column of a
-/// one-subset partition). Skipped pixels (outside the subset, all-frozen
-/// neighborhoods) keep the stripe's previous value, which the session
-/// keeps synchronized with the central label plane — so the stripe
-/// write-back leaves their labels unchanged.
+/// One band of PPA assignment over `rows`: writes the band's label stripe
+/// and, row by row, sums the subset into the slot's sigma registers, so
+/// one dispatch does the paper's whole Cluster Update Unit pass. Each row
+/// visits only the subset's columns ([`SubsetPartition::row_members`];
+/// every column of a one-subset partition) and is assigned by the SWAR
+/// kernel or the scalar loop. Skipped pixels (outside the subset, or with
+/// an all-frozen neighborhood) keep their stripe label, and a skipped
+/// subset member is summed under that label.
 fn assign_band(
     ctx: &FrameCtx,
     subset: u32,
@@ -307,98 +385,99 @@ fn assign_band(
     preempting: bool,
 ) {
     let w = ctx.grid.width();
-    if let (Some(swar), Some(lab8)) = (ctx.swar.as_deref(), ctx.lab8.as_deref()) {
-        // The SWAR fixed-point kernel: bit-identical labels (the lane
-        // scan replays every scalar comparison — see `crate::kernel`),
-        // identical counters, identical stripe semantics for skipped
-        // pixels.
-        let assigned = swar.assign_rows(
-            &ctx.grid,
-            lab8,
-            &ctx.codes,
-            &ctx.active,
-            &ctx.partition,
-            subset,
-            preempting,
-            rows,
-            &mut slot.stripe,
-        );
-        slot.counters = RunCounters {
-            pixel_color_reads: assigned,
-            distance_calcs: assigned * 9,
-            label_writes: assigned,
-            ..RunCounters::default()
-        };
-        return;
-    }
+    // The SWAR fixed-point kernel: bit-identical labels (the lane scan
+    // replays every scalar comparison — see `crate::kernel`), identical
+    // counters, identical stripe semantics for skipped pixels.
+    let swar = match (ctx.swar.as_deref(), &ctx.pixels) {
+        (Some(swar), Pixels::Codes(lab8)) => Some((swar, &**lab8)),
+        _ => None,
+    };
     let dist = DistCtx::of(ctx);
+    for acc in slot.sigma.iter_mut() {
+        *acc = [0.0; 6];
+    }
     let mut assigned = 0u64;
+    let mut summed = 0u64;
     for y in rows.clone() {
-        let Some((first, step)) = ctx.partition.row_members(y, subset) else {
+        let Some(members) = ctx.partition.row_members(y, subset) else {
             continue;
         };
-        for x in (first..w).step_by(step) {
-            let nine = ctx.grid.nine_neighbors_of_pixel(x, y);
-            // Preemption: if every candidate is frozen, the pixel's
-            // assignment cannot change — skip the 9 distances.
-            if preempting && nine.iter().all(|&k| !ctx.active[k]) {
-                continue;
-            }
-            let mut best = nine[0];
-            let mut best_d = dist.distance(x, y, nine[0]);
-            for &k in &nine[1..] {
-                let d = dist.distance(x, y, k);
-                if d < best_d {
-                    best_d = d;
-                    best = k;
+        let srow = &mut slot.stripe[(y - rows.start) * w..(y - rows.start + 1) * w];
+        if let Some((swar, lab8)) = swar {
+            assigned += swar.assign_row(
+                &ctx.grid,
+                lab8,
+                &ctx.codes,
+                &ctx.active,
+                preempting,
+                y,
+                members,
+                srow,
+            );
+        } else {
+            let (first, step) = members;
+            for x in (first..w).step_by(step) {
+                let nine = ctx.grid.nine_neighbors_of_pixel(x, y);
+                // Preemption: if every candidate is frozen, the pixel's
+                // assignment cannot change — skip the 9 distances.
+                if preempting && nine.iter().all(|&k| !ctx.active[k]) {
+                    continue;
                 }
+                let mut best = nine[0];
+                let mut best_d = dist.distance(x, y, nine[0]);
+                for &k in &nine[1..] {
+                    let d = dist.distance(x, y, k);
+                    if d < best_d {
+                        best_d = d;
+                        best = k;
+                    }
+                }
+                srow[x] = best as u32;
+                assigned += 1;
             }
-            slot.stripe[(y - rows.start) * w + x] = best as u32;
-            assigned += 1;
         }
+        summed += ctx.pixels.sum_row(&mut slot.sigma, srow, y, members);
     }
-    slot.counters = RunCounters {
+    slot.assign = RunCounters {
         pixel_color_reads: assigned,
         distance_calcs: assigned * 9,
         label_writes: assigned,
         ..RunCounters::default()
     };
+    slot.update = sum_counters(summed);
 }
 
-/// One band of sigma accumulation over `rows` into the slot's private
-/// register file (zeroed on entry; folded in ascending band order by the
-/// session, which is what keeps the f64 sums bit-identical across thread
-/// counts despite float non-associativity). Each row reads only the
-/// subset's columns ([`SubsetPartition::row_members`]).
+/// SLIC-CPA's band of sigma accumulation over `rows` into the slot's
+/// private register file (zeroed on entry; folded in ascending band order
+/// by the session, which is what keeps the f64 sums bit-identical across
+/// thread counts despite float non-associativity), reading the central
+/// label plane. Each row reads only the subset's columns
+/// ([`SubsetPartition::row_members`]).
 fn update_band(ctx: &FrameCtx, subset: u32, rows: Range<usize>, slot: &mut BandSlot) {
-    let w = ctx.grid.width();
     for acc in slot.sigma.iter_mut() {
         *acc = [0.0; 6];
     }
-    let mut pixels_seen = 0u64;
+    let mut summed = 0u64;
     for y in rows {
-        let Some((first, step)) = ctx.partition.row_members(y, subset) else {
-            continue;
-        };
-        for x in (first..w).step_by(step) {
-            let k = ctx.labels[(x, y)] as usize;
-            let [l, a, b] = ctx.lab.pixel(x, y);
-            let acc = &mut slot.sigma[k];
-            acc[0] += l as f64;
-            acc[1] += a as f64;
-            acc[2] += b as f64;
-            acc[3] += x as f64;
-            acc[4] += y as f64;
-            acc[5] += 1.0;
-            pixels_seen += 1;
+        if let Some(members) = ctx.partition.row_members(y, subset) {
+            summed += ctx
+                .pixels
+                .sum_row(&mut slot.sigma, ctx.labels.row(y), y, members);
         }
     }
-    slot.counters = RunCounters {
-        label_reads: pixels_seen,
-        pixel_color_reads: pixels_seen,
-        sigma_updates: pixels_seen,
+    slot.update = sum_counters(summed);
+}
+
+/// The counters of summing `pixels` subset members: the modeled software
+/// traffic of a center-update pass, which reads each member's label and
+/// colour and updates one sigma register file entry.
+fn sum_counters(pixels: u64) -> RunCounters {
+    RunCounters {
+        label_reads: pixels,
+        pixel_color_reads: pixels,
+        sigma_updates: pixels,
         ..RunCounters::default()
-    };
+    }
 }
 
 /// How one attempt of a frame resolves its initial centers.
@@ -444,9 +523,15 @@ pub struct SegmenterSession {
     /// [`SeedGrid::column_cells`]: every home label is written from this
     /// W-entry table, so the session keeps no home-label plane.
     column_cells: Vec<u32>,
-    quantized: bool,
-    lab: Arc<LabImage>,
+    /// The `f32` Lab plane: `Some` exactly in float sessions. Quantized
+    /// sessions read their codes through [`lab8::DECODED`] instead.
+    lab: Option<Arc<LabImage>>,
+    /// The 8-bit codes: a quantized session's pixel features, and a float
+    /// session's copy of a [`SegmentRequest::Lab8`] frame.
     lab8: Arc<Lab8Image>,
+    /// Float sessions only: the current frame arrived as codes, so the
+    /// engine reads them instead of the plane.
+    reads_codes: bool,
     labels: Arc<Plane<u32>>,
     clusters: Arc<Vec<Cluster>>,
     codes: Arc<Vec<ClusterCodes>>,
@@ -543,7 +628,7 @@ impl SegmenterSession {
         // Every per-frame buffer is established here, once; frames only
         // reset them in place (`tests/zero_alloc.rs` pins that at the
         // real allocator).
-        let lab = Arc::new(LabImage::from_fn(width, height, |_, _| [0.0; 3]));
+        let lab = (!quantized).then(|| Arc::new(LabImage::from_fn(width, height, |_, _| [0.0; 3])));
         let lab8 = Arc::new(Lab8Image::from_fn(width, height, |_, _| [0; 3]));
         let labels = Arc::new(Plane::filled(width, height, 0u32));
         let dist = (!banded_labels).then(|| Plane::filled(width, height, f32::INFINITY));
@@ -570,7 +655,8 @@ impl SegmenterSession {
                 BandSlot {
                     stripe: vec![0u32; stripe_len],
                     sigma: vec![[0f64; 6]; k],
-                    counters: RunCounters::default(),
+                    assign: RunCounters::default(),
+                    update: RunCounters::default(),
                 }
             },
         );
@@ -580,9 +666,9 @@ impl SegmenterSession {
             config,
             grid,
             column_cells,
-            quantized,
             lab,
             lab8,
+            reads_codes: false,
             labels,
             clusters,
             codes,
@@ -984,7 +1070,7 @@ impl SegmenterSession {
                         clusters.extend_from_slice(warm);
                     }
                     None if cold => {
-                        let fresh = init_clusters(&self.lab, &self.grid, params.perturb_seeds());
+                        let fresh = self.seed_clusters(params.perturb_seeds());
                         let clusters = Arc::make_mut(&mut self.clusters);
                         clusters.clear();
                         clusters.extend_from_slice(&fresh);
@@ -998,28 +1084,22 @@ impl SegmenterSession {
                     Arc::make_mut(&mut self.clusters).copy_from_slice(&self.checkpoint);
                 }
                 AttemptInit::Cold => {
-                    let fresh = init_clusters(&self.lab, &self.grid, params.perturb_seeds());
+                    let fresh = self.seed_clusters(params.perturb_seeds());
                     let clusters = Arc::make_mut(&mut self.clusters);
                     clusters.clear();
                     clusters.extend_from_slice(&fresh);
                 }
             }
-            let labels = Arc::make_mut(&mut self.labels);
-            for (y, row) in labels.as_mut_slice().chunks_exact_mut(w).enumerate() {
-                let homes = self.grid.home_row(&self.column_cells, y);
-                for (label, home) in row.iter_mut().zip(homes) {
-                    *label = home;
-                }
-            }
-            // PPA algorithms: re-sync every band's stripe with the central
-            // labels so pixels a band skips keep their previous assignment
-            // when the stripe is written back.
-            for b in 0..self.pool.band_count() {
-                let rows = self.pool.bands()[b].clone();
-                let mut slot = self.pool.slot(b);
-                if !slot.stripe.is_empty() {
-                    slot.stripe
-                        .copy_from_slice(&labels.as_slice()[rows.start * w..rows.end * w]);
+            // Every pixel starts at its home cluster: PPA bands in their
+            // stripes, which hold the band's labels for the whole attempt,
+            // SLIC-CPA in the central plane.
+            if algorithm == Algorithm::SlicCpa {
+                let labels = Arc::make_mut(&mut self.labels);
+                write_home_rows(&self.grid, &self.column_cells, 0, labels.as_mut_slice());
+            } else {
+                for (b, rows) in self.pool.bands().iter().enumerate() {
+                    let stripe = &mut self.pool.slot(b).stripe;
+                    write_home_rows(&self.grid, &self.column_cells, rows.start, stripe);
                 }
             }
         });
@@ -1073,7 +1153,15 @@ impl SegmenterSession {
                 _ => self.assign_ppa(subset, preemption.is_some(), recorder, step),
             });
             breakdown.time(Phase::CenterUpdate, || {
-                self.update_centers(subset, preemption, recorder, step)
+                if algorithm == Algorithm::SlicCpa {
+                    // PPA bands summed the subset while assigning it.
+                    let cmd = Cmd::Update {
+                        ctx: self.frame_ctx(),
+                        subset,
+                    };
+                    self.poisoned += self.pool.run(cmd);
+                }
+                self.update_centers(preemption, recorder, step)
             });
             self.counters.sub_iterations += 1;
             if let Some(f) = options.faults {
@@ -1101,11 +1189,19 @@ impl SegmenterSession {
             }
         }
 
+        // PPA: the attempt's labels live in the band stripes; assemble
+        // the central plane once, for the guard, connectivity and callers.
+        let labels = Arc::make_mut(&mut self.labels);
+        if algorithm != Algorithm::SlicCpa {
+            for (b, rows) in self.pool.bands().iter().enumerate() {
+                labels.as_mut_slice()[rows.start * w..rows.end * w]
+                    .copy_from_slice(&self.pool.slot(b).stripe);
+            }
+        }
         // Invariant guard: any out-of-range label (possible only via
         // corruption) is repaired in place to the pixel's home cluster,
         // keeping the map a valid index into `clusters` for connectivity
         // and callers. A clean map costs one flat read-only scan.
-        let labels = Arc::make_mut(&mut self.labels);
         let k = self.clusters.len() as u32;
         let mut label_repairs = 0u64;
         if labels.as_slice().iter().any(|&label| label >= k) {
@@ -1137,8 +1233,11 @@ impl SegmenterSession {
     }
 
     /// Converts the request's pixels into the session's reusable feature
-    /// planes. The pixel-feature fault hook corrupts the 8-bit codes
-    /// before the float planes are decoded from them.
+    /// planes: the codes in quantized sessions, the float plane in float
+    /// sessions. A [`SegmentRequest::Lab8`] frame is copied into the codes
+    /// in either kind of session, and the engine reads it from there. The
+    /// pixel-feature fault hook corrupts the codes before anything reads
+    /// them.
     fn convert_into(
         &mut self,
         request: SegmentRequest<'_>,
@@ -1147,11 +1246,16 @@ impl SegmenterSession {
     ) {
         match request {
             SegmentRequest::Rgb(img) => {
-                if self.quantized {
+                self.reads_codes = false;
+                if let Some(lab) = self.lab.as_mut() {
+                    let lab = Arc::make_mut(lab);
+                    breakdown.time(Phase::ColorConversion, || {
+                        float::convert_image_into(img, lab);
+                    });
+                } else {
                     // The accelerator's LUT path produces the 8-bit image
-                    // the quantized datapath operates on; the f32 image is
-                    // derived from it so assignment and sigma see the same
-                    // data.
+                    // the quantized datapath operates on; assignment and
+                    // sigma both read it.
                     let lab8 = Arc::make_mut(&mut self.lab8);
                     if let Some(conv) = &self.converter {
                         breakdown.time(Phase::ColorConversion, || {
@@ -1161,25 +1265,36 @@ impl SegmenterSession {
                     if let Some(f) = faults {
                         f.corrupt_lab8(lab8);
                     }
-                    lab8.decode_into(Arc::make_mut(&mut self.lab));
-                } else {
-                    let lab = Arc::make_mut(&mut self.lab);
-                    breakdown.time(Phase::ColorConversion, || {
-                        float::convert_image_into(img, lab);
-                    });
                 }
             }
             SegmentRequest::Lab8(src) => {
                 // Conversion happened outside the engine: charged zero
                 // time. The hooks corrupt the codes before anything reads
                 // them.
+                self.reads_codes = true;
                 let lab8 = Arc::make_mut(&mut self.lab8);
                 lab8.copy_from(src);
                 if let Some(f) = faults {
                     f.corrupt_lab8(lab8);
                 }
-                lab8.decode_into(Arc::make_mut(&mut self.lab));
             }
+        }
+    }
+
+    /// The current frame's colours: the float plane, or the codes.
+    fn pixels(&self) -> Pixels {
+        match &self.lab {
+            Some(lab) if !self.reads_codes => Pixels::Plane(Arc::clone(lab)),
+            _ => Pixels::Codes(Arc::clone(&self.lab8)),
+        }
+    }
+
+    /// Cold seeding (see [`init_clusters`]) from the current frame's
+    /// colours.
+    fn seed_clusters(&self, perturb: bool) -> Vec<Cluster> {
+        match self.pixels() {
+            Pixels::Plane(lab) => init_clusters(&lab, &self.grid, perturb),
+            Pixels::Codes(lab8) => init_clusters_from_codes(&lab8, &self.grid, perturb),
         }
     }
 
@@ -1188,8 +1303,7 @@ impl SegmenterSession {
     fn frame_ctx(&self) -> FrameCtx {
         FrameCtx {
             grid: self.grid.clone(),
-            lab: Arc::clone(&self.lab),
-            lab8: self.quantized.then(|| Arc::clone(&self.lab8)),
+            pixels: self.pixels(),
             labels: Arc::clone(&self.labels),
             clusters: Arc::clone(&self.clusters),
             codes: Arc::clone(&self.codes),
@@ -1257,9 +1371,10 @@ impl SegmenterSession {
         repaired
     }
 
-    /// Pixel-perspective assignment: one pool dispatch, then the serial
-    /// fold — stripes copy back into the label plane in ascending band
-    /// order, and counters merge the same way.
+    /// Pixel-perspective assignment: one pool dispatch, which also fills
+    /// every band's sigma partial, then the serial merge of the assign
+    /// counter partials in ascending band order. The labels stay in the
+    /// band stripes.
     fn assign_ppa(
         &mut self,
         subset: u32,
@@ -1268,7 +1383,6 @@ impl SegmenterSession {
         step: u32,
     ) {
         self.refresh_codes();
-        let w = self.grid.width();
         let cmd = Cmd::Assign {
             ctx: self.frame_ctx(),
             subset,
@@ -1276,12 +1390,8 @@ impl SegmenterSession {
         };
         self.poisoned += self.pool.run(cmd);
         self.band_counters.clear();
-        let labels = Arc::make_mut(&mut self.labels);
         for b in 0..self.pool.band_count() {
-            let rows = self.pool.bands()[b].clone();
-            let slot = self.pool.slot(b);
-            labels.as_mut_slice()[rows.start * w..rows.end * w].copy_from_slice(&slot.stripe);
-            self.band_counters.push(slot.counters);
+            self.band_counters.push(self.pool.slot(b).assign);
         }
         // Per-band counter partials fold in ascending band order at this
         // serial sync point: the totals depend only on the band layout
@@ -1322,6 +1432,7 @@ impl SegmenterSession {
     /// cluster against the distance buffer.
     fn assign_cpa(&mut self, recorder: Option<&Recorder>, step: u32) {
         self.refresh_codes();
+        let pixels = self.pixels();
         // Every CPA session owns the buffer (see `try_new`).
         let Some(dist_buffer) = self.dist.as_mut() else {
             return;
@@ -1334,8 +1445,7 @@ impl SegmenterSession {
         let radius = self.grid.spacing().ceil() as isize; // 2S×2S window
         let labels = Arc::make_mut(&mut self.labels);
         let dctx = DistCtx {
-            lab: &self.lab,
-            lab8: self.quantized.then_some(&*self.lab8),
+            pixels: &pixels,
             clusters: &self.clusters,
             codes: &self.codes,
             kernel: self.kernel.as_ref(),
@@ -1391,21 +1501,10 @@ impl SegmenterSession {
         }
     }
 
-    /// Center update: one banded sigma-accumulation dispatch over
-    /// `subset`, the ascending-band fold, then the serial center
+    /// Center update from the bands' sigma partials of this step: the
+    /// ascending-band fold, the sigma-count guard, then the serial center
     /// recomputation.
-    fn update_centers(
-        &mut self,
-        subset: u32,
-        preemption: Option<f32>,
-        recorder: Option<&Recorder>,
-        step: u32,
-    ) {
-        let cmd = Cmd::Update {
-            ctx: self.frame_ctx(),
-            subset,
-        };
-        self.poisoned += self.pool.run(cmd);
+    fn update_centers(&mut self, preemption: Option<f32>, recorder: Option<&Recorder>, step: u32) {
         // Banded sigma fold in ascending band order: the f64 sums always
         // group the same way — per band, row-major within a band — no
         // matter how many workers executed the bands, which is what makes
@@ -1422,13 +1521,13 @@ impl SegmenterSession {
                     *a += p;
                 }
             }
-            self.band_counters.push(slot.counters);
+            self.band_counters.push(slot.update);
         }
         for part in &self.band_counters {
             self.counters += *part;
         }
         // Invariant guard: count conservation across the parallel fold.
-        // Every pixel an update band read contributes exactly 1.0 to its
+        // Every pixel a band summed contributes exactly 1.0 to its
         // cluster's member count, so the folded counts and the band
         // counters must agree; a mismatch means a band handed back
         // partial state (e.g. a poisoned band's stale slot). Integer
@@ -1486,6 +1585,19 @@ impl SegmenterSession {
                 LogicalClock::step(step),
                 vec![("center_updates", Value::U64(updated))],
             );
+        }
+    }
+}
+
+/// Writes the home cluster of every pixel of `rows`, the whole rows of
+/// the frame starting at row `first_row`.
+fn write_home_rows(grid: &SeedGrid, column_cells: &[u32], first_row: usize, rows: &mut [u32]) {
+    for (i, row) in rows.chunks_exact_mut(grid.width()).enumerate() {
+        for (label, home) in row
+            .iter_mut()
+            .zip(grid.home_row(column_cells, first_row + i))
+        {
+            *label = home;
         }
     }
 }
@@ -1569,7 +1681,10 @@ impl Segmenter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::band_rows;
     use crate::SlicParams;
+    use proptest::prelude::*;
+    use sslic_image::prng::SplitMix64;
     use sslic_image::synthetic::SyntheticImage;
 
     fn params(k: usize, iters: u32) -> SlicParams {
@@ -1736,5 +1851,153 @@ mod tests {
             &RunOptions::new().with_warm_start(cold.clusters()),
         );
         assert_eq!(session.labels().as_slice(), warmed_one_shot.labels().as_slice());
+    }
+
+    /// One band's fused Assign output: its stripe, sigma partial and both
+    /// counter partials.
+    type BandOut = (Vec<u32>, Vec<[f64; 6]>, RunCounters, RunCounters);
+
+    /// Runs `cmd`'s kernel over every band of an `h`-row frame, each slot
+    /// starting from `stripes` (SLIC-CPA slots have none) and a sigma file
+    /// of garbage, so a band that fails to zero it shows.
+    fn run_bands(cmd: &Cmd, w: usize, h: usize, k: usize, stripes: &[u32]) -> Vec<BandOut> {
+        band_rows(h)
+            .into_iter()
+            .enumerate()
+            .map(|(b, rows)| {
+                let mut slot = BandSlot {
+                    stripe: stripes
+                        .get(rows.start * w..rows.end * w)
+                        .unwrap_or_default()
+                        .to_vec(),
+                    sigma: vec![[f64::NAN; 6]; k],
+                    assign: RunCounters::default(),
+                    update: RunCounters::default(),
+                };
+                band_kernel(cmd, b, rows, &mut slot);
+                (slot.stripe, slot.sigma, slot.assign, slot.update)
+            })
+            .collect()
+    }
+
+    fn sigma_bits(sigma: &[[f64; 6]]) -> Vec<[u64; 6]> {
+        sigma.iter().map(|acc| acc.map(f64::to_bits)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fused_assign_sums_equal_assign_then_update_band(
+            w in 1usize..41,
+            h in 1usize..41,
+            subsets in 1u32..5,
+            strategy in 0u8..3,
+            superpixels in 1usize..50,
+            quantized in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            // `update_band` (SLIC-CPA's sums) is the oracle: summing the
+            // labels the fused dispatch left in the stripes must give every
+            // band's sigma partial bit for bit, with the same counters.
+            let strategy = [
+                SubsetStrategy::Interleaved,
+                SubsetStrategy::Checkerboard,
+                SubsetStrategy::Bands,
+            ][usize::from(strategy)];
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let grid = SeedGrid::new(w, h, superpixels);
+            let k = grid.cluster_count();
+            let lab8 = Lab8Image::from_fn(w, h, |_, _| {
+                let r = rng.next_u64();
+                [r as u8, (r >> 8) as u8, (r >> 16) as u8]
+            });
+            let pixels = if quantized {
+                Pixels::Codes(Arc::new(lab8))
+            } else {
+                Pixels::Plane(Arc::new(LabImage::from_fn(w, h, |_, _| {
+                    let [l, a, b] = [0; 3].map(|_| rng.next_f64() as f32);
+                    [l * 100.0, a * 255.0 - 128.0, b * 255.0 - 128.0]
+                })))
+            };
+            let clusters: Vec<Cluster> = (0..k)
+                .map(|_| {
+                    let [l, a, b, x, y] = [0; 5].map(|_| rng.next_f64() as f32);
+                    Cluster::new(
+                        l * 100.0,
+                        a * 255.0 - 128.0,
+                        b * 255.0 - 128.0,
+                        x * w as f32,
+                        y * h as f32,
+                    )
+                })
+                .collect();
+            // None, a quarter, ... or all of the clusters frozen, so that
+            // whole neighborhoods are and their members are skipped.
+            let frozen_quarters = rng.below(5);
+            let active: Vec<bool> = (0..k).map(|_| rng.below(4) >= frozen_quarters).collect();
+            let spacing = grid.spacing();
+            let kernel = quantized.then(|| QuantKernel::new(8, 8, 10.0, spacing));
+            let codes = kernel
+                .as_ref()
+                .map(|qk| clusters.iter().map(|c| qk.encode_cluster(c)).collect())
+                .unwrap_or_default();
+            let partition = SubsetPartition::new(w, h, subsets, strategy);
+            let subset = rng.below(u64::from(subsets)) as u32;
+            // Labels before the step: any cluster, so preempted members
+            // are summed under labels the step never wrote.
+            let before: Vec<u32> = (0..w * h).map(|_| rng.below(k as u64) as u32).collect();
+            let ctx = FrameCtx {
+                grid,
+                pixels,
+                labels: Arc::new(Plane::filled(w, h, 0)),
+                clusters: Arc::new(clusters),
+                codes: Arc::new(codes),
+                active: Arc::new(active),
+                partition: Arc::new(partition),
+                kernel: kernel.clone(),
+                swar: None,
+                m2_over_s2: 100.0 / (spacing * spacing),
+            };
+            let swar = kernel.as_ref().map(|qk| Arc::new(SwarKernel::new(qk)));
+            let kernels = [None].into_iter().chain(swar.map(Some));
+            let mut scalar_labels = None;
+            for swar in kernels {
+                let fused = Cmd::Assign {
+                    ctx: FrameCtx { swar: swar.clone(), ..ctx.clone() },
+                    subset,
+                    preempting: true,
+                };
+                let fused = run_bands(&fused, w, h, k, &before);
+                let stripes: Vec<u32> = fused.iter().flat_map(|out| out.0.clone()).collect();
+                let labels = Plane::from_vec(w, h, stripes.clone()).expect("stripes tile the frame");
+                let update = Cmd::Update {
+                    ctx: FrameCtx { labels: Arc::new(labels), ..ctx.clone() },
+                    subset,
+                };
+                let oracle = run_bands(&update, w, h, k, &[]);
+                let case = format!(
+                    "{w}x{h}, K {k}, P {subsets} {strategy:?}, quantized {quantized}, swar {}",
+                    swar.is_some()
+                );
+                let mut summed = 0;
+                for (b, (got, want)) in fused.iter().zip(&oracle).enumerate() {
+                    prop_assert!(
+                        sigma_bits(&got.1) == sigma_bits(&want.1),
+                        "band {} sigma: {}", b, case
+                    );
+                    prop_assert_eq!(got.3, want.3);
+                    summed += got.3.sigma_updates;
+                }
+                // Every subset member was summed, preempted ones included.
+                let members = ctx.partition.subset_len(subset) as u64;
+                prop_assert!(summed == members, "summed {} of {}: {}", summed, members, case);
+                // And the two kernels agree on the labels too.
+                match &scalar_labels {
+                    None => scalar_labels = Some(stripes),
+                    Some(want) => prop_assert!(&stripes == want, "labels: {}", case),
+                }
+            }
+        }
     }
 }

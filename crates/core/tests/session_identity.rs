@@ -139,3 +139,122 @@ fn geometry_change_is_a_typed_error() {
         .expect("session survives a rejected frame");
     assert!(report.iterations_run() > 0);
 }
+
+/// `(cpa, label checksum, center checksum)` of a float session fed the
+/// fixed scene as 8-bit codes ([`SegmentRequest::Lab8`]).
+const PINNED_FLOAT_FROM_CODES: [(bool, u64, u64); 2] = [
+    (false, 0xdac7_9ed1_d4e2_ccb8, 0x4f30_1a64_4000_f92e),
+    (true, 0x302f_cd29_c932_b8c9, 0x4877_2ab8_820a_110a),
+];
+
+#[test]
+fn float_sessions_read_lab8_requests_bit_for_bit() {
+    // A float session given codes works on their decoded values: the
+    // float distance, the center sums and cold seeding all see exactly
+    // the f32 values `Lab8Image::decode` produces.
+    let scene = fixed_scene();
+    let lab8 = sslic_color::hw::HwColorConverter::paper_default().convert_image(&scene.rgb);
+    for (cpa, label_pin, center_pin) in PINNED_FLOAT_FROM_CODES {
+        for t in THREADS {
+            let seg = segmenter(t, cpa, false);
+            let out = seg.run(SegmentRequest::Lab8(&lab8), &RunOptions::new());
+            let labels = label_checksum(out.labels());
+            let centers = out.report().recovery().center_checksum;
+            assert_eq!(
+                labels, label_pin,
+                "cpa={cpa} at {t} threads: got {labels:#018x}"
+            );
+            assert_eq!(
+                centers, center_pin,
+                "cpa={cpa} at {t} threads: got {centers:#018x}"
+            );
+        }
+    }
+}
+
+/// Frames in the 720p clip, and the pan between them in pixels.
+const CLIP: usize = 10;
+const PAN: (usize, usize) = (4, 2);
+
+/// Movement threshold (pixels) of the preempted 720p stream.
+const CLIP_PREEMPTION: f32 = 0.5;
+
+/// Per-frame `(label checksum, center checksum)` of the 720p clip streamed
+/// through one warm session, without and with preemption.
+const PINNED_CLIP: [[(u64, u64); CLIP]; 2] = [
+    [
+        (0x1e1f_82c4_6056_9f1c, 0xf441_4b08_57a8_ee45),
+        (0x2f20_47e7_f3dd_4627, 0xe64c_d8e0_bc98_bc11),
+        (0x26ff_725e_bbe7_01d7, 0x370a_1168_8e8e_e3ba),
+        (0x4fe0_4b4c_bb99_b4ec, 0x0551_5b98_aef0_fe99),
+        (0xee22_7be0_b11a_1bb4, 0xbfbe_f32d_94b6_d31f),
+        (0x5109_f78c_2abf_4e06, 0xeb60_e28a_d913_174e),
+        (0xe03b_9e93_09b5_a231, 0x059e_4f51_9b28_5d53),
+        (0x8bae_5392_70a4_053a, 0x81a4_ce61_fc67_64f6),
+        (0x39f7_825d_1e08_1c90, 0xbc80_4775_3fa5_db94),
+        (0x9ba3_fd48_af7e_4bc2, 0xee67_4fcc_cef0_8cd9),
+    ],
+    [
+        (0x0d48_9eea_d4a6_618f, 0x84d7_ba32_393c_0808),
+        (0x02d0_67a2_4087_67ad, 0xe323_5853_2701_12be),
+        (0x3b48_b353_4466_a877, 0xf996_1df4_6d84_c134),
+        (0x6b51_11ab_cae7_beeb, 0xaacc_729c_cd65_8ae9),
+        (0xf67c_662e_37f4_6bc3, 0x8394_e6ec_38e1_c846),
+        (0xf67b_b646_82bc_907d, 0x01d5_aa69_c85a_c375),
+        (0x7aec_6eb4_028e_7f3e, 0x2c0c_5a3c_2691_20bb),
+        (0x1d2c_e853_2579_2624, 0x6713_5535_e52e_a37e),
+        (0x302b_404e_0df0_efc1, 0xc9e6_6231_8e15_1564),
+        (0x6714_9a49_9b9b_7727, 0xffa7_8442_c99d_cd50),
+    ],
+];
+
+/// The benchmark's camera configuration at 1280×720: S-SLIC-PPA at P = 2,
+/// K = 600, 5 iterations, 8-bit datapath. It runs 32 bands of 22–23 rows
+/// and mostly full four-lane SWAR groups, which the 64×48 pins above,
+/// with 1–2 rows per band, never reach; every frame after the first is
+/// warm. Needs an optimised build, so `ci.sh` runs it with `--ignored`.
+#[test]
+#[ignore = "1280x720 clip; run in release with --ignored"]
+fn camera_clip_is_pinned_at_720p() {
+    let (w, h) = (1280, 720);
+    let scene = SyntheticImage::builder(w + PAN.0 * (CLIP - 1), h + PAN.1 * (CLIP - 1))
+        .seed(2024)
+        .regions(32)
+        .build();
+    let frames: Vec<_> = (0..CLIP)
+        .map(|i| {
+            let (x0, y0) = (i * PAN.0, i * PAN.1);
+            sslic_image::RgbImage::from_fn(w, h, |x, y| scene.rgb.pixel(x0 + x, y0 + y))
+        })
+        .collect();
+    for (preempt, pins) in [false, true].into_iter().zip(PINNED_CLIP) {
+        for t in [1usize, 2] {
+            let params = SlicParams::builder(600).iterations(5).threads(t).build();
+            let seg =
+                Segmenter::sslic_ppa(params, 2).with_distance_mode(DistanceMode::quantized(8));
+            let seg = if preempt {
+                seg.with_preemption(CLIP_PREEMPTION)
+            } else {
+                seg
+            };
+            let mut session = seg.session(w, h);
+            let mut frozen = 0;
+            for (i, (frame, &(label_pin, center_pin))) in frames.iter().zip(&pins).enumerate() {
+                let report = session.run(SegmentRequest::Rgb(frame), &RunOptions::new());
+                frozen += report.frozen_clusters();
+                let labels = label_checksum(session.labels());
+                let centers = report.recovery().center_checksum;
+                let case = format!("frame {i}, preemption {preempt}, {t} threads");
+                assert_eq!(
+                    labels, label_pin,
+                    "labels drifted: {case}: got {labels:#018x}"
+                );
+                assert_eq!(
+                    centers, center_pin,
+                    "centers drifted: {case}: got {centers:#018x}"
+                );
+            }
+            assert_eq!(frozen > 0, preempt, "frozen clusters at {t} threads");
+        }
+    }
+}

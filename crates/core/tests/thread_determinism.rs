@@ -274,6 +274,68 @@ fn slic_ppa_is_sslic_ppa_with_one_subset() {
     }
 }
 
+/// The movement threshold (pixels) of the pinned preemption runs: large
+/// enough that clusters freeze within the 5 steps on the fixed scene, so
+/// the skipped-pixel paths of both assign kernels run.
+const PREEMPTION: f32 = 0.5;
+
+/// `(quantized, label checksum, center checksum)` of `sslic_ppa` at P = 2
+/// with Preemptive-SLIC halting at [`PREEMPTION`] on the fixed scene.
+const PINNED_PREEMPTION: [(bool, u64, u64); 2] = [
+    (false, 0xe43a_e191_4387_cbbb, 0x4c57_d52a_b78c_413b),
+    (true, 0x0545_d123_0721_823d, 0x0e8c_f6f2_4d14_54d1),
+];
+
+#[test]
+fn preemption_is_pinned_for_every_thread_count_and_kernel() {
+    let scene = fixed_scene();
+    for (quantized, label_pin, center_pin) in PINNED_PREEMPTION {
+        let mode = |seg: Segmenter| {
+            if quantized {
+                seg.with_distance_mode(DistanceMode::quantized(8))
+            } else {
+                seg
+            }
+        };
+        let unpreempted = mode(Segmenter::sslic_ppa(
+            SlicParams::builder(60).iterations(5).build(),
+            2,
+        ))
+        .run(SegmentRequest::Rgb(&scene.rgb), &RunOptions::new());
+        for t in THREADS {
+            for kernel in [Kernel::Scalar, Kernel::Auto] {
+                let params = SlicParams::builder(60)
+                    .iterations(5)
+                    .threads(t)
+                    .kernel(kernel)
+                    .build();
+                let out = mode(Segmenter::sslic_ppa(params, 2).with_preemption(PREEMPTION))
+                    .run(SegmentRequest::Rgb(&scene.rgb), &RunOptions::new());
+                let case = format!("quantized={quantized} {kernel} at {t} threads");
+                let report = out.report();
+                assert!(report.frozen_clusters() > 0, "nothing froze: {case}");
+                assert!(
+                    report.counters().distance_calcs
+                        < unpreempted.report().counters().distance_calcs,
+                    "preemption skipped no distance: {case}"
+                );
+                let (labels, centers) = (
+                    label_checksum(out.labels()),
+                    report.recovery().center_checksum,
+                );
+                assert_eq!(
+                    labels, label_pin,
+                    "labels drifted: {case}: got {labels:#018x}"
+                );
+                assert_eq!(
+                    centers, center_pin,
+                    "centers drifted: {case}: got {centers:#018x}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn warm_start_is_thread_count_invariant() {
     // Warm starts change the sigma state the banded reduction sees; pin

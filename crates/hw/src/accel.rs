@@ -88,7 +88,6 @@ impl AcceleratorConfig {
 #[derive(Debug, Clone)]
 pub struct Accelerator {
     config: AcceleratorConfig,
-    dram: DramModel,
 }
 
 impl Accelerator {
@@ -106,10 +105,7 @@ impl Accelerator {
             config.buffer_bytes_per_channel > 0,
             "buffer size must be nonzero"
         );
-        Accelerator {
-            config,
-            dram: DramModel::default(),
-        }
+        Accelerator { config }
     }
 
     /// The configuration in use.
@@ -381,7 +377,7 @@ impl Accelerator {
                 );
                 // Stall estimate: DMA cycles the double-buffered streaming
                 // cannot hide behind this step's compute.
-                let dma_cycles = self.dram.transfer_cycles(read + written, bursts);
+                let dma_cycles = DramModel::default().transfer_cycles(read + written, bursts);
                 let compute_cycles = end_cycles - step_start_cycles;
                 let stall_cycles = (dma_cycles - compute_cycles).max(0.0);
                 rec.instant(
@@ -426,8 +422,9 @@ impl Accelerator {
             }
         }
 
-        let memory_cycles = self.dram.transfer_cycles(traffic.total_bytes(), traffic.bursts);
-        let dram_energy_uj = self.dram.transfer_energy_uj(traffic.total_bytes());
+        let dram = DramModel::default();
+        let memory_cycles = dram.transfer_cycles(traffic.total_bytes(), traffic.bursts);
+        let dram_energy_uj = dram.transfer_energy_uj(traffic.total_bytes());
 
         if let Some(rec) = recorder {
             let total = color_cycles + assign_cycles + center_cycles + memory_cycles;

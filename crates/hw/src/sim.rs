@@ -76,9 +76,7 @@ pub struct FrameSimulator {
     superpixels: usize,
     iterations: u32,
     subsets: u32,
-    cluster_config: ClusterUnitConfig,
     buffer_bytes_per_channel: usize,
-    dram: DramModel,
     cores: u32,
     clock_hz: f64,
 }
@@ -98,9 +96,7 @@ impl FrameSimulator {
             superpixels: 5000,
             iterations: 9,
             subsets: 1,
-            cluster_config: ClusterUnitConfig::c9_9_6(),
             buffer_bytes_per_channel: buffer,
-            dram: DramModel::default(),
             cores: 1,
             clock_hz: model::CLOCK_HZ,
         }
@@ -243,9 +239,9 @@ impl FrameSimulator {
 
         // 2. Cluster-update compute, tile-parallel across cores.
         let step_pixels = n / self.subsets as u64;
+        let cluster_config = ClusterUnitConfig::c9_9_6();
         let assign_ms = to_ms(
-            self.cluster_config
-                .iteration_cycles(step_pixels.div_ceil(cores), tile_pixels)
+            cluster_config.iteration_cycles(step_pixels.div_ceil(cores), tile_pixels)
                 * self.iterations as f64,
         );
 
@@ -257,18 +253,18 @@ impl FrameSimulator {
         //    the device, not the core clock, so this term uses the design
         //    clock regardless of DVFS.
         let traffic = self.dram_traffic();
-        let memory_ms = self.dram.transfer_ms(traffic.total_bytes(), traffic.bursts);
+        let dram = DramModel::default();
+        let memory_ms = dram.transfer_ms(traffic.total_bytes(), traffic.bursts);
 
         // Area: one Cluster Update Unit and scratchpad set per core.
         let scratchpads = ScratchpadSet::new(self.buffer_bytes_per_channel);
-        let area_mm2 = (self.cluster_config.area_mm2() + scratchpads.area_mm2())
-            * self.cores as f64
+        let area_mm2 = (cluster_config.area_mm2() + scratchpads.area_mm2()) * self.cores as f64
             + model::area::FIXED_TOTAL_MM2;
 
         // Power: per-unit peak × utilization (the paper's method), scaled
         // by the DVFS factor; compute units replicate per core.
         let total_ms = color_ms + assign_ms + center_ms + memory_ms;
-        let cluster_peak = self.cluster_config.power_mw(step_pixels.max(1));
+        let cluster_peak = cluster_config.power_mw(step_pixels.max(1));
         let dvfs = self.dvfs_power_factor();
         let cores_f = self.cores as f64;
         let power = PowerBreakdown {
@@ -286,7 +282,7 @@ impl FrameSimulator {
         // External DRAM energy, reported separately (the paper's 49 mW /
         // 1.6 mJ budget is accelerator-side; DRAM device energy is the
         // §4.2 argument for choosing the PPA).
-        let dram_energy_uj = self.dram.transfer_energy_uj(traffic.total_bytes());
+        let dram_energy_uj = dram.transfer_energy_uj(traffic.total_bytes());
 
         FrameReport {
             resolution: self.resolution,

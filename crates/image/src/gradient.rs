@@ -15,8 +15,30 @@
 
 use crate::Plane;
 
+/// One `f32` channel the gradient reads: a float plane, or any other
+/// per-pixel source of the same values (such as 8-bit codes read through
+/// a decode table).
+pub trait Channel {
+    /// `(width, height)` of the channel.
+    fn dims(&self) -> (usize, usize);
+
+    /// The sample at `(x, y)`, coordinates clamped to the border.
+    fn get_clamped(&self, x: isize, y: isize) -> f32;
+}
+
+impl Channel for &Plane<f32> {
+    fn dims(&self) -> (usize, usize) {
+        (self.width(), self.height())
+    }
+
+    #[inline]
+    fn get_clamped(&self, x: isize, y: isize) -> f32 {
+        Plane::get_clamped(self, x, y)
+    }
+}
+
 /// `G(x, y)` over `channels`, borders clamped (replicate padding).
-fn gradient_at(channels: &[&Plane<f32>], x: usize, y: usize) -> f32 {
+fn gradient_at<C: Channel>(channels: &[C], x: usize, y: usize) -> f32 {
     let (xi, yi) = (x as isize, y as isize);
     let mut gx = 0.0f32;
     let mut gy = 0.0f32;
@@ -31,8 +53,8 @@ fn gradient_at(channels: &[&Plane<f32>], x: usize, y: usize) -> f32 {
 
 /// Returns the position of the minimum-gradient sample in the 3×3
 /// neighbourhood of `(x, y)` of a multi-channel image given as equally
-/// sized `f32` planes: the perturbation SLIC applies to every initial
-/// center.
+/// sized `f32` channels (usually planes): the perturbation SLIC applies to
+/// every initial center.
 ///
 /// Coordinates outside the image are skipped (not clamped), so corner seeds
 /// consider a 2×2 window. Ties resolve to the seed itself, then to the
@@ -54,14 +76,11 @@ fn gradient_at(channels: &[&Plane<f32>], x: usize, y: usize) -> f32 {
 /// let (nx, ny) = min_gradient_in_3x3(&[&p], 4, 4);
 /// assert_eq!((nx, ny), (5, 3));
 /// ```
-pub fn min_gradient_in_3x3(channels: &[&Plane<f32>], x: usize, y: usize) -> (usize, usize) {
+pub fn min_gradient_in_3x3<C: Channel>(channels: &[C], x: usize, y: usize) -> (usize, usize) {
     assert!(!channels.is_empty(), "at least one channel required");
-    let (w, h) = (channels[0].width(), channels[0].height());
+    let (w, h) = channels[0].dims();
     for c in channels {
-        assert!(
-            c.width() == w && c.height() == h,
-            "all channels must share geometry"
-        );
+        assert!(c.dims() == (w, h), "all channels must share geometry");
     }
     assert!(x < w && y < h, "seed out of bounds");
     let mut best = (x, y);

@@ -106,6 +106,14 @@ fn scenarios() -> Vec<(&'static str, Segmenter)> {
             "slic_ppa/preemption",
             Segmenter::slic_ppa(p(threads)).with_preemption(0.25),
         ));
+        // The SWAR kernel's preempted-run branch: frozen runs still add
+        // their members to the band's sigma partial.
+        out.push((
+            "sslic_ppa/quantized8+preemption",
+            Segmenter::sslic_ppa(p(threads), 2)
+                .with_distance_mode(DistanceMode::quantized(8))
+                .with_preemption(0.5),
+        ));
     }
     out
 }
