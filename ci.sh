@@ -221,7 +221,7 @@ mv results/fleet-serve-1t.jsonl results/fleet-serve.jsonl
 rm -rf results/fleet-ds results/fleet-stream.bin results/fleet-serve-4t.jsonl \
     results/fleet-metrics-4t.prom results/fleet-insight-4t.txt
 
-echo "==> kernel identity (scalar and SWAR assign kernels must emit byte-identical labels)"
+echo "==> kernel identity (scalar and SWAR assign kernels, and SLIC-CPA at 1 and 4 threads, must emit byte-identical labels)"
 # The packed fixed-point assign kernel is bit-identical to the scalar
 # reference loop by contract. Segment one frame with each kernel forced
 # and byte-diff the 16-bit label maps — any divergence fails CI here
@@ -258,6 +258,15 @@ for threads in 1 4; do
     cmp "results/kernel-ds/seg720-scalar-$threads.labels.pgm" \
         "results/kernel-ds/seg720-swar-$threads.labels.pgm"
 done
+# SLIC-CPA's window scan runs band by band: at 1280x720 and K = 600 an
+# 81-row window spans four or five of the 22-23-row bands, where the
+# 64x48 pins only ever see bands of one or two rows.
+for threads in 1 4; do
+    ./target/release/sslic segment results/kernel-ds/720p/000.ppm \
+        --superpixels 600 --iterations 5 --algo slic --threads "$threads" \
+        --out "results/kernel-ds/cpa720-$threads" >/dev/null
+done
+cmp results/kernel-ds/cpa720-1.labels.pgm results/kernel-ds/cpa720-4.labels.pgm
 rm -rf results/kernel-ds
 
 echo "==> bench trajectory (insight bench must see no counter regression across PR seeds)"

@@ -8,7 +8,7 @@
 
 use sslic_bench::{header, rule};
 use sslic_core::instrument::TrafficModel;
-use sslic_core::{Algorithm, RunOptions, SegmentRequest, Segmenter, SlicParams};
+use sslic_core::{RunOptions, SegmentRequest, Segmenter, SlicParams};
 use sslic_image::synthetic::SyntheticImage;
 
 fn main() {
@@ -26,8 +26,11 @@ fn main() {
 
     let model = TrafficModel::sw_double();
     let mut rows = Vec::new();
-    for (name, algorithm) in [("CPA", Algorithm::SlicCpa), ("PPA", Algorithm::SlicPpa)] {
-        let seg = Segmenter::new(params, algorithm).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+    for (name, segmenter) in [
+        ("CPA", Segmenter::slic(params)),
+        ("PPA", Segmenter::slic_ppa(params)),
+    ] {
+        let seg = segmenter.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
         let c = *seg.report().counters();
         let bytes = model.bytes(&c);
         rows.push((name, c, bytes));

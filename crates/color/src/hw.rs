@@ -293,18 +293,6 @@ impl HwColorConverter {
     }
 }
 
-/// Free-function form of [`HwColorConverter::convert_image_into`]: runs the
-/// accelerator's LUT conversion of `img` into the caller-owned `out`
-/// planes without allocating. Streaming callers build the converter once
-/// (its tables are the only allocation) and reuse `out` across frames.
-///
-/// # Panics
-///
-/// Panics if `out` differs in geometry from `img`.
-pub fn rgb_to_lab8_into(converter: &HwColorConverter, img: &RgbImage, out: &mut Lab8Image) {
-    converter.convert_image_into(img, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,7 +539,7 @@ mod tests {
         let conv = HwColorConverter::paper_default();
         let fresh = conv.convert_image(&img);
         let mut reused = Lab8Image::from_fn(7, 5, |_, _| [1; 3]);
-        rgb_to_lab8_into(&conv, &img, &mut reused);
+        conv.convert_image_into(&img, &mut reused);
         assert_eq!(fresh, reused);
     }
 

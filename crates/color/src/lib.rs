@@ -48,5 +48,4 @@ pub mod lab8;
 
 mod images;
 
-pub use hw::rgb_to_lab8_into;
 pub use images::{Lab8Image, LabImage};

@@ -15,12 +15,11 @@ pub enum Algorithm {
     /// Original SLIC: each cluster scans a `2S×2S` window per iteration
     /// (the paper's center-perspective architecture, Fig. 1a).
     SlicCpa,
-    /// gSLIC-style SLIC: each pixel considers its 9 nearest initial
-    /// centers every iteration (pixel perspective without subsampling).
-    SlicPpa,
     /// S-SLIC, pixel-perspective: pixels split into `subsets` equal groups
     /// traversed round-robin; one group per center-update step (the
-    /// paper's primary algorithm, Fig. 1b). SLIC is the one-subset case.
+    /// paper's primary algorithm, Fig. 1b). SLIC-PPA, where each pixel
+    /// considers its 9 nearest initial centers every iteration
+    /// (gSLIC-style, no subsampling), is the one-subset case.
     SSlicPpa {
         /// Number of pixel subsets `P` (subsampling ratio `1/P`).
         subsets: u32,
@@ -33,16 +32,17 @@ impl Algorithm {
     /// Number of sub-iterations that make up one full-image pass.
     pub fn steps_per_full_pass(&self) -> u32 {
         match self {
-            Algorithm::SlicCpa | Algorithm::SlicPpa => 1,
+            Algorithm::SlicCpa => 1,
             Algorithm::SSlicPpa { subsets, .. } => *subsets,
         }
     }
 
-    /// Stable snake_case identifier used by trace events and run reports.
+    /// Stable snake_case identifier used by trace events and run reports:
+    /// a one-subset S-SLIC run is SLIC-PPA, `"slic_ppa"`.
     pub fn name(&self) -> &'static str {
         match self {
             Algorithm::SlicCpa => "slic_cpa",
-            Algorithm::SlicPpa => "slic_ppa",
+            Algorithm::SSlicPpa { subsets: 1, .. } => "slic_ppa",
             Algorithm::SSlicPpa { .. } => "sslic_ppa",
         }
     }
@@ -270,9 +270,10 @@ impl Segmenter {
         Self::new(params, Algorithm::SlicCpa)
     }
 
-    /// Pixel-perspective SLIC without subsampling (gSLIC-style).
+    /// Pixel-perspective SLIC without subsampling (gSLIC-style): S-SLIC
+    /// with one subset.
     pub fn slic_ppa(params: SlicParams) -> Self {
-        Self::new(params, Algorithm::SlicPpa)
+        Self::sslic_ppa(params, 1)
     }
 
     /// S-SLIC with `subsets` pixel subsets (the paper's primary
@@ -371,11 +372,6 @@ impl Segmentation {
     /// Superpixel index per pixel (indices address [`Self::clusters`]).
     pub fn labels(&self) -> &Plane<u32> {
         &self.labels
-    }
-
-    /// Consumes the result, returning the label map.
-    pub fn into_labels(self) -> Plane<u32> {
-        self.labels
     }
 
     /// Final cluster centers (`[L, a, b, x, y]` per superpixel).

@@ -5,7 +5,8 @@
 //! * **SLIC** (Achanta et al.) in its original *center-perspective* form
 //!   (each superpixel scans a `2S×2S` window — [`Algorithm::SlicCpa`]) and
 //!   the gSLIC-style *pixel-perspective* form (each pixel considers its 9
-//!   nearest initial centers — [`Algorithm::SlicPpa`]).
+//!   nearest initial centers — [`Segmenter::slic_ppa`], S-SLIC with one
+//!   subset).
 //! * **S-SLIC**, the paper's subsampled variant in its pixel-perspective
 //!   form: the image pixels are split into equal subsets traversed
 //!   round-robin, so each center-update step touches only a fraction of the

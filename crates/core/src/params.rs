@@ -99,11 +99,6 @@ impl SlicParams {
     pub fn kernel(&self) -> Kernel {
         self.kernel
     }
-
-    /// Grid spacing `S = sqrt(N / K)` for an image of `pixels` pixels.
-    pub fn grid_spacing(&self, pixels: usize) -> f32 {
-        (pixels as f32 / self.superpixels as f32).sqrt()
-    }
 }
 
 /// A parameter-validation failure from [`SlicParamsBuilder::try_build`].
@@ -253,13 +248,6 @@ mod tests {
         assert_eq!(p.iterations(), 10);
         assert!(p.perturb_seeds());
         assert!(p.enforce_connectivity());
-    }
-
-    #[test]
-    fn grid_spacing_is_sqrt_n_over_k() {
-        let p = SlicParams::builder(5000).build();
-        let s = p.grid_spacing(1920 * 1080);
-        assert!((s - 20.36).abs() < 0.01, "S={s}");
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! A [`SegmenterSession`] is created once from a [`Segmenter`] and a frame
 //! geometry. It owns every piece of per-frame working memory — the CIELAB
-//! feature planes, the label plane, the distance buffer, per-band sigma
-//! register files, the connectivity run table, the cluster slots —
-//! plus a persistent [`BandPool`] of parked workers. Each
+//! feature planes, the label plane, the per-band label stripes, sigma
+//! register files and (SLIC-CPA) distance stripes, the connectivity run
+//! table, the cluster slots — plus a persistent [`BandPool`] of parked
+//! workers. Each
 //! [`SegmenterSession::run`] call segments one frame by *reusing* that
 //! memory: after the first (cold) frame, a steady-state frame performs zero
 //! heap allocations at any thread count (pinned by `tests/zero_alloc.rs` at
@@ -266,17 +267,15 @@ fn sum_members(
     members
 }
 
-/// Everything a band worker needs to execute one dispatch, shared by `Arc`:
-/// cloning a `FrameCtx` bumps reference counts and copies plain scalars —
-/// it never touches the heap. Workers drop their clone before signaling
-/// completion, restoring unique ownership to the session.
+/// One dispatch to the band pool: the step's subset and everything a band
+/// worker reads, shared by `Arc`. Cloning a `FrameCtx` bumps reference
+/// counts and copies plain scalars — it never touches the heap. Workers
+/// drop their clone before signaling completion, restoring unique
+/// ownership to the session.
 #[derive(Clone)]
 struct FrameCtx {
     grid: SeedGrid,
     pixels: Pixels,
-    /// The central label plane, which only SLIC-CPA's sums read: PPA
-    /// bands keep their labels in their stripes.
-    labels: Arc<Plane<u32>>,
     clusters: Arc<Vec<Cluster>>,
     codes: Arc<Vec<ClusterCodes>>,
     active: Arc<Vec<bool>>,
@@ -286,38 +285,31 @@ struct FrameCtx {
     /// SWAR tables the band workers scan with.
     swar: Option<Arc<SwarKernel>>,
     m2_over_s2: f32,
+    /// SLIC-CPA: every band runs the window scan ([`scan_band`]) instead
+    /// of pixel-perspective assignment ([`assign_band`]).
+    window_scan: bool,
+    /// The subset this step assigns and sums.
+    subset: u32,
+    /// Preemption is on: PPA skips pixels whose nine candidates are all
+    /// frozen. (CPA never scans a frozen cluster's window.)
+    preempting: bool,
 }
 
-/// One dispatch to the band pool, over one subset of the session's
-/// pixel partition.
-#[derive(Clone)]
-enum Cmd {
-    /// Pixel-perspective assignment, which also sums the subset into each
-    /// band's sigma partial.
-    Assign {
-        ctx: FrameCtx,
-        subset: u32,
-        preempting: bool,
-    },
-    /// SLIC-CPA's banded sigma accumulation: its window scan is serial,
-    /// so its sums take a dispatch of their own.
-    Update { ctx: FrameCtx, subset: u32 },
-}
-
-/// Pre-allocated per-band output slot: the band's label stripe (PPA
-/// algorithms only; it holds the band's labels for a whole attempt), its
-/// private sigma register file, and its counter partials, one for the
-/// assignment and one for the sums. Reused across every dispatch of the
-/// session.
+/// Pre-allocated per-band output slot, reused across every dispatch of
+/// the session: the band's label stripe (it holds the band's labels for a
+/// whole attempt), SLIC-CPA's distance stripe (empty in PPA sessions), the
+/// band's private sigma register file, and its counter partials, one for
+/// the assignment and one for the sums.
 struct BandSlot {
     stripe: Vec<u32>,
+    dist: Vec<f32>,
     sigma: Vec<[f64; 6]>,
     assign: RunCounters,
     update: RunCounters,
 }
 
 /// Borrowed distance-datapath view over a [`FrameCtx`]: the scalar
-/// `distance` logic shared by the banded kernels and the serial CPA scan.
+/// `distance` logic shared by both band kernels.
 struct DistCtx<'a> {
     pixels: &'a Pixels,
     clusters: &'a [Cluster],
@@ -357,15 +349,12 @@ impl<'a> DistCtx<'a> {
     }
 }
 
-/// The band-pool kernel: decodes one dispatch command for one band.
-fn band_kernel(cmd: &Cmd, _band: usize, rows: Range<usize>, slot: &mut BandSlot) {
-    match cmd {
-        Cmd::Assign {
-            ctx,
-            subset,
-            preempting,
-        } => assign_band(ctx, *subset, rows, slot, *preempting),
-        Cmd::Update { ctx, subset } => update_band(ctx, *subset, rows, slot),
+/// The band-pool kernel: one step's assignment and sums over one band.
+fn band_kernel(ctx: &FrameCtx, _band: usize, rows: Range<usize>, slot: &mut BandSlot) {
+    if ctx.window_scan {
+        scan_band(ctx, rows, slot);
+    } else {
+        assign_band(ctx, rows, slot);
     }
 }
 
@@ -377,13 +366,8 @@ fn band_kernel(cmd: &Cmd, _band: usize, rows: Range<usize>, slot: &mut BandSlot)
 /// kernel or the scalar loop. Skipped pixels (outside the subset, or with
 /// an all-frozen neighborhood) keep their stripe label, and a skipped
 /// subset member is summed under that label.
-fn assign_band(
-    ctx: &FrameCtx,
-    subset: u32,
-    rows: Range<usize>,
-    slot: &mut BandSlot,
-    preempting: bool,
-) {
+fn assign_band(ctx: &FrameCtx, rows: Range<usize>, slot: &mut BandSlot) {
+    let (subset, preempting) = (ctx.subset, ctx.preempting);
     let w = ctx.grid.width();
     // The SWAR fixed-point kernel: bit-identical labels (the lane scan
     // replays every scalar comparison — see `crate::kernel`), identical
@@ -447,24 +431,62 @@ fn assign_band(
     slot.update = sum_counters(summed);
 }
 
-/// SLIC-CPA's band of sigma accumulation over `rows` into the slot's
-/// private register file (zeroed on entry; folded in ascending band order
-/// by the session, which is what keeps the f64 sums bit-identical across
-/// thread counts despite float non-associativity), reading the central
-/// label plane. Each row reads only the subset's columns
-/// ([`SubsetPartition::row_members`]).
-fn update_band(ctx: &FrameCtx, subset: u32, rows: Range<usize>, slot: &mut BandSlot) {
+/// One band of SLIC-CPA over `rows`: every active cluster, in ascending
+/// `k`, scans the rows of its `2S×2S` window that fall in the band against
+/// the band's distance stripe, then the band sums its rows into its sigma
+/// partial as PPA bands do. A pixel meets exactly the clusters whose
+/// window covers its row and column, in ascending `k`, as in a serial
+/// whole-frame scan, so its label and distance minimum do not depend on
+/// the band layout. Every step starts from `+∞` distances, so no step,
+/// attempt or frame reads a distance an earlier one wrote.
+fn scan_band(ctx: &FrameCtx, rows: Range<usize>, slot: &mut BandSlot) {
+    let w = ctx.grid.width();
+    let radius = ctx.grid.spacing().ceil() as isize; // 2S×2S window
+    let dist = DistCtx::of(ctx);
+    slot.dist.fill(f32::INFINITY);
     for acc in slot.sigma.iter_mut() {
         *acc = [0.0; 6];
     }
-    let mut summed = 0u64;
-    for y in rows {
-        if let Some(members) = ctx.partition.row_members(y, subset) {
-            summed += ctx
-                .pixels
-                .sum_row(&mut slot.sigma, ctx.labels.row(y), y, members);
+    let mut visits = 0u64;
+    let mut improvements = 0u64;
+    for (k, c) in ctx.clusters.iter().enumerate() {
+        if !ctx.active[k] {
+            continue; // preempted: this cluster's window no longer scans
+        }
+        let cx = c.x.round() as isize;
+        let cy = c.y.round() as isize;
+        let x0 = (cx - radius).max(0) as usize;
+        let x1 = ((cx + radius) as usize).min(w - 1);
+        let y0 = ((cy - radius).max(0) as usize).max(rows.start);
+        let y1 = ((cy + radius) as usize).min(rows.end - 1);
+        for y in y0..=y1 {
+            let base = (y - rows.start) * w;
+            for x in x0..=x1 {
+                let d = dist.distance(x, y, k);
+                visits += 1;
+                if d < slot.dist[base + x] {
+                    slot.dist[base + x] = d;
+                    slot.stripe[base + x] = k as u32;
+                    improvements += 1;
+                }
+            }
         }
     }
+    let mut summed = 0u64;
+    for y in rows.clone() {
+        if let Some(members) = ctx.partition.row_members(y, ctx.subset) {
+            let srow = &slot.stripe[(y - rows.start) * w..(y - rows.start + 1) * w];
+            summed += ctx.pixels.sum_row(&mut slot.sigma, srow, y, members);
+        }
+    }
+    slot.assign = RunCounters {
+        distance_calcs: visits,
+        pixel_color_reads: visits,
+        dist_buffer_reads: visits,
+        dist_buffer_writes: improvements,
+        label_writes: improvements,
+        ..RunCounters::default()
+    };
     slot.update = sum_counters(summed);
 }
 
@@ -532,7 +554,9 @@ pub struct SegmenterSession {
     /// Float sessions only: the current frame arrived as codes, so the
     /// engine reads them instead of the plane.
     reads_codes: bool,
-    labels: Arc<Plane<u32>>,
+    /// The frame's label map, assembled from the band stripes at the end
+    /// of every attempt.
+    labels: Plane<u32>,
     clusters: Arc<Vec<Cluster>>,
     codes: Arc<Vec<ClusterCodes>>,
     active: Arc<Vec<bool>>,
@@ -545,11 +569,8 @@ pub struct SegmenterSession {
     /// `None` means every frame runs the (bit-identical) scalar loop.
     swar: Option<Arc<SwarKernel>>,
     converter: Option<HwColorConverter>,
-    /// The CPA distance buffer: `Some` exactly for center-perspective
-    /// SLIC, the only algorithm that reads it.
-    dist: Option<Plane<f32>>,
     conn: ConnScratch,
-    pool: BandPool<Cmd, BandSlot>,
+    pool: BandPool<FrameCtx, BandSlot>,
     fold_sigma: Vec<[f64; 6]>,
     band_counters: Vec<RunCounters>,
     counters: RunCounters,
@@ -617,21 +638,17 @@ impl SegmenterSession {
         };
         let (subsets, strategy) = match config.algorithm() {
             Algorithm::SSlicPpa { subsets, strategy } => (subsets, strategy),
-            Algorithm::SlicCpa | Algorithm::SlicPpa => (1, SubsetStrategy::default()),
+            Algorithm::SlicCpa => (1, SubsetStrategy::default()),
         };
         let partition = Arc::new(SubsetPartition::new(width, height, subsets, strategy));
-        let banded_labels = matches!(
-            config.algorithm(),
-            Algorithm::SlicPpa | Algorithm::SSlicPpa { .. }
-        );
+        let window_scan = config.algorithm() == Algorithm::SlicCpa;
 
         // Every per-frame buffer is established here, once; frames only
         // reset them in place (`tests/zero_alloc.rs` pins that at the
         // real allocator).
         let lab = (!quantized).then(|| Arc::new(LabImage::from_fn(width, height, |_, _| [0.0; 3])));
         let lab8 = Arc::new(Lab8Image::from_fn(width, height, |_, _| [0; 3]));
-        let labels = Arc::new(Plane::filled(width, height, 0u32));
-        let dist = (!banded_labels).then(|| Plane::filled(width, height, f32::INFINITY));
+        let labels = Plane::filled(width, height, 0u32);
         let conn = ConnScratch::new(width, height);
         let clusters = Arc::new(vec![Cluster::default(); k]);
         let codes = Arc::new(Vec::with_capacity(k));
@@ -641,7 +658,7 @@ impl SegmenterSession {
         // SWAR assign-kernel tables (squared-delta LUTs + code-threshold
         // table), built only when the params' kernel resolves to SWAR.
         let swar = match &kernel {
-            Some(qk) if params.kernel().resolve(banded_labels) == Kernel::Swar => {
+            Some(qk) if params.kernel().resolve(!window_scan) == Kernel::Swar => {
                 Some(Arc::new(SwarKernel::new(qk)))
             }
             _ => None,
@@ -651,9 +668,10 @@ impl SegmenterSession {
             height,
             band_kernel,
             |_, rows: &Range<usize>| {
-                let stripe_len = if banded_labels { rows.len() * width } else { 0 };
+                let dist_len = if window_scan { rows.len() * width } else { 0 };
                 BandSlot {
-                    stripe: vec![0u32; stripe_len],
+                    stripe: vec![0u32; rows.len() * width],
+                    dist: vec![f32::INFINITY; dist_len],
                     sigma: vec![[0f64; 6]; k],
                     assign: RunCounters::default(),
                     update: RunCounters::default(),
@@ -677,7 +695,6 @@ impl SegmenterSession {
             kernel,
             swar,
             converter: quantized.then(HwColorConverter::paper_default),
-            dist,
             conn,
             pool,
             fold_sigma,
@@ -794,13 +811,10 @@ impl SegmenterSession {
         let SegmenterSession {
             labels, clusters, ..
         } = self;
-        // No worker holds a handle after a clean frame barrier, so neither
-        // unwrap copies; a stale handle would cost a copy, not a failure.
-        Segmentation::from_parts(
-            Arc::unwrap_or_clone(labels),
-            Arc::unwrap_or_clone(clusters),
-            report,
-        )
+        // No worker holds a handle after a clean frame barrier, so the
+        // unwrap does not copy; a stale handle would cost a copy, not a
+        // failure.
+        Segmentation::from_parts(labels, Arc::unwrap_or_clone(clusters), report)
     }
 
     /// Checks a frame against the session before anything runs: the
@@ -933,7 +947,7 @@ impl SegmenterSession {
         };
         let repairs = last.center_repairs + last.label_repairs;
         if params.enforce_connectivity() {
-            let (labels, conn) = (Arc::make_mut(&mut self.labels), &mut self.conn);
+            let (labels, conn) = (&mut self.labels, &mut self.conn);
             breakdown.time(Phase::Connectivity, || {
                 let min_size = ((spacing * spacing) / MIN_REGION_DIVISOR).max(1.0) as usize;
                 enforce_connectivity_with(labels, min_size.max(1), conn);
@@ -1090,17 +1104,11 @@ impl SegmenterSession {
                     clusters.extend_from_slice(&fresh);
                 }
             }
-            // Every pixel starts at its home cluster: PPA bands in their
-            // stripes, which hold the band's labels for the whole attempt,
-            // SLIC-CPA in the central plane.
-            if algorithm == Algorithm::SlicCpa {
-                let labels = Arc::make_mut(&mut self.labels);
-                write_home_rows(&self.grid, &self.column_cells, 0, labels.as_mut_slice());
-            } else {
-                for (b, rows) in self.pool.bands().iter().enumerate() {
-                    let stripe = &mut self.pool.slot(b).stripe;
-                    write_home_rows(&self.grid, &self.column_cells, rows.start, stripe);
-                }
+            // Every pixel starts at its home cluster, in the band stripes,
+            // which hold the band's labels for the whole attempt.
+            for (b, rows) in self.pool.bands().iter().enumerate() {
+                let stripe = &mut self.pool.slot(b).stripe;
+                write_home_rows(&self.grid, &self.column_cells, rows.start, stripe);
             }
         });
         if attempt == 0 {
@@ -1132,7 +1140,7 @@ impl SegmenterSession {
         // Per-attempt scratch resets — all in place, no allocation. A
         // retry resets the counters too, so the frame reports the final
         // attempt's workload (matching the labels it actually produced).
-        // The CPA distance buffer is reset by `assign_cpa` itself.
+        // SLIC-CPA's distance stripes are reset by every step's scan.
         Arc::make_mut(&mut self.active).fill(true);
         self.counters = RunCounters::default();
         self.poisoned = 0;
@@ -1148,19 +1156,10 @@ impl SegmenterSession {
                     vec![("subset", Value::U64(u64::from(subset)))],
                 );
             }
-            breakdown.time(Phase::DistanceMin, || match algorithm {
-                Algorithm::SlicCpa => self.assign_cpa(recorder, step),
-                _ => self.assign_ppa(subset, preemption.is_some(), recorder, step),
+            breakdown.time(Phase::DistanceMin, || {
+                self.assign(subset, preemption.is_some(), recorder, step)
             });
             breakdown.time(Phase::CenterUpdate, || {
-                if algorithm == Algorithm::SlicCpa {
-                    // PPA bands summed the subset while assigning it.
-                    let cmd = Cmd::Update {
-                        ctx: self.frame_ctx(),
-                        subset,
-                    };
-                    self.poisoned += self.pool.run(cmd);
-                }
                 self.update_centers(preemption, recorder, step)
             });
             self.counters.sub_iterations += 1;
@@ -1189,14 +1188,12 @@ impl SegmenterSession {
             }
         }
 
-        // PPA: the attempt's labels live in the band stripes; assemble
-        // the central plane once, for the guard, connectivity and callers.
-        let labels = Arc::make_mut(&mut self.labels);
-        if algorithm != Algorithm::SlicCpa {
-            for (b, rows) in self.pool.bands().iter().enumerate() {
-                labels.as_mut_slice()[rows.start * w..rows.end * w]
-                    .copy_from_slice(&self.pool.slot(b).stripe);
-            }
+        // The attempt's labels live in the band stripes; assemble the
+        // central plane once, for the guard, connectivity and callers.
+        let labels = &mut self.labels;
+        for (b, rows) in self.pool.bands().iter().enumerate() {
+            labels.as_mut_slice()[rows.start * w..rows.end * w]
+                .copy_from_slice(&self.pool.slot(b).stripe);
         }
         // Invariant guard: any out-of-range label (possible only via
         // corruption) is repaired in place to the pixel's home cluster,
@@ -1298,13 +1295,12 @@ impl SegmenterSession {
         }
     }
 
-    /// Assembles the per-dispatch shared view (`Arc` bumps and scalar
-    /// copies only — no heap traffic).
-    fn frame_ctx(&self) -> FrameCtx {
+    /// Assembles one step's dispatch over `subset` (`Arc` bumps and
+    /// scalar copies only — no heap traffic).
+    fn frame_ctx(&self, subset: u32, preempting: bool) -> FrameCtx {
         FrameCtx {
             grid: self.grid.clone(),
             pixels: self.pixels(),
-            labels: Arc::clone(&self.labels),
             clusters: Arc::clone(&self.clusters),
             codes: Arc::clone(&self.codes),
             active: Arc::clone(&self.active),
@@ -1312,6 +1308,9 @@ impl SegmenterSession {
             kernel: self.kernel.clone(),
             swar: self.swar.as_ref().map(Arc::clone),
             m2_over_s2: self.m2_over_s2,
+            window_scan: self.config.algorithm() == Algorithm::SlicCpa,
+            subset,
+            preempting,
         }
     }
 
@@ -1371,24 +1370,15 @@ impl SegmenterSession {
         repaired
     }
 
-    /// Pixel-perspective assignment: one pool dispatch, which also fills
-    /// every band's sigma partial, then the serial merge of the assign
-    /// counter partials in ascending band order. The labels stay in the
-    /// band stripes.
-    fn assign_ppa(
-        &mut self,
-        subset: u32,
-        preempting: bool,
-        recorder: Option<&Recorder>,
-        step: u32,
-    ) {
+    /// One step's assignment of `subset`: one pool dispatch, which also
+    /// fills every band's sigma partial, then the serial merge of the
+    /// assign counter partials in ascending band order. The labels stay in
+    /// the band stripes.
+    fn assign(&mut self, subset: u32, preempting: bool, recorder: Option<&Recorder>, step: u32) {
         self.refresh_codes();
-        let cmd = Cmd::Assign {
-            ctx: self.frame_ctx(),
-            subset,
-            preempting,
-        };
-        self.poisoned += self.pool.run(cmd);
+        let ctx = self.frame_ctx(subset, preempting);
+        let window_scan = ctx.window_scan;
+        self.poisoned += self.pool.run(ctx);
         self.band_counters.clear();
         for b in 0..self.pool.band_count() {
             self.band_counters.push(self.pool.slot(b).assign);
@@ -1396,109 +1386,60 @@ impl SegmenterSession {
         // Per-band counter partials fold in ascending band order at this
         // serial sync point: the totals depend only on the band layout
         // (a pure function of the image height), never the thread count.
+        let mut scanned = RunCounters::default();
         for part in &self.band_counters {
-            self.counters += *part;
+            scanned += *part;
         }
-        // One 9-center register load per tile processed (paper §4.3); under
-        // interleaved subsets every tile is touched each sub-iteration.
-        let center_reads = self.grid.cluster_count() as u64 * 9;
+        self.counters += scanned;
+        // PPA: one 9-center register load per tile processed (paper §4.3);
+        // under interleaved subsets every tile is touched each
+        // sub-iteration. CPA: one load per cluster whose window scanned.
+        let center_reads = if window_scan {
+            self.active.iter().filter(|&&a| a).count() as u64
+        } else {
+            self.grid.cluster_count() as u64 * 9
+        };
         self.counters.center_reads += center_reads;
-        if let Some(rec) = recorder {
-            for (b, part) in self.band_counters.iter().enumerate() {
-                rec.instant(
-                    "core.assign.band",
-                    LogicalClock::band(step, b as u32),
-                    vec![
-                        ("pixel_color_reads", Value::U64(part.pixel_color_reads)),
-                        ("distance_calcs", Value::U64(part.distance_calcs)),
-                        ("label_writes", Value::U64(part.label_writes)),
-                    ],
-                );
-                rec.histogram_observe(
-                    "core.band.pixels",
-                    &BAND_PIXEL_BOUNDS,
-                    part.pixel_color_reads,
-                );
-            }
-            rec.instant(
-                "core.assign.step",
-                LogicalClock::step(step),
-                vec![("center_reads", Value::U64(center_reads))],
-            );
-        }
-    }
-
-    /// Center-perspective assignment: a serial window scan over every
-    /// cluster against the distance buffer.
-    fn assign_cpa(&mut self, recorder: Option<&Recorder>, step: u32) {
-        self.refresh_codes();
-        let pixels = self.pixels();
-        // Every CPA session owns the buffer (see `try_new`).
-        let Some(dist_buffer) = self.dist.as_mut() else {
+        let Some(rec) = recorder else {
             return;
         };
-        // Every step lets clusters compete afresh, so stale distances to
-        // long-moved centers cannot pin labels, and no step, attempt or
-        // frame reads a distance an earlier one wrote.
-        dist_buffer.reset_to(f32::INFINITY);
-        let (w, h) = (self.grid.width(), self.grid.height());
-        let radius = self.grid.spacing().ceil() as isize; // 2S×2S window
-        let labels = Arc::make_mut(&mut self.labels);
-        let dctx = DistCtx {
-            pixels: &pixels,
-            clusters: &self.clusters,
-            codes: &self.codes,
-            kernel: self.kernel.as_ref(),
-            m2_over_s2: self.m2_over_s2,
-        };
-        let mut visits = 0u64;
-        let mut improvements = 0u64;
-        let mut clusters_processed = 0u64;
-        for k in 0..dctx.clusters.len() {
-            if !self.active[k] {
-                continue; // preempted: this cluster's window no longer scans
-            }
-            clusters_processed += 1;
-            let cx = dctx.clusters[k].x.round() as isize;
-            let cy = dctx.clusters[k].y.round() as isize;
-            let x0 = (cx - radius).max(0) as usize;
-            let x1 = ((cx + radius) as usize).min(w - 1);
-            let y0 = (cy - radius).max(0) as usize;
-            let y1 = ((cy + radius) as usize).min(h - 1);
-            for y in y0..=y1 {
-                for x in x0..=x1 {
-                    let d = dctx.distance(x, y, k);
-                    visits += 1;
-                    if d < dist_buffer[(x, y)] {
-                        dist_buffer[(x, y)] = d;
-                        labels[(x, y)] = k as u32;
-                        improvements += 1;
-                    }
-                }
-            }
-        }
-        self.counters.distance_calcs += visits;
-        self.counters.pixel_color_reads += visits;
-        self.counters.dist_buffer_reads += visits;
-        self.counters.dist_buffer_writes += improvements;
-        self.counters.label_writes += improvements;
-        self.counters.center_reads += clusters_processed;
-        if let Some(rec) = recorder {
-            // CPA is a serial window scan (not banded): the whole pass
-            // reports as one step-level counter event.
+        if window_scan {
+            // The window scan reports as one step-level counter event.
             rec.instant(
                 "core.assign.step",
                 LogicalClock::step(step),
                 vec![
-                    ("distance_calcs", Value::U64(visits)),
-                    ("pixel_color_reads", Value::U64(visits)),
-                    ("dist_buffer_reads", Value::U64(visits)),
-                    ("dist_buffer_writes", Value::U64(improvements)),
-                    ("label_writes", Value::U64(improvements)),
-                    ("center_reads", Value::U64(clusters_processed)),
+                    ("distance_calcs", Value::U64(scanned.distance_calcs)),
+                    ("pixel_color_reads", Value::U64(scanned.pixel_color_reads)),
+                    ("dist_buffer_reads", Value::U64(scanned.dist_buffer_reads)),
+                    ("dist_buffer_writes", Value::U64(scanned.dist_buffer_writes)),
+                    ("label_writes", Value::U64(scanned.label_writes)),
+                    ("center_reads", Value::U64(center_reads)),
                 ],
             );
+            return;
         }
+        for (b, part) in self.band_counters.iter().enumerate() {
+            rec.instant(
+                "core.assign.band",
+                LogicalClock::band(step, b as u32),
+                vec![
+                    ("pixel_color_reads", Value::U64(part.pixel_color_reads)),
+                    ("distance_calcs", Value::U64(part.distance_calcs)),
+                    ("label_writes", Value::U64(part.label_writes)),
+                ],
+            );
+            rec.histogram_observe(
+                "core.band.pixels",
+                &BAND_PIXEL_BOUNDS,
+                part.pixel_color_reads,
+            );
+        }
+        rec.instant(
+            "core.assign.step",
+            LogicalClock::step(step),
+            vec![("center_reads", Value::U64(center_reads))],
+        );
     }
 
     /// Center update from the bands' sigma partials of this step: the
@@ -1654,20 +1595,8 @@ impl Segmenter {
     }
 
     /// Builds a streaming [`SegmenterSession`] for `width × height` frames
-    /// from this configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`SegmentError::EmptyFrame`] if either dimension is zero.
-    pub fn try_session(
-        &self,
-        width: usize,
-        height: usize,
-    ) -> Result<SegmenterSession, SegmentError> {
-        SegmenterSession::try_new(self.clone(), width, height)
-    }
-
-    /// Panicking convenience over [`Segmenter::try_session`].
+    /// from this configuration: a panicking convenience over
+    /// [`SegmenterSession::try_new`].
     ///
     /// # Panics
     ///
@@ -1741,8 +1670,8 @@ mod tests {
             let name = seg.algorithm().name();
             let mut session = seg.session(64, 48);
             // One-shot chain: each frame warm-started from the previous
-            // result. A warm CPA session carries its distance buffer into
-            // the next frame, so this also pins that step 0 clears it.
+            // result. A warm CPA session carries its distance stripes into
+            // the next frame, so this also pins that step 0 clears them.
             let mut warm: Option<Vec<Cluster>> = None;
             for img in &imgs {
                 let mut options = RunOptions::new();
@@ -1853,31 +1782,179 @@ mod tests {
         assert_eq!(session.labels().as_slice(), warmed_one_shot.labels().as_slice());
     }
 
-    /// One band's fused Assign output: its stripe, sigma partial and both
-    /// counter partials.
-    type BandOut = (Vec<u32>, Vec<[f64; 6]>, RunCounters, RunCounters);
+    /// One band's output of a step: its label stripe, distance stripe,
+    /// sigma partial and both counter partials.
+    struct BandOut {
+        stripe: Vec<u32>,
+        dist: Vec<f32>,
+        sigma: Vec<[f64; 6]>,
+        assign: RunCounters,
+        update: RunCounters,
+    }
 
-    /// Runs `cmd`'s kernel over every band of an `h`-row frame, each slot
-    /// starting from `stripes` (SLIC-CPA slots have none) and a sigma file
-    /// of garbage, so a band that fails to zero it shows.
-    fn run_bands(cmd: &Cmd, w: usize, h: usize, k: usize, stripes: &[u32]) -> Vec<BandOut> {
-        band_rows(h)
+    /// Runs `ctx`'s band kernel over every band of the frame, each slot
+    /// starting from `labels`, and from garbage distances and sigma files,
+    /// so a band that fails to reset either shows.
+    fn run_bands(ctx: &FrameCtx, labels: &[u32]) -> Vec<BandOut> {
+        let w = ctx.grid.width();
+        band_rows(ctx.grid.height())
             .into_iter()
             .enumerate()
             .map(|(b, rows)| {
+                let stripe = labels[rows.start * w..rows.end * w].to_vec();
+                let dist_len = if ctx.window_scan { stripe.len() } else { 0 };
                 let mut slot = BandSlot {
-                    stripe: stripes
-                        .get(rows.start * w..rows.end * w)
-                        .unwrap_or_default()
-                        .to_vec(),
-                    sigma: vec![[f64::NAN; 6]; k],
+                    stripe,
+                    dist: vec![-1.0; dist_len],
+                    sigma: vec![[f64::NAN; 6]; ctx.clusters.len()],
                     assign: RunCounters::default(),
                     update: RunCounters::default(),
                 };
-                band_kernel(cmd, b, rows, &mut slot);
-                (slot.stripe, slot.sigma, slot.assign, slot.update)
+                band_kernel(ctx, b, rows, &mut slot);
+                BandOut {
+                    stripe: slot.stripe,
+                    dist: slot.dist,
+                    sigma: slot.sigma,
+                    assign: slot.assign,
+                    update: slot.update,
+                }
             })
             .collect()
+    }
+
+    /// The center-update sums of `ctx`'s subset under `labels`, band by
+    /// band, as an unfused pass over the finished label map: the oracle
+    /// the sums fused into both band kernels must equal bit for bit.
+    fn update_band(ctx: &FrameCtx, labels: &[u32]) -> Vec<(Vec<[f64; 6]>, RunCounters)> {
+        let w = ctx.grid.width();
+        band_rows(ctx.grid.height())
+            .into_iter()
+            .map(|rows| {
+                let mut sigma = vec![[0.0; 6]; ctx.clusters.len()];
+                let mut summed = 0;
+                for y in rows {
+                    if let Some(members) = ctx.partition.row_members(y, ctx.subset) {
+                        let row = &labels[y * w..(y + 1) * w];
+                        summed += ctx.pixels.sum_row(&mut sigma, row, y, members);
+                    }
+                }
+                (sigma, sum_counters(summed))
+            })
+            .collect()
+    }
+
+    /// SLIC-CPA's serial whole-frame window scan, the oracle of
+    /// [`scan_band`]: every active cluster, in ascending `k`, scans its
+    /// whole `2S×2S` window against one frame-sized distance buffer.
+    /// Updates `labels` and returns the distance minima and the counters.
+    fn assign_cpa(ctx: &FrameCtx, labels: &mut Plane<u32>) -> (Plane<f32>, RunCounters) {
+        let (w, h) = (ctx.grid.width(), ctx.grid.height());
+        let mut dist_buffer = Plane::filled(w, h, f32::INFINITY);
+        let radius = ctx.grid.spacing().ceil() as isize;
+        let dctx = DistCtx::of(ctx);
+        let mut visits = 0u64;
+        let mut improvements = 0u64;
+        for k in 0..dctx.clusters.len() {
+            if !ctx.active[k] {
+                continue;
+            }
+            let cx = dctx.clusters[k].x.round() as isize;
+            let cy = dctx.clusters[k].y.round() as isize;
+            let x0 = (cx - radius).max(0) as usize;
+            let x1 = ((cx + radius) as usize).min(w - 1);
+            let y0 = (cy - radius).max(0) as usize;
+            let y1 = ((cy + radius) as usize).min(h - 1);
+            for y in y0..=y1 {
+                for x in x0..=x1 {
+                    let d = dctx.distance(x, y, k);
+                    visits += 1;
+                    if d < dist_buffer[(x, y)] {
+                        dist_buffer[(x, y)] = d;
+                        labels[(x, y)] = k as u32;
+                        improvements += 1;
+                    }
+                }
+            }
+        }
+        let counters = RunCounters {
+            distance_calcs: visits,
+            pixel_color_reads: visits,
+            dist_buffer_reads: visits,
+            dist_buffer_writes: improvements,
+            label_writes: improvements,
+            ..RunCounters::default()
+        };
+        (dist_buffer, counters)
+    }
+
+    /// A random step over a random `w × h` frame: random colours (float
+    /// or 8-bit codes), `superpixels` random centers spread to half a
+    /// frame beyond each edge (as an unrepaired warm start can place
+    /// them), none, a quarter, ... or all of them frozen, and a random
+    /// subset of a `subsets`-subset partition. Also returns labels from
+    /// before the step, drawn from every cluster, so members a step skips
+    /// are summed under labels it never wrote.
+    fn random_step(
+        w: usize,
+        h: usize,
+        subsets: u32,
+        strategy: SubsetStrategy,
+        superpixels: usize,
+        quantized: bool,
+        seed: u64,
+    ) -> (FrameCtx, Vec<u32>) {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let grid = SeedGrid::new(w, h, superpixels);
+        let k = grid.cluster_count();
+        let lab8 = Lab8Image::from_fn(w, h, |_, _| {
+            let r = rng.next_u64();
+            [r as u8, (r >> 8) as u8, (r >> 16) as u8]
+        });
+        let pixels = if quantized {
+            Pixels::Codes(Arc::new(lab8))
+        } else {
+            Pixels::Plane(Arc::new(LabImage::from_fn(w, h, |_, _| {
+                let [l, a, b] = [0; 3].map(|_| rng.next_f64() as f32);
+                [l * 100.0, a * 255.0 - 128.0, b * 255.0 - 128.0]
+            })))
+        };
+        let clusters: Vec<Cluster> = (0..k)
+            .map(|_| {
+                let [l, a, b, x, y] = [0; 5].map(|_| rng.next_f64() as f32);
+                Cluster::new(
+                    l * 100.0,
+                    a * 255.0 - 128.0,
+                    b * 255.0 - 128.0,
+                    (x * 2.0 - 0.5) * w as f32,
+                    (y * 2.0 - 0.5) * h as f32,
+                )
+            })
+            .collect();
+        let frozen_quarters = rng.below(5);
+        let active: Vec<bool> = (0..k).map(|_| rng.below(4) >= frozen_quarters).collect();
+        let spacing = grid.spacing();
+        let kernel = quantized.then(|| QuantKernel::new(8, 8, 10.0, spacing));
+        let codes = kernel
+            .as_ref()
+            .map(|qk| clusters.iter().map(|c| qk.encode_cluster(c)).collect())
+            .unwrap_or_default();
+        let subset = rng.below(u64::from(subsets)) as u32;
+        let before: Vec<u32> = (0..w * h).map(|_| rng.below(k as u64) as u32).collect();
+        let ctx = FrameCtx {
+            grid,
+            pixels,
+            clusters: Arc::new(clusters),
+            codes: Arc::new(codes),
+            active: Arc::new(active),
+            partition: Arc::new(SubsetPartition::new(w, h, subsets, strategy)),
+            kernel,
+            swar: None,
+            m2_over_s2: 100.0 / (spacing * spacing),
+            window_scan: false,
+            subset,
+            preempting: true,
+        };
+        (ctx, before)
     }
 
     fn sigma_bits(sigma: &[[f64; 6]]) -> Vec<[u64; 6]> {
@@ -1897,107 +1974,84 @@ mod tests {
             quantized in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            // `update_band` (SLIC-CPA's sums) is the oracle: summing the
-            // labels the fused dispatch left in the stripes must give every
-            // band's sigma partial bit for bit, with the same counters.
+            // Summing the labels a dispatch left in the stripes, unfused,
+            // must give every band's sigma partial bit for bit, with the
+            // same counters: for both PPA kernels and the CPA window scan.
             let strategy = [
                 SubsetStrategy::Interleaved,
                 SubsetStrategy::Checkerboard,
                 SubsetStrategy::Bands,
             ][usize::from(strategy)];
-            let mut rng = SplitMix64::seed_from_u64(seed);
-            let grid = SeedGrid::new(w, h, superpixels);
-            let k = grid.cluster_count();
-            let lab8 = Lab8Image::from_fn(w, h, |_, _| {
-                let r = rng.next_u64();
-                [r as u8, (r >> 8) as u8, (r >> 16) as u8]
-            });
-            let pixels = if quantized {
-                Pixels::Codes(Arc::new(lab8))
-            } else {
-                Pixels::Plane(Arc::new(LabImage::from_fn(w, h, |_, _| {
-                    let [l, a, b] = [0; 3].map(|_| rng.next_f64() as f32);
-                    [l * 100.0, a * 255.0 - 128.0, b * 255.0 - 128.0]
-                })))
-            };
-            let clusters: Vec<Cluster> = (0..k)
-                .map(|_| {
-                    let [l, a, b, x, y] = [0; 5].map(|_| rng.next_f64() as f32);
-                    Cluster::new(
-                        l * 100.0,
-                        a * 255.0 - 128.0,
-                        b * 255.0 - 128.0,
-                        x * w as f32,
-                        y * h as f32,
-                    )
-                })
-                .collect();
-            // None, a quarter, ... or all of the clusters frozen, so that
-            // whole neighborhoods are and their members are skipped.
-            let frozen_quarters = rng.below(5);
-            let active: Vec<bool> = (0..k).map(|_| rng.below(4) >= frozen_quarters).collect();
-            let spacing = grid.spacing();
-            let kernel = quantized.then(|| QuantKernel::new(8, 8, 10.0, spacing));
-            let codes = kernel
-                .as_ref()
-                .map(|qk| clusters.iter().map(|c| qk.encode_cluster(c)).collect())
-                .unwrap_or_default();
-            let partition = SubsetPartition::new(w, h, subsets, strategy);
-            let subset = rng.below(u64::from(subsets)) as u32;
-            // Labels before the step: any cluster, so preempted members
-            // are summed under labels the step never wrote.
-            let before: Vec<u32> = (0..w * h).map(|_| rng.below(k as u64) as u32).collect();
-            let ctx = FrameCtx {
-                grid,
-                pixels,
-                labels: Arc::new(Plane::filled(w, h, 0)),
-                clusters: Arc::new(clusters),
-                codes: Arc::new(codes),
-                active: Arc::new(active),
-                partition: Arc::new(partition),
-                kernel: kernel.clone(),
-                swar: None,
-                m2_over_s2: 100.0 / (spacing * spacing),
-            };
-            let swar = kernel.as_ref().map(|qk| Arc::new(SwarKernel::new(qk)));
-            let kernels = [None].into_iter().chain(swar.map(Some));
+            let (ctx, before) =
+                random_step(w, h, subsets, strategy, superpixels, quantized, seed);
+            let swar = ctx.kernel.as_ref().map(|qk| Arc::new(SwarKernel::new(qk)));
+            let ppa = [None].into_iter().chain(swar.map(Some)).map(|swar| (swar, false));
             let mut scalar_labels = None;
-            for swar in kernels {
-                let fused = Cmd::Assign {
-                    ctx: FrameCtx { swar: swar.clone(), ..ctx.clone() },
-                    subset,
-                    preempting: true,
-                };
-                let fused = run_bands(&fused, w, h, k, &before);
-                let stripes: Vec<u32> = fused.iter().flat_map(|out| out.0.clone()).collect();
-                let labels = Plane::from_vec(w, h, stripes.clone()).expect("stripes tile the frame");
-                let update = Cmd::Update {
-                    ctx: FrameCtx { labels: Arc::new(labels), ..ctx.clone() },
-                    subset,
-                };
-                let oracle = run_bands(&update, w, h, k, &[]);
+            for (swar, window_scan) in ppa.chain([(None, true)]) {
+                let ctx = FrameCtx { swar: swar.clone(), window_scan, ..ctx.clone() };
+                let fused = run_bands(&ctx, &before);
+                let stripes: Vec<u32> = fused.iter().flat_map(|out| out.stripe.clone()).collect();
+                let oracle = update_band(&ctx, &stripes);
                 let case = format!(
-                    "{w}x{h}, K {k}, P {subsets} {strategy:?}, quantized {quantized}, swar {}",
+                    "{w}x{h}, K {}, P {subsets} {strategy:?}, quantized {quantized}, swar {}, \
+                     window scan {window_scan}",
+                    ctx.clusters.len(),
                     swar.is_some()
                 );
                 let mut summed = 0;
                 for (b, (got, want)) in fused.iter().zip(&oracle).enumerate() {
                     prop_assert!(
-                        sigma_bits(&got.1) == sigma_bits(&want.1),
+                        sigma_bits(&got.sigma) == sigma_bits(&want.0),
                         "band {} sigma: {}", b, case
                     );
-                    prop_assert_eq!(got.3, want.3);
-                    summed += got.3.sigma_updates;
+                    prop_assert_eq!(got.update, want.1);
+                    summed += got.update.sigma_updates;
                 }
                 // Every subset member was summed, preempted ones included.
-                let members = ctx.partition.subset_len(subset) as u64;
+                let members = ctx.partition.subset_len(ctx.subset) as u64;
                 prop_assert!(summed == members, "summed {} of {}: {}", summed, members, case);
-                // And the two kernels agree on the labels too.
-                match &scalar_labels {
-                    None => scalar_labels = Some(stripes),
-                    Some(want) => prop_assert!(&stripes == want, "labels: {}", case),
+                // And the two PPA kernels agree on the labels too.
+                if !window_scan {
+                    match &scalar_labels {
+                        None => scalar_labels = Some(stripes),
+                        Some(want) => prop_assert!(&stripes == want, "labels: {}", case),
+                    }
                 }
             }
+        }
+
+        #[test]
+        fn banded_window_scan_equals_the_whole_frame_scan(
+            w in 1usize..41,
+            h in 1usize..41,
+            superpixels in 1usize..50,
+            quantized in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            // Each band scans only its rows of every window, so each pixel
+            // must still meet the same clusters in the same order as in
+            // the serial scan: equal labels, equal distance minima (by
+            // bits, `+∞` where no window reaches), equal summed counters.
+            let (ctx, before) =
+                random_step(w, h, 1, SubsetStrategy::default(), superpixels, quantized, seed);
+            let ctx = FrameCtx { window_scan: true, ..ctx };
+            let bands = run_bands(&ctx, &before);
+            let mut labels = Plane::from_vec(w, h, before).expect("one label per pixel");
+            let (dist, want) = assign_cpa(&ctx, &mut labels);
+            let case = format!("{w}x{h}, K {}, quantized {quantized}", ctx.clusters.len());
+            let stripes: Vec<u32> = bands.iter().flat_map(|out| out.stripe.clone()).collect();
+            prop_assert!(stripes == labels.as_slice(), "labels: {}", case);
+            let minima: Vec<u32> = bands
+                .iter()
+                .flat_map(|out| out.dist.iter().map(|d| d.to_bits()))
+                .collect();
+            let want_minima: Vec<u32> = dist.iter().map(|d| d.to_bits()).collect();
+            prop_assert!(minima == want_minima, "distance minima: {}", case);
+            let mut got = RunCounters::default();
+            for out in &bands {
+                got += out.assign;
+            }
+            prop_assert_eq!(got, want);
         }
     }
 }

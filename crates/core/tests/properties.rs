@@ -10,7 +10,6 @@ use sslic_image::synthetic::SyntheticImage;
 fn arb_algorithm() -> impl Strategy<Value = Algorithm> {
     prop_oneof![
         Just(Algorithm::SlicCpa),
-        Just(Algorithm::SlicPpa),
         (1u32..4, arb_strategy())
             .prop_map(|(p, strategy)| Algorithm::SSlicPpa { subsets: p, strategy }),
     ]

@@ -121,13 +121,6 @@ impl<T: Copy> Plane<T> {
         }
     }
 
-    /// Overwrites every sample with `value` in place, keeping the buffer —
-    /// the reuse primitive of the streaming session layer (no allocation).
-    #[inline]
-    pub fn reset_to(&mut self, value: T) {
-        self.data.fill(value);
-    }
-
     /// Copies every sample of `src` into this plane in place (no
     /// allocation).
     ///
@@ -338,14 +331,6 @@ mod tests {
     fn oversized_crop_panics() {
         let p = Plane::filled(4, 4, 0u8);
         let _ = p.crop(2, 2, 3, 3);
-    }
-
-    #[test]
-    fn reset_to_overwrites_in_place() {
-        let mut p = Plane::from_fn(3, 2, |x, y| (x + y) as u8);
-        p.reset_to(9);
-        assert!(p.iter().all(|&v| v == 9));
-        assert_eq!(p.width(), 3);
     }
 
     #[test]

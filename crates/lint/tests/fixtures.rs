@@ -340,6 +340,6 @@ fn repo_analysis_passes_under_the_checked_in_config() {
         outcome.unused_allows
     );
     // The checked-in [[prove]] obligations must actually discharge.
-    assert_eq!(outcome.stats.proofs_discharged, 9, "{:?}", outcome.stats);
+    assert_eq!(outcome.stats.proofs_discharged, 10, "{:?}", outcome.stats);
     assert!(outcome.stats.alloc_roots >= 2, "{:?}", outcome.stats);
 }

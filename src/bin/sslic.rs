@@ -1,7 +1,7 @@
 //! `sslic` — command-line front end to the S-SLIC reproduction.
 //!
 //! ```text
-//! sslic segment photo.ppm --superpixels 900 --algo sslic2
+//! sslic segment photo.ppm --superpixels 900 --algo sslic
 //! sslic dataset out/ --count 10 --width 481 --height 321
 //! sslic hwsim --resolution 1080p --buffer-kb 4
 //! sslic export hw_tables/

@@ -147,7 +147,6 @@ fn claim_table4_scaling() {
 #[test]
 fn claim_cpa_vs_ppa_tradeoff() {
     use sslic::core::instrument::TrafficModel;
-    use sslic::core::Algorithm;
     let img = SyntheticImage::builder(320, 240).seed(8).regions(10).build();
     let params = SlicParams::builder(300)
         .iterations(1)
@@ -155,8 +154,8 @@ fn claim_cpa_vs_ppa_tradeoff() {
         .enforce_connectivity(false)
         .build();
     let model = TrafficModel::sw_double();
-    let cpa = Segmenter::new(params, Algorithm::SlicCpa).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
-    let ppa = Segmenter::new(params, Algorithm::SlicPpa).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+    let cpa = Segmenter::slic(params).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+    let ppa = Segmenter::slic_ppa(params).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
     let mem_ratio = model.bytes(cpa.report().counters()).total() as f64
         / model.bytes(ppa.report().counters()).total() as f64;
     let ops_ratio = ppa.report().counters().distance_ops() as f64

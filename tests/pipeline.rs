@@ -1,7 +1,7 @@
 //! Cross-crate integration: synthetic image → color conversion →
 //! segmentation → metrics, through the `sslic` facade.
 
-use sslic::core::{Algorithm, RunOptions, SegmentRequest, Segmenter, SlicParams};
+use sslic::core::{RunOptions, SegmentRequest, Segmenter, SlicParams};
 use sslic::image::synthetic::{SyntheticDataset, SyntheticImage};
 use sslic::image::{draw, ppm};
 use sslic::metrics::{
@@ -25,22 +25,20 @@ fn every_variant_beats_a_horizontal_bands_strawman() {
     let bands = sslic::image::Plane::from_fn(160, 120, |_, y| (y / 3) as u32);
     let strawman_use = undersegmentation_error(&bands, &img.ground_truth);
 
-    for algorithm in [
-        Algorithm::SlicCpa,
-        Algorithm::SlicPpa,
-        Algorithm::SSlicPpa {
-            subsets: 2,
-            strategy: Default::default(),
-        },
+    for segmenter in [
+        Segmenter::slic(params(120, 6)),
+        Segmenter::slic_ppa(params(120, 6)),
+        Segmenter::sslic_ppa(params(120, 6), 2),
     ] {
-        let seg = Segmenter::new(params(120, 6), algorithm).run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+        let algorithm = segmenter.algorithm().name();
+        let seg = segmenter.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
         let use_err = undersegmentation_error(seg.labels(), &img.ground_truth);
         assert!(
             use_err < strawman_use / 2.0,
-            "{algorithm:?}: USE {use_err} should crush the strawman {strawman_use}"
+            "{algorithm}: USE {use_err} should crush the strawman {strawman_use}"
         );
         let asa = achievable_segmentation_accuracy(seg.labels(), &img.ground_truth);
-        assert!(asa > 0.93, "{algorithm:?}: ASA {asa}");
+        assert!(asa > 0.93, "{algorithm}: ASA {asa}");
     }
 }
 

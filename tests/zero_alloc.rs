@@ -114,6 +114,14 @@ fn scenarios() -> Vec<(&'static str, Segmenter)> {
                 .with_distance_mode(DistanceMode::quantized(8))
                 .with_preemption(0.5),
         ));
+        // SLIC-CPA's band-side window scan over 8-bit codes: its distance
+        // stripes and the skipped windows of frozen clusters.
+        out.push((
+            "slic_cpa/quantized8+preemption",
+            Segmenter::slic(p(threads))
+                .with_distance_mode(DistanceMode::quantized(8))
+                .with_preemption(0.5),
+        ));
     }
     out
 }
