@@ -26,8 +26,9 @@ echo "==> benchmark build (perfbench must build and pass its tests against the l
 # perfbench is a package of its own, outside the workspace, so the steps
 # above never compile it: without this step a library change that breaks
 # the benchmark's use of the public API would surface only when it runs.
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
-cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
+# It builds under the same zero-warning rule as every workspace target.
+RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --offline --manifest-path perfbench/Cargo.toml
+RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> zero-allocation gate (steady-state session frames must not touch the heap)"
 # Runs under a counting global allocator; kept as a named gate so an

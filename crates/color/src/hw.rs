@@ -187,11 +187,6 @@ impl HwColorConverter {
         }
     }
 
-    /// The converter's precision configuration.
-    pub fn config(&self) -> HwColorConfig {
-        self.config
-    }
-
     /// Reads one gamma-LUT entry (linear-light code at
     /// [`HwColorConfig::gamma_frac_bits`] fraction bits) — used by tests and
     /// by the fault model to compute realized corruption masks.

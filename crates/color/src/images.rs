@@ -43,27 +43,10 @@ impl LabImage {
         self.l.height()
     }
 
-    /// Total pixels.
-    pub fn pixel_count(&self) -> usize {
-        self.l.len()
-    }
-
     /// The `[L, a, b]` triple at `(x, y)`.
     #[inline]
     pub fn pixel(&self, x: usize, y: usize) -> [f32; 3] {
         [self.l[(x, y)], self.a[(x, y)], self.b[(x, y)]]
-    }
-
-    /// Copies all three channels of `src` into this image in place (no
-    /// allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two images differ in geometry.
-    pub fn copy_from(&mut self, src: &LabImage) {
-        self.l.copy_from(&src.l);
-        self.a.copy_from(&src.a);
-        self.b.copy_from(&src.b);
     }
 }
 
@@ -108,11 +91,6 @@ impl Lab8Image {
     /// Height in pixels.
     pub fn height(&self) -> usize {
         self.l.height()
-    }
-
-    /// Total pixels.
-    pub fn pixel_count(&self) -> usize {
-        self.l.len()
     }
 
     /// The encoded `[l8, a8, b8]` triple at `(x, y)`.
@@ -174,7 +152,6 @@ mod tests {
         assert_eq!(img.pixel(2, 1), [2.0, 1.0, 7.0]);
         assert_eq!(img.width(), 3);
         assert_eq!(img.height(), 2);
-        assert_eq!(img.pixel_count(), 6);
     }
 
     #[test]
@@ -192,10 +169,6 @@ mod tests {
         let mut dst = Lab8Image::from_fn(3, 3, |_, _| [0; 3]);
         dst.copy_from(&src);
         assert_eq!(dst, src);
-        let labsrc = src.decode();
-        let mut labdst = LabImage::from_fn(3, 3, |_, _| [0.0; 3]);
-        labdst.copy_from(&labsrc);
-        assert_eq!(labdst, labsrc);
     }
 
     #[test]

@@ -73,14 +73,14 @@ pub fn decode_f32([l8, a8, b8]: [u8; 3]) -> [f32; 3] {
     ]
 }
 
-/// Worst-case absolute decoding error per channel introduced by the 8-bit
-/// encoding: `[L, a, b]` units.
-pub const MAX_QUANTIZATION_ERROR: [f64; 3] = [100.0 / 255.0 / 2.0, 0.5, 0.5];
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Worst-case absolute decoding error per channel introduced by the
+    /// 8-bit encoding: `[L, a, b]` units.
+    const MAX_QUANTIZATION_ERROR: [f64; 3] = [100.0 / 255.0 / 2.0, 0.5, 0.5];
 
     #[test]
     fn origin_encodes_to_midpoint() {

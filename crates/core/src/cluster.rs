@@ -30,7 +30,7 @@ impl Cluster {
     /// halting test of [`Segmenter::with_preemption`].
     ///
     /// [`Segmenter::with_preemption`]: crate::Segmenter::with_preemption
-    pub fn movement_from(&self, previous: &Cluster) -> f32 {
+    pub(crate) fn movement_from(&self, previous: &Cluster) -> f32 {
         (self.x - previous.x).abs() + (self.y - previous.y).abs()
     }
 }

@@ -39,7 +39,7 @@ struct Run {
 /// enforcement is allocation-free: the run table is reserved for the worst
 /// case, one run per pixel (a checkerboard).
 #[derive(Debug)]
-pub struct ConnScratch {
+pub(crate) struct ConnScratch {
     width: usize,
     height: usize,
     runs: Vec<Run>,
@@ -53,7 +53,7 @@ impl ConnScratch {
     ///
     /// Panics if either dimension is zero or the map has more than
     /// `u32::MAX` pixels.
-    pub fn new(width: usize, height: usize) -> Self {
+    pub(crate) fn new(width: usize, height: usize) -> Self {
         assert!(
             width > 0 && height > 0,
             "label map dimensions must be nonzero"
@@ -74,12 +74,12 @@ impl ConnScratch {
     }
 
     /// Width the scratch was sized for.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
     /// Height the scratch was sized for.
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
@@ -197,7 +197,7 @@ pub fn enforce_connectivity(labels: &mut Plane<u32>, min_size: usize) -> usize {
 ///
 /// Panics if `min_size == 0` or `scratch` was sized for a different
 /// geometry.
-pub fn enforce_connectivity_with(
+pub(crate) fn enforce_connectivity_with(
     labels: &mut Plane<u32>,
     min_size: usize,
     scratch: &mut ConnScratch,

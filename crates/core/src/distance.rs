@@ -45,7 +45,7 @@ impl DistanceMode {
     }
 
     /// Whether this mode requires the 8-bit CIELAB image.
-    pub fn is_quantized(&self) -> bool {
+    pub(crate) fn is_quantized(&self) -> bool {
         matches!(self, DistanceMode::Quantized { .. })
     }
 }
@@ -53,7 +53,7 @@ impl DistanceMode {
 /// Float-path squared distance of Eq. 5 (compared without the square
 /// root).
 #[inline]
-pub fn dist2_float(
+pub(crate) fn dist2_float(
     px: [f32; 3],
     (x, y): (f32, f32),
     c: &Cluster,

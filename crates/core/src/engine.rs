@@ -30,7 +30,7 @@ pub enum Algorithm {
 
 impl Algorithm {
     /// Number of sub-iterations that make up one full-image pass.
-    pub fn steps_per_full_pass(&self) -> u32 {
+    pub(crate) fn steps_per_full_pass(&self) -> u32 {
         match self {
             Algorithm::SlicCpa => 1,
             Algorithm::SSlicPpa { subsets, .. } => *subsets,
@@ -323,7 +323,7 @@ impl Segmenter {
     }
 
     /// The configured preemption threshold, if any.
-    pub fn preemption(&self) -> Option<f32> {
+    pub(crate) fn preemption(&self) -> Option<f32> {
         self.preemption
     }
 
@@ -338,7 +338,7 @@ impl Segmenter {
     }
 
     /// The configured numeric mode.
-    pub fn distance_mode(&self) -> DistanceMode {
+    pub(crate) fn distance_mode(&self) -> DistanceMode {
         self.distance_mode
     }
 

@@ -22,20 +22,6 @@ pub struct SuperpixelFeatures {
     pub bbox: (usize, usize, usize, usize),
 }
 
-impl SuperpixelFeatures {
-    /// Bounding-box extent `(width, height)`.
-    pub fn bbox_extent(&self) -> (usize, usize) {
-        (self.bbox.2 - self.bbox.0 + 1, self.bbox.3 - self.bbox.1 + 1)
-    }
-
-    /// How much of the bounding box the superpixel fills (1.0 = a perfect
-    /// rectangle; low values indicate ragged shapes).
-    pub fn bbox_fill(&self) -> f64 {
-        let (w, h) = self.bbox_extent();
-        self.size as f64 / (w * h) as f64
-    }
-}
-
 /// Extracts features for every label present in `labels`, sorted by label.
 ///
 /// Labels absent from the map simply have no entry; the result is dense in
@@ -147,8 +133,6 @@ mod tests {
         assert_eq!(f[0].mean_lab, [20.0, 5.0, -5.0]);
         assert_eq!(f[0].var_lab, [0.0, 0.0, 0.0]);
         assert_eq!(f[0].bbox, (0, 0, 3, 3));
-        assert_eq!(f[0].bbox_extent(), (4, 4));
-        assert_eq!(f[0].bbox_fill(), 1.0);
         assert!((f[0].centroid.0 - 1.5).abs() < 1e-6);
         assert!((f[1].centroid.0 - 5.5).abs() < 1e-6);
     }
@@ -163,14 +147,14 @@ mod tests {
     }
 
     #[test]
-    fn bbox_fill_detects_ragged_shapes() {
-        // An L-shaped region fills 3/4 of its bounding box.
+    fn ragged_shapes_keep_their_size_and_bbox() {
+        // An L-shaped region fills 3 of the 4 pixels of its bounding box.
         let labels = Plane::from_fn(2, 2, |x, y| u32::from(x == 1 && y == 0));
         let lab = LabImage::from_fn(2, 2, |_, _| [0.0; 3]);
         let f = extract_features(&lab, &labels);
         let l_shape = f.iter().find(|f| f.label == 0).expect("label 0");
         assert_eq!(l_shape.size, 3);
-        assert!((l_shape.bbox_fill() - 0.75).abs() < 1e-12);
+        assert_eq!(l_shape.bbox, (0, 0, 1, 1));
     }
 
     #[test]

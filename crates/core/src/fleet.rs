@@ -68,7 +68,8 @@ pub enum FleetError {
     },
     /// The admission queue is at its configured capacity.
     QueueFull {
-        /// Configured queue depth ([`FleetConfig::queue_depth`]).
+        /// Configured queue depth
+        /// ([`FleetConfigBuilder::with_queue_depth`]).
         depth: usize,
     },
     /// A [`FleetConfig`] requested zero slots.
@@ -128,28 +129,12 @@ impl FleetConfig {
         }
     }
 
-    /// Session slots (maximum concurrently bound streams).
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
-    /// Admission-queue capacity (0 disables queueing).
-    pub fn queue_depth(&self) -> usize {
-        self.queue_depth
-    }
-
-    /// Whether latency histograms record wall-clock nanoseconds (see
-    /// [`FleetConfig::with_wallclock_latency`]).
-    pub fn wallclock_latency(&self) -> bool {
-        self.wallclock_latency
-    }
-
     /// Toggles the unit of the fleet's latency telemetry: off (default),
     /// frame latency is the frame's exact deterministic cost in
     /// distance-evaluation units and queue wait is fleet frames elapsed —
     /// both byte-reproducible; on, both record wall-clock nanoseconds.
     /// Safe to toggle on a built config: it changes no sizing invariant.
-    pub fn with_wallclock_latency(mut self, on: bool) -> Self {
+    pub(crate) fn with_wallclock_latency(mut self, on: bool) -> Self {
         self.wallclock_latency = on;
         self
     }
@@ -163,14 +148,14 @@ pub struct FleetConfigBuilder {
 }
 
 impl FleetConfigBuilder {
-    /// Sets the slot count (see [`FleetConfig::slots`]).
+    /// Sets the slot count: the maximum number of concurrently bound
+    /// streams.
     pub fn with_slots(mut self, slots: usize) -> Self {
         self.config.slots = slots;
         self
     }
 
-    /// Sets the admission-queue capacity (see
-    /// [`FleetConfig::queue_depth`]).
+    /// Sets the admission-queue capacity (0 disables queueing).
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.config.queue_depth = depth;
         self
@@ -314,7 +299,7 @@ pub struct SessionFleet {
     recovered: u64,
     closed: u64,
     /// Fleet-wide frame-latency histogram (deterministic cost units, or
-    /// wall-clock nanos under [`FleetConfig::wallclock_latency`]).
+    /// wall-clock nanos under [`FleetConfig::with_wallclock_latency`]).
     frame_latency: LatencyHistogram,
     /// Fleet-wide queue-wait histogram (frames waited, or wall-clock
     /// nanos).
@@ -398,16 +383,6 @@ impl SessionFleet {
         self.height
     }
 
-    /// The segmentation configuration all slots share.
-    pub fn config(&self) -> &Segmenter {
-        &self.config
-    }
-
-    /// The fleet sizing this pool was built with.
-    pub fn fleet_config(&self) -> FleetConfig {
-        self.fleet
-    }
-
     fn active_streams(&self) -> usize {
         self.slots.iter().filter(|s| s.stream.is_some()).count()
     }
@@ -457,7 +432,7 @@ impl SessionFleet {
     /// the latency histograms, and the `fleet.*` trace counters when a
     /// recorder is attached. The latency unit is elapsed wall-clock
     /// nanoseconds since `started` when a start stamp exists
-    /// ([`FleetConfig::wallclock_latency`]), otherwise the frame's exact
+    /// ([`FleetConfig::with_wallclock_latency`]), otherwise the frame's exact
     /// deterministic cost in distance-evaluation units. Allocation-free
     /// (it sits on the `try_run` hot path).
     fn note(
@@ -621,25 +596,9 @@ impl SessionFleet {
         }
     }
 
-    /// The fleet-wide frame-latency histogram (unit per
-    /// [`FleetConfig::wallclock_latency`]).
-    pub fn frame_latency(&self) -> &LatencyHistogram {
-        &self.frame_latency
-    }
-
-    /// The fleet-wide queue-wait histogram.
-    pub fn queue_wait(&self) -> &LatencyHistogram {
-        &self.queue_wait
-    }
-
-    /// The per-stream frame-latency histogram, if the stream is bound.
-    pub fn stream_latency(&self, stream: StreamId) -> Option<&LatencyHistogram> {
-        self.slot_of(stream).map(|i| &self.slots[i].latency)
-    }
-
     /// Deterministic p50/p90/p99 estimates of the fleet-wide frame
     /// latency (all 0 before the first frame).
-    pub fn latency_percentiles(&self) -> (u64, u64, u64) {
+    pub(crate) fn latency_percentiles(&self) -> (u64, u64, u64) {
         (
             self.frame_latency.percentile(50).unwrap_or(0),
             self.frame_latency.percentile(90).unwrap_or(0),
@@ -718,7 +677,7 @@ impl SessionFleet {
 
     /// Consumes the fleet, assembling a full [`Segmentation`] from
     /// `stream`'s most recent frame. `report` must be that frame's
-    /// [`FrameReport`]; see [`SegmenterSession::into_segmentation`].
+    /// [`FrameReport`].
     /// Returns `None` when the stream is not bound.
     pub fn into_segmentation(
         mut self,
@@ -788,6 +747,13 @@ mod tests {
         SyntheticImage::builder(64, 48).seed(seed).regions(5).build()
     }
 
+    /// Observations in `stream`'s per-stream latency histogram, if bound.
+    fn stream_latency(fleet: &SessionFleet, stream: StreamId) -> Option<u64> {
+        fleet
+            .slot_of(stream)
+            .map(|i| fleet.slots[i].latency.count())
+    }
+
     #[test]
     fn builder_validates() {
         assert_eq!(
@@ -795,8 +761,8 @@ mod tests {
             Err(FleetError::ZeroSlots)
         );
         let cfg = FleetConfig::builder().with_slots(3).with_queue_depth(5).build();
-        assert_eq!((cfg.slots(), cfg.queue_depth()), (3, 5));
-        assert_eq!(FleetConfig::default().slots(), 1);
+        assert_eq!((cfg.slots, cfg.queue_depth), (3, 5));
+        assert_eq!(FleetConfig::default().slots, 1);
     }
 
     #[test]
@@ -933,23 +899,23 @@ mod tests {
         let frame = img(1);
         fleet.run(StreamId(0), SegmentRequest::Rgb(&frame.rgb), &RunOptions::new());
         fleet.run(StreamId(0), SegmentRequest::Rgb(&frame.rgb), &RunOptions::new());
-        assert_eq!(fleet.frame_latency().count(), 2);
+        assert_eq!(fleet.frame_latency.count(), 2);
         // Deterministic latency unit is the frame's distance_calcs: > 0
         // for any real frame, so every percentile estimate is > 0 too.
         let (p50, p90, p99) = fleet.latency_percentiles();
         assert!(p50 > 0 && p50 <= p90 && p90 <= p99);
-        assert_eq!(fleet.stream_latency(StreamId(0)).map(LatencyHistogram::count), Some(2));
-        assert_eq!(fleet.stream_latency(StreamId(9)).map(LatencyHistogram::count), None);
+        assert_eq!(stream_latency(&fleet, StreamId(0)), Some(2));
+        assert_eq!(stream_latency(&fleet, StreamId(9)), None);
         // Park a frame for a second stream, then free the slot and drain:
         // the queue-wait histogram sees exactly one observation.
         fleet
             .try_enqueue(StreamId(1), frame.rgb.clone())
             .expect("enqueue");
-        assert_eq!(fleet.queue_wait().count(), 0);
+        assert_eq!(fleet.queue_wait.count(), 0);
         fleet.close(StreamId(0));
         let (s, image) = fleet.pop_admissible().expect("admissible after close");
         fleet.run(s, SegmentRequest::Rgb(&image), &RunOptions::new());
-        assert_eq!(fleet.queue_wait().count(), 1);
+        assert_eq!(fleet.queue_wait.count(), 1);
         let m = fleet.metrics_registry();
         assert_eq!(m.counter("sslic_fleet_frames_total"), 3);
         assert_eq!(m.counter("sslic_fleet_closed_total"), 1);
@@ -970,13 +936,13 @@ mod tests {
         let mut fleet = SessionFleet::new(&segmenter(), 64, 48, cfg);
         let frame = img(1);
         fleet.run(StreamId(0), SegmentRequest::Rgb(&frame.rgb), &RunOptions::new());
-        assert_eq!(fleet.stream_latency(StreamId(0)).map(LatencyHistogram::count), Some(1));
+        assert_eq!(stream_latency(&fleet, StreamId(0)), Some(1));
         fleet.close(StreamId(0));
         fleet.run(StreamId(1), SegmentRequest::Rgb(&frame.rgb), &RunOptions::new());
         // Stream 1 inherits the slot but not stream 0's observations.
-        assert_eq!(fleet.stream_latency(StreamId(1)).map(LatencyHistogram::count), Some(1));
+        assert_eq!(stream_latency(&fleet, StreamId(1)), Some(1));
         // The fleet-wide histogram keeps everything.
-        assert_eq!(fleet.frame_latency().count(), 2);
+        assert_eq!(fleet.frame_latency.count(), 2);
     }
 
     #[test]

@@ -5,25 +5,11 @@
 //! and the first thing most downstream algorithms build on top of a label
 //! map is its adjacency structure. This module provides it: nodes are
 //! superpixels, edges connect 4-adjacent superpixels and carry the shared
-//! boundary length and region statistics.
+//! boundary length.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use sslic_image::Plane;
-
-/// Per-superpixel statistics gathered while building the graph.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RegionStats {
-    /// Pixel count.
-    pub size: u64,
-    /// Centroid column.
-    pub centroid_x: f64,
-    /// Centroid row.
-    pub centroid_y: f64,
-    /// Total boundary length (exposed 4-neighbour edges, image border
-    /// included).
-    pub perimeter: u64,
-}
 
 /// The region adjacency graph of a label map.
 ///
@@ -37,12 +23,12 @@ pub struct RegionStats {
 /// let labels = Plane::from_fn(8, 6, |x, _| if x < 4 { 0u32 } else { 1 });
 /// let rag = RegionAdjacency::build(&labels);
 /// assert_eq!(rag.region_count(), 2);
-/// assert_eq!(rag.edges().len(), 1);
-/// assert_eq!(rag.boundary_length(0, 1), Some(6));
+/// assert_eq!(rag.edges(), vec![((0, 1), 6)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct RegionAdjacency {
-    stats: HashMap<u32, RegionStats>,
+    /// The labels present in the map.
+    regions: HashSet<u32>,
     /// `(a, b) -> shared boundary length`, with `a < b`.
     edges: HashMap<(u32, u32), u64>,
 }
@@ -51,69 +37,32 @@ impl RegionAdjacency {
     /// Builds the graph from a label map in one scan.
     pub fn build(labels: &Plane<u32>) -> Self {
         let (w, h) = (labels.width(), labels.height());
-        let mut stats: HashMap<u32, RegionStats> = HashMap::new();
+        let mut regions: HashSet<u32> = HashSet::new();
         let mut edges: HashMap<(u32, u32), u64> = HashMap::new();
         for y in 0..h {
             for x in 0..w {
                 let l = labels[(x, y)];
-                let s = stats.entry(l).or_default();
-                s.size += 1;
-                s.centroid_x += x as f64;
-                s.centroid_y += y as f64;
-
-                let mut exposed = 0u64;
-                if x == 0 || y == 0 {
-                    exposed += (x == 0) as u64 + (y == 0) as u64;
-                }
+                regions.insert(l);
                 if x + 1 < w {
                     let r = labels[(x + 1, y)];
                     if r != l {
-                        exposed += 1;
                         *edges.entry(ordered(l, r)).or_insert(0) += 1;
                     }
-                } else {
-                    exposed += 1;
                 }
                 if y + 1 < h {
                     let b = labels[(x, y + 1)];
                     if b != l {
-                        exposed += 1;
                         *edges.entry(ordered(l, b)).or_insert(0) += 1;
                     }
-                } else {
-                    exposed += 1;
-                }
-                // Left/top exposure toward *different* labels was already
-                // counted from the neighbour's side for the edge map, but
-                // the perimeter needs it here.
-                if x > 0 && labels[(x - 1, y)] != l {
-                    exposed += 1;
-                }
-                if y > 0 && labels[(x, y - 1)] != l {
-                    exposed += 1;
-                }
-                if let Some(s) = stats.get_mut(&l) {
-                    s.perimeter += exposed;
                 }
             }
         }
-        for s in stats.values_mut() {
-            if s.size > 0 {
-                s.centroid_x /= s.size as f64;
-                s.centroid_y /= s.size as f64;
-            }
-        }
-        RegionAdjacency { stats, edges }
+        RegionAdjacency { regions, edges }
     }
 
     /// Number of distinct superpixels present.
     pub fn region_count(&self) -> usize {
-        self.stats.len()
-    }
-
-    /// Statistics for superpixel `label`, if present.
-    pub fn stats(&self, label: u32) -> Option<&RegionStats> {
-        self.stats.get(&label)
+        self.regions.len()
     }
 
     /// All adjacency edges as `((a, b), shared boundary length)` with
@@ -122,39 +71,14 @@ impl RegionAdjacency {
         self.edges.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
-    /// Shared boundary length between two superpixels, or `None` if they
-    /// are not adjacent.
-    pub fn boundary_length(&self, a: u32, b: u32) -> Option<u64> {
-        self.edges.get(&ordered(a, b)).copied()
-    }
-
-    /// The labels adjacent to `label`.
-    pub fn neighbors(&self, label: u32) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .edges
-            .keys()
-            .filter_map(|&(a, b)| {
-                if a == label {
-                    Some(b)
-                } else if b == label {
-                    Some(a)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Mean neighbour count — the "complexity reduction" number downstream
     /// stages care about (a few dozen edges instead of millions of pixel
     /// pairs).
     pub fn mean_degree(&self) -> f64 {
-        if self.stats.is_empty() {
+        if self.regions.is_empty() {
             0.0
         } else {
-            2.0 * self.edges.len() as f64 / self.stats.len() as f64
+            2.0 * self.edges.len() as f64 / self.regions.len() as f64
         }
     }
 }
@@ -177,9 +101,7 @@ mod tests {
         let labels = Plane::from_fn(8, 6, |x, _| if x < 4 { 0u32 } else { 1 });
         let rag = RegionAdjacency::build(&labels);
         assert_eq!(rag.region_count(), 2);
-        assert_eq!(rag.boundary_length(0, 1), Some(6));
-        assert_eq!(rag.boundary_length(1, 0), Some(6), "order-insensitive");
-        assert_eq!(rag.neighbors(0), vec![1]);
+        assert_eq!(rag.edges(), vec![((0, 1), 6)]);
         assert_eq!(rag.mean_degree(), 1.0);
     }
 
@@ -189,23 +111,12 @@ mod tests {
         let rag = RegionAdjacency::build(&labels);
         assert_eq!(rag.region_count(), 4);
         // 4 side-sharing pairs; diagonal quadrants are NOT 4-adjacent.
-        assert_eq!(rag.edges().len(), 4);
-        assert_eq!(rag.boundary_length(0, 3), None);
-        assert_eq!(rag.boundary_length(0, 1), Some(4));
-        assert_eq!(rag.neighbors(0), vec![1, 2]);
-    }
-
-    #[test]
-    fn stats_are_correct_for_known_shapes() {
-        let labels = Plane::from_fn(4, 4, |x, _| if x < 2 { 7u32 } else { 9 });
-        let rag = RegionAdjacency::build(&labels);
-        let s = rag.stats(7).expect("region 7 present");
-        assert_eq!(s.size, 8);
-        assert!((s.centroid_x - 0.5).abs() < 1e-12);
-        assert!((s.centroid_y - 1.5).abs() < 1e-12);
-        // 2×4 block: perimeter = 2*(2+4) = 12 exposed edges.
-        assert_eq!(s.perimeter, 12);
-        assert!(rag.stats(8).is_none());
+        let mut edges = rag.edges();
+        edges.sort_unstable();
+        assert_eq!(
+            edges,
+            vec![((0, 1), 4), ((0, 2), 4), ((1, 3), 4), ((2, 3), 4)]
+        );
     }
 
     #[test]
@@ -215,14 +126,5 @@ mod tests {
         assert_eq!(rag.region_count(), 1);
         assert!(rag.edges().is_empty());
         assert_eq!(rag.mean_degree(), 0.0);
-        assert_eq!(rag.stats(3).map(|s| s.perimeter), Some(20));
-    }
-
-    #[test]
-    fn total_size_is_pixel_count() {
-        let labels = Plane::from_fn(9, 7, |x, y| ((x + 2 * y) % 5) as u32);
-        let rag = RegionAdjacency::build(&labels);
-        let total: u64 = (0..5).filter_map(|l| rag.stats(l)).map(|s| s.size).sum();
-        assert_eq!(total, 63);
     }
 }

@@ -50,22 +50,22 @@ impl SeedGrid {
     }
 
     /// Image width in pixels.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
     /// Image height in pixels.
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
     /// Grid columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Grid rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
@@ -98,20 +98,12 @@ impl SeedGrid {
 
     /// The grid cell that owns pixel `(x, y)`.
     #[inline]
-    pub fn cell_of_pixel(&self, x: usize, y: usize) -> (usize, usize) {
+    pub(crate) fn cell_of_pixel(&self, x: usize, y: usize) -> (usize, usize) {
         debug_assert!(x < self.width && y < self.height);
         (
             (x * self.cols / self.width).min(self.cols - 1),
             (y * self.rows / self.height).min(self.rows - 1),
         )
-    }
-
-    /// The cluster whose tile owns pixel `(x, y)` — the static initial
-    /// assignment the accelerator precomputes offline.
-    #[inline]
-    pub fn home_cluster_of_pixel(&self, x: usize, y: usize) -> usize {
-        let (cx, cy) = self.cell_of_pixel(x, y);
-        cy * self.cols + cx
     }
 
     /// The grid column of every pixel column (`cell_of_pixel(x, _).0` for
@@ -125,10 +117,10 @@ impl SeedGrid {
 
     /// The home cluster of every pixel of row `y`, left to right: the
     /// row's first cluster index plus each column's entry in
-    /// `column_cells` (from [`SeedGrid::column_cells`]). Equal to
-    /// [`SeedGrid::home_cluster_of_pixel`] pixel for pixel, without its two
-    /// divisions per pixel — the tile map the accelerator precomputes
-    /// (paper §4.3), kept as one row template.
+    /// `column_cells` (from [`SeedGrid::column_cells`]). Each entry is the
+    /// cluster whose tile owns the pixel, found without two divisions per
+    /// pixel — the tile map the accelerator precomputes (paper §4.3), kept
+    /// as one row template.
     #[inline]
     pub fn home_row<'a>(
         &self,
@@ -143,7 +135,7 @@ impl SeedGrid {
     /// borders; entries may repeat at edges, matching fixed 9-way
     /// hardware).
     #[inline]
-    pub fn nine_neighbors_of_cell(&self, cx: usize, cy: usize) -> [usize; 9] {
+    pub(crate) fn nine_neighbors_of_cell(&self, cx: usize, cy: usize) -> [usize; 9] {
         let mut out = [0usize; 9];
         let mut i = 0;
         for dy in -1i64..=1 {
@@ -168,6 +160,13 @@ impl SeedGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The cluster whose tile owns pixel `(x, y)`, from the pixel's own
+    /// grid cell: the oracle `home_row` is checked against.
+    fn home_cluster_of_pixel(g: &SeedGrid, x: usize, y: usize) -> usize {
+        let (cx, cy) = g.cell_of_pixel(x, y);
+        cy * g.cols + cx
+    }
 
     #[test]
     fn realized_count_tracks_target() {
@@ -198,7 +197,7 @@ mod tests {
         let g = SeedGrid::new(37, 23, 12);
         for y in 0..23 {
             for x in 0..37 {
-                assert!(g.home_cluster_of_pixel(x, y) < g.cluster_count());
+                assert!(home_cluster_of_pixel(&g, x, y) < g.cluster_count());
             }
         }
     }
@@ -219,7 +218,7 @@ mod tests {
             for y in 0..h {
                 let row: Vec<u32> = g.home_row(&cells, y).collect();
                 let want: Vec<u32> = (0..w)
-                    .map(|x| g.home_cluster_of_pixel(x, y) as u32)
+                    .map(|x| home_cluster_of_pixel(&g, x, y) as u32)
                     .collect();
                 assert_eq!(row, want, "{w}x{h}, K {k}, row {y}");
             }
@@ -231,7 +230,7 @@ mod tests {
         let g = SeedGrid::new(64, 48, 20);
         for y in (0..48).step_by(5) {
             for x in (0..64).step_by(5) {
-                let home = g.home_cluster_of_pixel(x, y);
+                let home = home_cluster_of_pixel(&g, x, y);
                 let nine = g.nine_neighbors_of_pixel(x, y);
                 assert!(nine.contains(&home));
             }
@@ -269,7 +268,7 @@ mod tests {
         assert!(g.cluster_count() <= 64);
         for y in 0..4 {
             for x in 0..4 {
-                assert!(g.home_cluster_of_pixel(x, y) < g.cluster_count());
+                assert!(home_cluster_of_pixel(&g, x, y) < g.cluster_count());
             }
         }
     }

@@ -47,15 +47,7 @@ pub fn predict_ppa_distance_calcs(
 /// Arithmetic operations charged per color-space distance evaluation
 /// (Eq. 5): 5 fused multiply-accumulates (3 color + 2 spatial), one
 /// `m²/S²` scale, one combine.
-pub const OPS_PER_DISTANCE: u64 = 7;
-
-/// Additions per sigma-register update: 3 color + 2 position + 1 count
-/// (paper §4.3: "requiring six additions").
-pub const OPS_PER_SIGMA_UPDATE: u64 = 6;
-
-/// Divisions per center recomputation: one per sigma field except the
-/// count.
-pub const OPS_PER_CENTER_UPDATE: u64 = 5;
+pub(crate) const OPS_PER_DISTANCE: u64 = 7;
 
 /// Raw event counts recorded by the segmentation engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,15 +79,6 @@ impl RunCounters {
     /// "operation count").
     pub fn distance_ops(&self) -> u64 {
         self.distance_calcs * OPS_PER_DISTANCE
-    }
-
-    /// All accounted arithmetic: distances, minimum compares, sigma
-    /// additions, and center divisions.
-    pub fn total_ops(&self) -> u64 {
-        self.distance_ops()
-            + self.distance_calcs // one compare per candidate in the min tree
-            + self.sigma_updates * OPS_PER_SIGMA_UPDATE
-            + self.center_updates * OPS_PER_CENTER_UPDATE
     }
 }
 
@@ -161,7 +144,7 @@ impl TrafficModel {
     }
 
     /// A single-precision software layout (Lab as `f32`).
-    pub fn sw_float() -> Self {
+    pub(crate) fn sw_float() -> Self {
         TrafficModel {
             color_channel_bytes: 4,
             dist_bytes: 4,
@@ -230,17 +213,6 @@ mod tests {
         };
         let ratio = ppa.distance_ops() as f64 / cpa.distance_ops() as f64;
         assert_eq!(ratio, 2.25);
-    }
-
-    #[test]
-    fn total_ops_include_min_sigma_and_divides() {
-        let c = RunCounters {
-            distance_calcs: 10,
-            sigma_updates: 2,
-            center_updates: 1,
-            ..RunCounters::default()
-        };
-        assert_eq!(c.total_ops(), 10 * 7 + 10 + 2 * 6 + 5);
     }
 
     #[test]

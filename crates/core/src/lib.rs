@@ -57,7 +57,7 @@ pub mod features;
 pub mod graph;
 pub mod instrument;
 pub mod profile;
-pub mod report;
+pub(crate) mod report;
 pub mod subsample;
 
 /// The observability layer (re-exported so downstream crates reach the
@@ -65,10 +65,8 @@ pub mod subsample;
 pub use sslic_obs as obs;
 
 pub use cluster::{init_clusters, Cluster};
-pub use connectivity::{
-    compact_labels, component_sizes, enforce_connectivity, enforce_connectivity_with, ConnScratch,
-};
-pub use distance::{dist2_float, ClusterCodes, DistanceMode, QuantKernel};
+pub use connectivity::{compact_labels, component_sizes, enforce_connectivity};
+pub use distance::{ClusterCodes, DistanceMode, QuantKernel};
 pub use engine::{
     Algorithm, RunOptions, SegmentRequest, Segmentation, SegmentationStatus, Segmenter, StepFaults,
 };
@@ -79,10 +77,8 @@ pub use fleet::{
 pub use grid::SeedGrid;
 pub use kernel::Kernel;
 pub use params::{ParamError, SlicParams, SlicParamsBuilder};
-pub use recovery::{
-    center_checksum, GuardVerdict, RecoveryAction, RecoveryOutcome, RecoveryPolicy, RecoveryReport,
-};
-pub use report::{build_run_report, report_recovery};
+pub use recovery::{RecoveryOutcome, RecoveryPolicy, RecoveryReport};
+pub use report::build_run_report;
 pub use serve::{
     serve, write_wire_close, write_wire_frame, write_wire_stats, ServeOptions, ServeSummary,
     WIRE_CLOSE, WIRE_FRAME, WIRE_MAX_PAYLOAD, WIRE_STATS,

@@ -96,7 +96,7 @@ impl SlicParams {
     /// Assign-phase kernel preference (see [`Kernel`]). The resolved
     /// backend never changes the labels — every kernel is bit-identical —
     /// only the execution strategy. Default [`Kernel::Auto`].
-    pub fn kernel(&self) -> Kernel {
+    pub(crate) fn kernel(&self) -> Kernel {
         self.kernel
     }
 }
@@ -183,9 +183,8 @@ impl SlicParamsBuilder {
         self
     }
 
-    /// Sets the assign-phase kernel preference (see
-    /// [`SlicParams::kernel`]) — the one place a kernel is chosen. Any
-    /// choice yields bit-identical labels.
+    /// Sets the assign-phase kernel preference — the one place a kernel is
+    /// chosen. Any choice yields bit-identical labels.
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.params.kernel = kernel;
         self

@@ -39,19 +39,8 @@ impl Phase {
         }
     }
 
-    /// Human-readable phase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::ColorConversion => "color conversion",
-            Phase::Init => "init",
-            Phase::DistanceMin => "distance + min",
-            Phase::CenterUpdate => "center update",
-            Phase::Connectivity => "connectivity",
-        }
-    }
-
     /// Stable snake_case identifier used by trace events and run reports.
-    pub fn key(self) -> &'static str {
+    pub(crate) fn key(self) -> &'static str {
         match self {
             Phase::ColorConversion => "color_conversion",
             Phase::Init => "init",
@@ -94,7 +83,7 @@ impl PhaseBreakdown {
 
     /// Times `f`, attributing its runtime to `phase`, and returns its
     /// result.
-    pub fn time<T>(&mut self, phase: Phase, f: impl FnOnce() -> T) -> T {
+    pub(crate) fn time<T>(&mut self, phase: Phase, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
         self.record(phase, start.elapsed());
@@ -215,12 +204,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.phase_time(Phase::DistanceMin), Duration::from_millis(30));
         assert_eq!(a.phase_time(Phase::Init), Duration::from_millis(1));
-    }
-
-    #[test]
-    fn phase_names_are_nonempty() {
-        for p in PHASES {
-            assert!(!p.name().is_empty());
-        }
     }
 }

@@ -25,7 +25,7 @@ const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One rung of the escalation ladder chosen after a failed attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryAction {
+pub(crate) enum RecoveryAction {
     /// Restore the last-known-good center checkpoint and re-run the
     /// iteration loop warm.
     Rollback,
@@ -42,7 +42,7 @@ pub enum RecoveryAction {
 
 impl RecoveryAction {
     /// Stable lowercase name used in traces and reports.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             RecoveryAction::Rollback => "rollback",
             RecoveryAction::ColdRestart => "cold_restart",
@@ -55,7 +55,7 @@ impl RecoveryAction {
 ///
 /// `max_retries` bounds the number of *re-runs* of a frame (attempt 0 is
 /// the ordinary run and is always free). Every decision is a pure
-/// function of `(frame, verdict, attempt)` — see [`Self::action_for`].
+/// function of `(frame, verdict, attempt)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     max_retries: u32,
@@ -67,11 +67,6 @@ impl RecoveryPolicy {
     /// failed frame is immediately failed (checkpoint still restored).
     pub const fn new(max_retries: u32) -> Self {
         RecoveryPolicy { max_retries }
-    }
-
-    /// The retry budget per frame.
-    pub const fn max_retries(&self) -> u32 {
-        self.max_retries
     }
 
     /// The escalation rung to take after attempt number `attempt`
@@ -87,7 +82,12 @@ impl RecoveryPolicy {
     /// `frame` is part of the decision surface by contract (decisions
     /// may depend on nothing else); the default ladder is
     /// frame-independent.
-    pub fn action_for(&self, frame: u64, verdict: &GuardVerdict, attempt: u32) -> RecoveryAction {
+    pub(crate) fn action_for(
+        &self,
+        frame: u64,
+        verdict: &GuardVerdict,
+        attempt: u32,
+    ) -> RecoveryAction {
         let _ = frame;
         let next = attempt.saturating_add(1);
         if next > self.max_retries {
@@ -106,7 +106,7 @@ impl RecoveryPolicy {
 /// End-of-frame invariant-guard verdict, aggregated at serial sync
 /// points so it is bit-identical across thread counts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GuardVerdict {
+pub(crate) struct GuardVerdict {
     /// Center registers repaired (non-finite or out-of-plane
     /// coordinates clamped back) across the frame's iteration steps.
     pub center_repairs: u64,
@@ -124,12 +124,12 @@ pub struct GuardVerdict {
 
 impl GuardVerdict {
     /// `true` when every guard passed.
-    pub fn clean(&self) -> bool {
+    pub(crate) fn clean(&self) -> bool {
         self.guards_fired() == 0
     }
 
     /// Total guard firings (the sum of all counters).
-    pub fn guards_fired(&self) -> u64 {
+    pub(crate) fn guards_fired(&self) -> u64 {
         self.center_repairs
             .wrapping_add(self.label_repairs)
             .wrapping_add(self.sigma_mismatch)
@@ -172,7 +172,8 @@ pub struct RecoveryReport {
     pub escalations: u32,
     /// Final disposition of the frame.
     pub outcome: RecoveryOutcome,
-    /// [`center_checksum`] of the center table as the frame left it.
+    /// Order-sensitive checksum of the center table as the frame left it
+    /// (every register's exact bit pattern, folded in table order).
     pub center_checksum: u64,
 }
 
@@ -202,7 +203,7 @@ fn mix64(value: u64) -> u64 {
 /// bit pattern, so two tables collide only if every register is
 /// bit-identical (up to hash collision); the fold order is the table
 /// order, which the engine fixes at serial sync points.
-pub fn center_checksum(clusters: &[Cluster]) -> u64 {
+pub(crate) fn center_checksum(clusters: &[Cluster]) -> u64 {
     let mut state: u64 = GOLDEN_GAMMA;
     for cluster in clusters {
         let words = [

@@ -14,7 +14,7 @@ use crate::session::FrameReport;
 
 /// Converts the engine's per-frame [`RecoveryReport`] into the report
 /// mirror.
-pub fn report_recovery(r: &RecoveryReport) -> ReportRecovery {
+pub(crate) fn report_recovery(r: &RecoveryReport) -> ReportRecovery {
     ReportRecovery {
         guards_fired: r.guards_fired,
         retries: u64::from(r.retries),
@@ -25,7 +25,7 @@ pub fn report_recovery(r: &RecoveryReport) -> ReportRecovery {
 }
 
 /// Converts the engine's [`RunCounters`] into the report mirror.
-pub fn report_counters(c: &RunCounters) -> ReportCounters {
+pub(crate) fn report_counters(c: &RunCounters) -> ReportCounters {
     ReportCounters {
         distance_calcs: c.distance_calcs,
         pixel_color_reads: c.pixel_color_reads,
@@ -49,7 +49,11 @@ pub fn report_counters(c: &RunCounters) -> ReportCounters {
 /// With `deterministic = true` the phase timings are zeroed and the
 /// thread count is omitted, so the report bytes are a pure function of
 /// the workload (the mode CI byte-diffs across thread counts).
-pub fn frame_run_report(seg: &Segmenter, frame: &FrameReport, deterministic: bool) -> RunReport {
+pub(crate) fn frame_run_report(
+    seg: &Segmenter,
+    frame: &FrameReport,
+    deterministic: bool,
+) -> RunReport {
     let params = seg.params();
     let phases = PHASES
         .iter()
@@ -110,9 +114,9 @@ pub fn frame_run_report(seg: &Segmenter, frame: &FrameReport, deterministic: boo
 }
 
 /// Builds a [`RunReport`] for a completed run of `seg`: the
-/// [`frame_run_report`] of its frame plus the image geometry.
+/// `frame_run_report` of its frame plus the image geometry.
 ///
-/// `deterministic` is as for [`frame_run_report`]. `recorder`, when
+/// `deterministic` is as for `frame_run_report`. `recorder`, when
 /// given, contributes its histogram snapshots; `injected_words` is the
 /// fault-campaign tally (0 for clean runs).
 pub fn build_run_report(

@@ -58,9 +58,8 @@ const BAND_PIXEL_BOUNDS: [u64; 5] = [1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16]
 const MIN_REGION_DIVISOR: f32 = 4.0;
 
 /// Why a segmentation request could not run. Returned by the fallible
-/// entry points ([`Segmenter::try_run`], [`SegmenterSession::try_run`]);
-/// the panicking twins raise the same conditions as panics carrying the
-/// [`std::fmt::Display`] message.
+/// entry point [`SegmenterSession::try_run`]; the panicking twins raise the
+/// same conditions as panics carrying the [`std::fmt::Display`] message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SegmentError {
@@ -453,15 +452,21 @@ fn scan_band(ctx: &FrameCtx, rows: Range<usize>, slot: &mut BandSlot) {
         if !ctx.active[k] {
             continue; // preempted: this cluster's window no longer scans
         }
+        // The window clamped to the frame's columns and the band's rows, in
+        // `isize`: a center off the left or top edge clamps to an empty
+        // window instead of wrapping to the far edge.
         let cx = c.x.round() as isize;
         let cy = c.y.round() as isize;
-        let x0 = (cx - radius).max(0) as usize;
-        let x1 = ((cx + radius) as usize).min(w - 1);
-        let y0 = ((cy - radius).max(0) as usize).max(rows.start);
-        let y1 = ((cy + radius) as usize).min(rows.end - 1);
-        for y in y0..=y1 {
+        let x0 = cx.saturating_sub(radius).max(0);
+        let x1 = cx.saturating_add(radius).min(w as isize - 1);
+        let y0 = cy.saturating_sub(radius).max(rows.start as isize);
+        let y1 = cy.saturating_add(radius).min(rows.end as isize - 1);
+        if x0 > x1 || y0 > y1 {
+            continue;
+        }
+        for y in y0 as usize..=y1 as usize {
             let base = (y - rows.start) * w;
-            for x in x0..=x1 {
+            for x in x0 as usize..=x1 as usize {
                 let d = dist.distance(x, y, k);
                 visits += 1;
                 if d < slot.dist[base + x] {
@@ -722,16 +727,6 @@ impl SegmenterSession {
         }
     }
 
-    /// Frame width this session is bound to.
-    pub fn width(&self) -> usize {
-        self.grid.width()
-    }
-
-    /// Frame height this session is bound to.
-    pub fn height(&self) -> usize {
-        self.grid.height()
-    }
-
     /// Frames segmented so far.
     pub fn frames(&self) -> u64 {
         self.frames
@@ -807,7 +802,7 @@ impl SegmenterSession {
     /// disagree. Backs the one-shot [`Segmenter::run`], and lets streaming
     /// callers hand the final frame of a session to `Segmentation`-based
     /// consumers without a copy.
-    pub fn into_segmentation(self, report: FrameReport) -> Segmentation {
+    pub(crate) fn into_segmentation(self, report: FrameReport) -> Segmentation {
         let SegmenterSession {
             labels, clusters, ..
         } = self;
@@ -1581,7 +1576,7 @@ impl Segmenter {
     /// [`SegmentError::EmptyFrame`] for a zero-sized frame,
     /// [`SegmentError::WarmStartLen`] for a warm start that does not match
     /// the realized grid.
-    pub fn try_run(
+    pub(crate) fn try_run(
         &self,
         request: SegmentRequest<'_>,
         options: &RunOptions<'_>,
@@ -1782,6 +1777,45 @@ mod tests {
         assert_eq!(session.labels().as_slice(), warmed_one_shot.labels().as_slice());
     }
 
+    #[test]
+    fn off_frame_cpa_centers_scan_an_empty_window() {
+        // SLIC-CPA warm-started with cluster 0 moved off the frame: once
+        // its window clears the left or top edge it reaches no pixel, however
+        // far off the center sits, while at x = -5 it still covers the
+        // first columns. Only step 0 of an explicit warm start can see such
+        // a center; every later step scans repaired ones.
+        let seg = Segmenter::slic(params(60, 1));
+        let img = SyntheticImage::builder(64, 48)
+            .seed(2024)
+            .regions(5)
+            .build();
+        let base = seg
+            .run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new())
+            .clusters()
+            .to_vec();
+        let calcs = |x: Option<f32>, y: Option<f32>| {
+            let mut warm = base.clone();
+            warm[0].x = x.unwrap_or(warm[0].x);
+            warm[0].y = y.unwrap_or(warm[0].y);
+            seg.run(
+                SegmentRequest::Rgb(&img.rgb),
+                &RunOptions::new().with_warm_start(&warm),
+            )
+            .report()
+            .counters()
+            .distance_calcs
+        };
+        let near = calcs(Some(-5.0), None);
+        let far = [
+            calcs(Some(-8.0), None),
+            calcs(Some(-200.0), None),
+            calcs(None, Some(-200.0)),
+            calcs(Some(-200.0), Some(-200.0)),
+        ];
+        assert!(far.iter().all(|&c| c == far[0]), "{far:?}");
+        assert!(far[0] < near, "{far:?} vs {near} at x = -5");
+    }
+
     /// One band's output of a step: its label stripe, distance stripe,
     /// sigma partial and both counter partials.
     struct BandOut {
@@ -1860,12 +1894,15 @@ mod tests {
             }
             let cx = dctx.clusters[k].x.round() as isize;
             let cy = dctx.clusters[k].y.round() as isize;
-            let x0 = (cx - radius).max(0) as usize;
-            let x1 = ((cx + radius) as usize).min(w - 1);
-            let y0 = (cy - radius).max(0) as usize;
-            let y1 = ((cy + radius) as usize).min(h - 1);
-            for y in y0..=y1 {
-                for x in x0..=x1 {
+            let x0 = cx.saturating_sub(radius).max(0);
+            let x1 = cx.saturating_add(radius).min(w as isize - 1);
+            let y0 = cy.saturating_sub(radius).max(0);
+            let y1 = cy.saturating_add(radius).min(h as isize - 1);
+            if x0 > x1 || y0 > y1 {
+                continue;
+            }
+            for y in y0 as usize..=y1 as usize {
+                for x in x0 as usize..=x1 as usize {
                     let d = dctx.distance(x, y, k);
                     visits += 1;
                     if d < dist_buffer[(x, y)] {

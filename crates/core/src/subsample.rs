@@ -79,19 +79,9 @@ impl SubsetPartition {
         }
     }
 
-    /// Number of subsets `P`.
-    pub fn subsets(&self) -> u32 {
-        self.subsets
-    }
-
-    /// The strategy this partition uses.
-    pub fn strategy(&self) -> SubsetStrategy {
-        self.strategy
-    }
-
     /// Subset index of pixel `(x, y)`.
     #[inline]
-    pub fn subset_of(&self, x: usize, y: usize) -> u32 {
+    pub(crate) fn subset_of(&self, x: usize, y: usize) -> u32 {
         subset_of(x, y, self.width, self.height, self.subsets, self.strategy)
     }
 
@@ -123,16 +113,9 @@ impl SubsetPartition {
     ///
     /// # Panics
     ///
-    /// Panics if `subset >= subsets()`.
+    /// Panics if `subset` is not below the subset count `P`.
     pub fn subset_len(&self, subset: u32) -> usize {
         self.counts[subset as usize]
-    }
-
-    /// Fraction of image pixels each sub-iteration touches (`1/P` up to
-    /// rounding) — the paper's "subsampling ratio" (0.5 for P=2, 0.25 for
-    /// P=4).
-    pub fn sampling_ratio(&self) -> f64 {
-        1.0 / self.subsets as f64
     }
 }
 
@@ -167,7 +150,6 @@ mod tests {
     fn single_subset_is_identity() {
         let part = SubsetPartition::new(10, 10, 1, SubsetStrategy::Interleaved);
         assert_eq!(part.subset_len(0), 100);
-        assert_eq!(part.sampling_ratio(), 1.0);
         for y in 0..10 {
             for x in 0..10 {
                 assert_eq!(part.subset_of(x, y), 0);

@@ -200,7 +200,6 @@ pub struct HwFaults<'a> {
     protection: Protection,
     /// Outcome tallies across all hooked reads.
     pub stats: ProtectionStats,
-    recorder: Option<&'a Recorder>,
 }
 
 impl<'a> HwFaults<'a> {
@@ -211,34 +210,6 @@ impl<'a> HwFaults<'a> {
             plan,
             protection,
             stats: ProtectionStats::default(),
-            recorder: None,
-        }
-    }
-
-    /// Attaches an observability recorder: every non-clean read outcome
-    /// bumps a `fault.hw.*` metric counter (`silent`, `corrected`,
-    /// `detected_retries`). Per-word instants are deliberately not
-    /// emitted — heavy plans would produce millions of events.
-    pub fn with_recorder(mut self, recorder: &'a Recorder) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// The protection scheme in force.
-    pub fn protection(&self) -> Protection {
-        self.protection
-    }
-
-    fn record(&mut self, outcome: MemOutcome) {
-        self.stats.record(outcome);
-        if let Some(rec) = self.recorder {
-            match outcome {
-                MemOutcome::Clean => {}
-                MemOutcome::Silent => rec.counter_add("fault.hw.silent", 1),
-                MemOutcome::Corrected => rec.counter_add("fault.hw.corrected", 1),
-                MemOutcome::DetectedRetry => rec.counter_add("fault.hw.detected_retries", 1),
-                MemOutcome::Undetected => rec.counter_add("fault.hw.undetected", 1),
-            }
         }
     }
 }
@@ -249,7 +220,7 @@ impl MemFaults for HwFaults<'_> {
         let eff = effect_at(self.plan, FaultSite::ScratchpadWord, a, CHANNEL_WORD_BITS)
             .merged(effect_at(self.plan, FaultSite::DramBurst, a, CHANNEL_WORD_BITS));
         let (v, outcome) = filter_word(self.protection, value as u64, &eff);
-        self.record(outcome);
+        self.stats.record(outcome);
         FaultedByte {
             value: (v & 0xFF) as u8,
             retried: outcome == MemOutcome::DetectedRetry,
@@ -263,7 +234,7 @@ impl MemFaults for HwFaults<'_> {
         let eff = effect_at(self.plan, FaultSite::ScratchpadWord, a, INDEX_WORD_BITS)
             .merged(effect_at(self.plan, FaultSite::DramBurst, a, INDEX_WORD_BITS));
         let (v, outcome) = filter_word(self.protection, label as u64, &eff);
-        self.record(outcome);
+        self.stats.record(outcome);
         FaultedLabel {
             value: (v & 0xFFFF) as u32,
             retried: outcome == MemOutcome::DetectedRetry,
@@ -361,22 +332,6 @@ mod tests {
         assert_eq!(
             rec.metrics().counter("fault.injected_words"),
             ef.injected_words()
-        );
-
-        let hw_plan = FaultPlan::new(9).with(
-            FaultSite::ScratchpadWord,
-            FaultKind::SingleBitFlip,
-            300_000,
-        );
-        let rec2 = Recorder::deterministic();
-        let mut hf = HwFaults::new(&hw_plan, Protection::Parity).with_recorder(&rec2);
-        for addr in 0..2048u64 {
-            let _ = hf.channel_read(0, 0, addr, 0x5A);
-        }
-        assert!(hf.stats.detected_retries > 0);
-        assert_eq!(
-            rec2.metrics().counter("fault.hw.detected_retries"),
-            hf.stats.detected_retries
         );
     }
 

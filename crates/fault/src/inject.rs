@@ -28,7 +28,7 @@ const WORD_MIX: u64 = 0xd6e8_feb8_6659_fd93;
 /// A composed bit-level corruption: OR-in stuck-high bits, clear
 /// stuck-low bits, then XOR transient flips.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEffect {
+pub(crate) struct FaultEffect {
     /// Bits flipped by transient upsets.
     pub xor: u64,
     /// Bits stuck at one.
@@ -39,31 +39,25 @@ pub struct FaultEffect {
 
 impl FaultEffect {
     /// The identity effect.
-    pub const CLEAN: FaultEffect = FaultEffect {
+    pub(crate) const CLEAN: FaultEffect = FaultEffect {
         xor: 0,
         or: 0,
         and_not: 0,
     };
 
     /// True when applying the effect cannot change any value.
-    pub fn is_clean(&self) -> bool {
+    pub(crate) fn is_clean(&self) -> bool {
         self.xor == 0 && self.or == 0 && self.and_not == 0
     }
 
     /// Applies the effect to a word: stuck-at levels override the stored
     /// data, then transient flips toggle on top.
-    pub fn apply(&self, value: u64) -> u64 {
+    pub(crate) fn apply(&self, value: u64) -> u64 {
         ((value | self.or) & !self.and_not) ^ self.xor
     }
 
-    /// Number of bits the effect actually changes in `value` (a stuck-at
-    /// bit already at its stuck level realizes no flip).
-    pub fn realized_flips(&self, value: u64) -> u32 {
-        (self.apply(value) ^ value).count_ones()
-    }
-
     /// Composes two effects (both applied to the same word).
-    pub fn merged(self, other: FaultEffect) -> FaultEffect {
+    pub(crate) fn merged(self, other: FaultEffect) -> FaultEffect {
         FaultEffect {
             xor: self.xor ^ other.xor,
             or: self.or | other.or,
@@ -89,9 +83,14 @@ fn triggered(rng: &mut SplitMix64, rate_ppm: u32) -> bool {
 
 /// Computes the composed corruption the plan inflicts on the
 /// `width_bits`-wide word at `addr` of `site`. Returns
-/// [`FaultEffect::CLEAN`] (and does no allocation) when nothing triggers;
+/// the identity effect (and does no allocation) when nothing triggers;
 /// an empty plan therefore leaves every word untouched.
-pub fn effect_at(plan: &FaultPlan, site: FaultSite, addr: u64, width_bits: u32) -> FaultEffect {
+pub(crate) fn effect_at(
+    plan: &FaultPlan,
+    site: FaultSite,
+    addr: u64,
+    width_bits: u32,
+) -> FaultEffect {
     let width = width_bits.clamp(1, 64) as u64;
     let mask = if width == 64 {
         u64::MAX
@@ -234,8 +233,7 @@ mod tests {
             and_not: 0b1000,
         };
         assert_eq!(eff.apply(0b1010), 0b0011);
-        assert_eq!(eff.apply(0b0001), 0b0001);
-        assert_eq!(eff.realized_flips(0b0001), 0, "already at stuck levels");
+        assert_eq!(eff.apply(0b0001), 0b0001, "already at stuck levels");
     }
 
     #[test]
@@ -273,7 +271,7 @@ mod tests {
         let mut seen_multi = false;
         for addr in 0..512u64 {
             let eff = effect_at(&plan, FaultSite::ScratchpadWord, addr, 8);
-            let flips = eff.realized_flips(0);
+            let flips = eff.apply(0).count_ones();
             assert!(flips <= 3);
             if flips > 1 {
                 seen_multi = true;

@@ -29,7 +29,7 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every site, in declaration order.
-    pub const ALL: [FaultSite; 5] = [
+    pub(crate) const ALL: [FaultSite; 5] = [
         FaultSite::ColorLut,
         FaultSite::PixelFeature,
         FaultSite::SigmaRegister,
@@ -39,24 +39,13 @@ impl FaultSite {
 
     /// Stable per-site salt folded into the decision hash so the same
     /// address at different sites draws independent faults.
-    pub fn tag(self) -> u64 {
+    pub(crate) fn tag(self) -> u64 {
         match self {
             FaultSite::ColorLut => 1,
             FaultSite::PixelFeature => 2,
             FaultSite::SigmaRegister => 3,
             FaultSite::ScratchpadWord => 4,
             FaultSite::DramBurst => 5,
-        }
-    }
-
-    /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultSite::ColorLut => "color_lut",
-            FaultSite::PixelFeature => "pixel_feature",
-            FaultSite::SigmaRegister => "sigma_register",
-            FaultSite::ScratchpadWord => "scratchpad_word",
-            FaultSite::DramBurst => "dram_burst",
         }
     }
 }
@@ -89,18 +78,6 @@ pub enum FaultKind {
         /// Words per burst group (clamped to at least 1).
         span: u32,
     },
-}
-
-impl FaultKind {
-    /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultKind::SingleBitFlip => "single_bit_flip",
-            FaultKind::MultiBitFlip { .. } => "multi_bit_flip",
-            FaultKind::StuckAt { .. } => "stuck_at",
-            FaultKind::Burst { .. } => "burst",
-        }
-    }
 }
 
 /// One line of a fault plan: strike `site` with `kind` at `rate_ppm`
@@ -178,7 +155,7 @@ impl FaultPlan {
 
     /// True when the plan can never inject (no entries with a nonzero
     /// rate).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.iter().all(|e| e.rate_ppm == 0)
     }
 }
@@ -191,7 +168,7 @@ mod tests {
     fn site_tags_are_distinct() {
         for (i, a) in FaultSite::ALL.iter().enumerate() {
             for b in &FaultSite::ALL[i + 1..] {
-                assert_ne!(a.tag(), b.tag(), "{} vs {}", a.name(), b.name());
+                assert_ne!(a.tag(), b.tag(), "{a:?} vs {b:?}");
             }
         }
     }

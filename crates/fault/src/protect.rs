@@ -14,7 +14,7 @@ use crate::inject::FaultEffect;
 
 /// The outcome of one protected memory read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemOutcome {
+pub(crate) enum MemOutcome {
     /// No corruption hit this word.
     Clean,
     /// Corruption passed through an unprotected memory unnoticed.
@@ -27,19 +27,6 @@ pub enum MemOutcome {
     /// Corruption defeated the scheme (even flip count under parity,
     /// triple-or-more under SECDED) and escaped as valid-looking data.
     Undetected,
-}
-
-impl MemOutcome {
-    /// Stable lowercase name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            MemOutcome::Clean => "clean",
-            MemOutcome::Silent => "silent",
-            MemOutcome::DetectedRetry => "detected_retry",
-            MemOutcome::Corrected => "corrected",
-            MemOutcome::Undetected => "undetected",
-        }
-    }
 }
 
 /// Tallies of protected-read outcomes across a run.
@@ -59,7 +46,7 @@ pub struct ProtectionStats {
 
 impl ProtectionStats {
     /// Records one read outcome.
-    pub fn record(&mut self, outcome: MemOutcome) {
+    pub(crate) fn record(&mut self, outcome: MemOutcome) {
         self.reads += 1;
         match outcome {
             MemOutcome::Clean => {}
@@ -74,22 +61,13 @@ impl ProtectionStats {
     pub fn corrupted_reads(&self) -> u64 {
         self.silent + self.undetected
     }
-
-    /// Folds another tally into this one.
-    pub fn merge(&mut self, other: &ProtectionStats) {
-        self.reads += other.reads;
-        self.silent += other.silent;
-        self.detected_retries += other.detected_retries;
-        self.corrected += other.corrected;
-        self.undetected += other.undetected;
-    }
 }
 
 /// Filters one read of `value` (corrupted by `effect`) through
 /// `protection`, returning the value the datapath consumes and the
 /// outcome. The decision key is the *realized* flip count — a stuck-at
 /// bit already at its stuck level corrupts nothing and reads clean.
-pub fn filter_word(
+pub(crate) fn filter_word(
     protection: Protection,
     value: u64,
     effect: &FaultEffect,
@@ -212,15 +190,13 @@ mod tests {
     }
 
     #[test]
-    fn stats_tally_and_merge() {
+    fn stats_tally_every_outcome() {
         let mut a = ProtectionStats::default();
         a.record(MemOutcome::Clean);
         a.record(MemOutcome::Silent);
         a.record(MemOutcome::DetectedRetry);
-        let mut b = ProtectionStats::default();
-        b.record(MemOutcome::Corrected);
-        b.record(MemOutcome::Undetected);
-        a.merge(&b);
+        a.record(MemOutcome::Corrected);
+        a.record(MemOutcome::Undetected);
         assert_eq!(a.reads, 5);
         assert_eq!(a.corrupted_reads(), 2);
         assert_eq!(a.detected_retries, 1);

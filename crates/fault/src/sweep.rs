@@ -83,7 +83,7 @@ impl SweepConfig {
     /// The fault plan exercised at one rate point. The per-site rates are
     /// scaled so the large sites (pixel words) do not completely drown the
     /// small ones (sigma registers, burst groups) at equal `rate_ppm`.
-    pub fn plan_at(&self, rate_ppm: u32) -> FaultPlan {
+    pub(crate) fn plan_at(&self, rate_ppm: u32) -> FaultPlan {
         FaultPlan::new(self.seed)
             .with(FaultSite::ColorLut, FaultKind::SingleBitFlip, rate_ppm)
             .with(FaultSite::PixelFeature, FaultKind::SingleBitFlip, rate_ppm)
@@ -149,7 +149,7 @@ pub struct EnginePoint {
 }
 
 /// Retry budget of the sweep's recovered-quality curve.
-pub const SWEEP_RECOVERY_RETRIES: u32 = 2;
+pub(crate) const SWEEP_RECOVERY_RETRIES: u32 = 2;
 
 /// One recovery-enabled engine sweep point: the same plan and workload as
 /// the matching [`EnginePoint`], re-run under a

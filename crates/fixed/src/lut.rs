@@ -51,16 +51,6 @@ impl Lut256 {
     pub fn corrupt(&mut self, code: u8, xor_mask: i32) {
         self.table[code as usize] ^= xor_mask;
     }
-
-    /// Number of entries (always 256).
-    pub fn len(&self) -> usize {
-        256
-    }
-
-    /// Always `false`.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
 }
 
 /// A piecewise-linear LUT: linear segments between explicit knots over
@@ -139,7 +129,7 @@ impl PwlLut {
     }
 
     /// Number of linear segments.
-    pub fn segment_count(&self) -> usize {
+    pub(crate) fn segment_count(&self) -> usize {
         self.knots.len() - 1
     }
 
@@ -199,8 +189,7 @@ mod tests {
         for c in [0u8, 1, 100, 255] {
             assert_eq!(lut.lookup(c), c as i32 * 3);
         }
-        assert_eq!(lut.len(), 256);
-        assert!(!lut.is_empty());
+        assert_eq!(lut.as_table().len(), 256);
     }
 
     #[test]

@@ -18,8 +18,7 @@
 /// assert_eq!(q.encode(0.0), 0);
 /// assert_eq!(q.encode(255.0), 255);
 /// assert_eq!(q.encode(300.0), 255); // saturates
-/// let mid = q.encode(127.5);
-/// assert!((q.decode(mid) - 127.5).abs() <= q.step());
+/// assert_eq!(q.encode(127.4), 127); // rounds to the nearest code
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
@@ -45,12 +44,6 @@ impl Quantizer {
             hi,
             step: (hi - lo) / levels as f64,
         }
-    }
-
-    /// Bit width of the code space.
-    #[inline]
-    pub fn bits(&self) -> u8 {
-        self.bits
     }
 
     /// Quantization step between adjacent codes.
@@ -80,25 +73,24 @@ impl Quantizer {
             idx as u32
         }
     }
-
-    /// Maps a code back to the center of its quantization cell.
-    #[inline]
-    pub fn decode(&self, code: u32) -> f64 {
-        self.lo + code.min(self.max_code()) as f64 * self.step
-    }
-
-    /// Quantize-dequantize in one step: the value the datapath actually
-    /// "sees" at this precision.
-    #[inline]
-    pub fn apply(&self, value: f64) -> f64 {
-        self.decode(self.encode(value))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Maps a code back to the center of its quantization cell: the inverse
+    /// the round-trip properties check `encode` against.
+    fn decode(q: &Quantizer, code: u32) -> f64 {
+        q.lo + code.min(q.max_code()) as f64 * q.step
+    }
+
+    /// Quantize-dequantize in one step: the value the datapath "sees" at
+    /// this precision.
+    fn apply(q: &Quantizer, value: f64) -> f64 {
+        decode(q, q.encode(value))
+    }
 
     #[test]
     fn one_bit_quantizer_has_two_levels() {
@@ -113,8 +105,8 @@ mod tests {
         let q = Quantizer::new(8, -10.0, 10.0);
         assert_eq!(q.encode(-10.0), 0);
         assert_eq!(q.encode(10.0), 255);
-        assert_eq!(q.decode(0), -10.0);
-        assert_eq!(q.decode(255), 10.0);
+        assert_eq!(decode(&q, 0), -10.0);
+        assert_eq!(decode(&q, 255), 10.0);
     }
 
     #[test]
@@ -146,7 +138,7 @@ mod tests {
         #[test]
         fn round_trip_error_bounded_by_half_step(v in -50.0f64..50.0, bits in 2u8..16) {
             let q = Quantizer::new(bits, -50.0, 50.0);
-            let err = (q.apply(v) - v).abs();
+            let err = (apply(&q, v) - v).abs();
             prop_assert!(err <= q.step() / 2.0 + 1e-9, "err={err} step={}", q.step());
         }
 
@@ -170,8 +162,8 @@ mod tests {
         #[test]
         fn apply_is_idempotent(v in -10.0f64..10.0, bits in 2u8..12) {
             let q = Quantizer::new(bits, -10.0, 10.0);
-            let once = q.apply(v);
-            prop_assert_eq!(q.apply(once), once);
+            let once = apply(&q, v);
+            prop_assert_eq!(apply(&q, once), once);
         }
     }
 }

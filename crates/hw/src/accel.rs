@@ -17,14 +17,17 @@
 //! 4. **Center update** — the sigma registers are averaged with rounded
 //!    integer division into new center codes.
 //!
-//! The datapath is shared with the software model
-//! ([`sslic_core::QuantKernel`]), so the simulator's label map agrees with
-//! `Segmenter::sslic_ppa(...).with_distance_mode(DistanceMode::quantized(8))`
-//! (seed perturbation and connectivity disabled) on ≥ 99.5 % of pixels —
-//! exact up to half-LSB ties in center-mean rounding, where the software
-//! engine's f32 centers and this simulator's integer sigma division can
-//! land one code apart. The cross-check lives in the workspace
-//! integration tests.
+//! The distance datapath is shared with the software model
+//! ([`sslic_core::QuantKernel`]), but the centers are not: the software
+//! engine averages decoded `f32` values, while this simulator divides
+//! integer sigma sums with rounded division. The label maps therefore agree
+//! closely, not exactly. `tests/hw_equivalence.rs` compares this simulator
+//! with `Segmenter::sslic_ppa(...).with_distance_mode(DistanceMode::quantized(8))`
+//! (seed perturbation and connectivity disabled) on 96×72 frames and
+//! requires ≥ 99.5 % agreement there. The bound does not hold in general:
+//! at 640×480 (K = 900, 9 steps, 1 KiB buffers) seed 9 agrees on 99.318 %
+//! of pixels, and the differing pixels are not confined to half-LSB
+//! rounding ties. ROADMAP.md item 1 makes the two models agree exactly.
 
 use sslic_color::hw::HwColorConverter;
 use sslic_core::subsample::{SubsetPartition, SubsetStrategy};
@@ -108,11 +111,6 @@ impl Accelerator {
         Accelerator { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AcceleratorConfig {
-        &self.config
-    }
-
     /// Processes one frame, producing the label map and the full cycle,
     /// traffic, and energy accounting.
     pub fn process(&self, img: &RgbImage) -> AcceleratorRun {
@@ -140,17 +138,6 @@ impl Accelerator {
     /// accounting additionally charges the modeled index readout pass.
     pub fn process_with_faults(&self, img: &RgbImage, faults: &mut dyn MemFaults) -> AcceleratorRun {
         self.process_impl(img, Some(faults), None)
-    }
-
-    /// [`Self::process_with_faults`] with an observability recorder (see
-    /// [`Self::process_traced`]).
-    pub fn process_traced_with_faults(
-        &self,
-        img: &RgbImage,
-        faults: &mut dyn MemFaults,
-        recorder: &Recorder,
-    ) -> AcceleratorRun {
-        self.process_impl(img, Some(faults), Some(recorder))
     }
 
     fn process_impl(
@@ -205,7 +192,7 @@ impl Accelerator {
         for _ in 0..tiles {
             traffic.write(3 * tile_pixels); // planar Lab out
         }
-        let color_cycles = n as f64 + tiles as f64 * 10.0;
+        let color_cycles = n as f64 + tiles as f64 * model::COLOR_CONV_LATENCY_CYCLES;
 
         if let Some(rec) = recorder {
             let clock = LogicalClock::cycle(color_cycles as u64);
@@ -511,7 +498,7 @@ pub struct AcceleratorRun {
 
 impl AcceleratorRun {
     /// Total modeled cycles (phases serialized, as the FSM runs them).
-    pub fn total_cycles(&self) -> f64 {
+    pub(crate) fn total_cycles(&self) -> f64 {
         self.color_cycles + self.assign_cycles + self.center_cycles + self.memory_cycles
     }
 
@@ -730,7 +717,10 @@ mod tests {
         assert_ne!(clean.labels, run.labels, "corruption must be visible");
         assert!(run.retry_bursts > 0);
         assert!(run.label_repairs > 0);
-        assert!(run.scratchpads.total_retries() > 0);
+        let pads = &run.scratchpads;
+        assert!([&pads.ch1, &pads.ch2, &pads.ch3, &pads.index]
+            .iter()
+            .any(|sp| sp.retries() > 0));
         assert!(
             run.traffic.total_bytes() > clean.traffic.total_bytes(),
             "retries cost DRAM bursts"
@@ -790,31 +780,6 @@ mod tests {
         let m = rec.metrics();
         assert_eq!(m.counter("hw.dram.bytes_read"), run.traffic.bytes_read);
         assert_eq!(m.counter("hw.dram.bursts"), run.traffic.bursts);
-    }
-
-    #[test]
-    fn traced_fault_run_reports_retries_in_metrics() {
-        struct Flaky;
-        impl MemFaults for Flaky {
-            fn channel_read(
-                &mut self,
-                _s: u32,
-                _c: u8,
-                addr: u64,
-                value: u8,
-            ) -> crate::faults::FaultedByte {
-                crate::faults::FaultedByte {
-                    value,
-                    retried: addr % 61 == 0,
-                }
-            }
-        }
-        let img = test_image();
-        let rec = Recorder::deterministic();
-        let run =
-            Accelerator::new(small_cfg()).process_traced_with_faults(&img, &mut Flaky, &rec);
-        assert!(run.retry_bursts > 0);
-        assert_eq!(rec.metrics().counter("hw.retry_bursts"), run.retry_bursts);
     }
 
     #[test]

@@ -157,7 +157,7 @@ impl ClusterUnitConfig {
     /// (+9.2%), the comparator tree saves control energy (−3.6%), the
     /// adder bank saves a little (−1.5%). Fitted from Table 3's energy
     /// row.
-    pub fn energy_factor(&self) -> f64 {
+    pub(crate) fn energy_factor(&self) -> f64 {
         let mut f = 1.0;
         if self.distance == Ways::Parallel {
             f *= 1.092;
@@ -174,7 +174,7 @@ impl ClusterUnitConfig {
     /// Per-stage occupancy in cycles `(distance, minimum, adder)` — the
     /// stage durations the latency model sums (used by the cycle-stepped
     /// pipeline trace).
-    pub fn stage_cycles_for_trace(&self) -> (u64, u64, u64) {
+    pub(crate) fn stage_cycles_for_trace(&self) -> (u64, u64, u64) {
         let d = if self.distance == Ways::Parallel { 2 } else { 10 };
         let m = if self.minimum == Ways::Parallel { 3 } else { 10 };
         let a = if self.adder == Ways::Parallel { 1 } else { 6 };
@@ -184,7 +184,7 @@ impl ClusterUnitConfig {
     /// Cycles to process one cluster-update iteration over `pixels`
     /// pixels, including per-tile pipeline fill (tiles of `tile_pixels`
     /// pixels each drain the pipeline and exchange sigma registers).
-    pub fn iteration_cycles(&self, pixels: u64, tile_pixels: u64) -> f64 {
+    pub(crate) fn iteration_cycles(&self, pixels: u64, tile_pixels: u64) -> f64 {
         let tiles = pixels.div_ceil(tile_pixels.max(1));
         pixels as f64 * self.initiation_interval() as f64
             + tiles as f64 * (self.latency_cycles() as f64 + SIGMA_EXCHANGE_CYCLES)
@@ -193,7 +193,7 @@ impl ClusterUnitConfig {
     /// Time in milliseconds for one iteration over `pixels` pixels
     /// (Table 3's time row; the paper uses 4 kB channel buffers, i.e.
     /// 4096-pixel tiles).
-    pub fn iteration_time_ms(&self, pixels: u64) -> f64 {
+    pub(crate) fn iteration_time_ms(&self, pixels: u64) -> f64 {
         model::cycles_to_ms(self.iteration_cycles(pixels, 4096))
     }
 
@@ -206,14 +206,14 @@ impl ClusterUnitConfig {
 
     /// Average power in milliwatts while processing (Table 3's power row:
     /// energy over time).
-    pub fn power_mw(&self, pixels: u64) -> f64 {
+    pub(crate) fn power_mw(&self, pixels: u64) -> f64 {
         self.iteration_energy_uj(pixels) / self.iteration_time_ms(pixels)
     }
 }
 
 /// Cycles to exchange the 9 sigma registers (6 fields each) with the
 /// center-update unit at each tile boundary.
-pub const SIGMA_EXCHANGE_CYCLES: f64 = 54.0;
+pub(crate) const SIGMA_EXCHANGE_CYCLES: f64 = 54.0;
 
 /// The paper's evaluation pixel count (one 1920×1080 frame).
 pub const FULL_HD_PIXELS: u64 = 1920 * 1080;

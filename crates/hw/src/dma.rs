@@ -86,12 +86,6 @@ impl TileSchedule {
     pub fn overlap_speedup(&self) -> f64 {
         self.serial_cycles() / self.double_buffered_cycles()
     }
-
-    /// Whether the stream is memory-bound under overlap (transfers longer
-    /// than compute per tile).
-    pub fn is_memory_bound(&self) -> bool {
-        self.transfer_per_tile > self.compute_per_tile
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +131,10 @@ mod tests {
         // 1 cy/px compute: transfer per tile exceeds compute once the
         // burst latency is added for small tiles, and stays close above.
         let s = paper_tile(1024);
-        assert!(s.is_memory_bound(), "small tiles pay the latency");
+        assert!(
+            s.transfer_per_tile > s.compute_per_tile,
+            "small tiles pay the latency"
+        );
         // Large tiles amortize latency: compute and transfer are near par.
         let big = paper_tile(131072);
         let ratio = big.transfer_per_tile / big.compute_per_tile;

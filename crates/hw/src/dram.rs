@@ -43,7 +43,7 @@ impl Default for DramModel {
 
 impl DramModel {
     /// Effective sustained bandwidth in bytes per cycle.
-    pub fn effective_bytes_per_cycle(&self) -> f64 {
+    pub(crate) fn effective_bytes_per_cycle(&self) -> f64 {
         self.peak_bytes_per_cycle * self.bandwidth_utilization
     }
 
@@ -54,12 +54,12 @@ impl DramModel {
     }
 
     /// Time in milliseconds to move `bytes` in `bursts` transfers.
-    pub fn transfer_ms(&self, bytes: u64, bursts: u64) -> f64 {
+    pub(crate) fn transfer_ms(&self, bytes: u64, bursts: u64) -> f64 {
         model::cycles_to_ms(self.transfer_cycles(bytes, bursts))
     }
 
     /// Energy in microjoules to move `bytes`.
-    pub fn transfer_energy_uj(&self, bytes: u64) -> f64 {
+    pub(crate) fn transfer_energy_uj(&self, bytes: u64) -> f64 {
         bytes as f64 * self.energy_per_byte_pj * 1e-6
     }
 }
@@ -82,13 +82,13 @@ impl DramTraffic {
     }
 
     /// Records a read of `bytes` in one burst.
-    pub fn read(&mut self, bytes: u64) {
+    pub(crate) fn read(&mut self, bytes: u64) {
         self.bytes_read += bytes;
         self.bursts += 1;
     }
 
     /// Records a write of `bytes` in one burst.
-    pub fn write(&mut self, bytes: u64) {
+    pub(crate) fn write(&mut self, bytes: u64) {
         self.bytes_written += bytes;
         self.bursts += 1;
     }

@@ -20,7 +20,7 @@ use crate::model;
 
 /// The gamma LUT the accelerator's RGB→XYZ stage uses, at `frac_bits`
 /// output precision (paper default 12).
-pub fn gamma_lut(frac_bits: u8) -> Lut256 {
+pub(crate) fn gamma_lut(frac_bits: u8) -> Lut256 {
     let scale = (1i64 << frac_bits) as f64;
     Lut256::from_fn(|code| {
         let x = code as f64 / 255.0;
@@ -30,7 +30,7 @@ pub fn gamma_lut(frac_bits: u8) -> Lut256 {
 
 /// The PWL cube-root table of the XYZ→LAB stage (geometric knots over the
 /// CIELAB nonlinear domain).
-pub fn cbrt_pwl(segments: usize) -> PwlLut {
+pub(crate) fn cbrt_pwl(segments: usize) -> PwlLut {
     PwlLut::from_fn_geometric(
         segments,
         sslic_color::float::LAB_EPSILON,

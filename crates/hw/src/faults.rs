@@ -6,8 +6,7 @@
 //! final readout. The hook returns the (possibly corrupted, possibly
 //! protection-filtered) value plus whether a detected error forced a
 //! re-fetch from DRAM — the simulator charges each retry one DRAM burst
-//! and one scratchpad retry (see
-//! [`crate::scratchpad::Scratchpad::record_retries`]).
+//! and one scratchpad retry.
 //!
 //! The canonical implementation lives in `sslic-fault`; every method
 //! defaults to a clean pass-through, and a default implementation leaves

@@ -82,7 +82,7 @@ impl Floorplan {
     }
 
     /// Total placed area in mm².
-    pub fn total_area_mm2(&self) -> f64 {
+    pub(crate) fn total_area_mm2(&self) -> f64 {
         self.blocks.iter().map(|b| b.area_mm2).sum()
     }
 

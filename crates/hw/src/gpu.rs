@@ -79,11 +79,6 @@ impl GpuBaseline {
     pub fn normalized_energy_mj(&self) -> f64 {
         self.normalized_power_w() * self.latency_ms
     }
-
-    /// Whether the device sustains 30 fps on 1080p SLIC.
-    pub fn is_real_time(&self) -> bool {
-        self.latency_ms <= 1000.0 / 30.0
-    }
 }
 
 /// Energy-efficiency advantage of the accelerator over `gpu`, both
@@ -128,9 +123,8 @@ mod tests {
 
     #[test]
     fn k20_is_real_time_but_tk1_misses_by_80x() {
-        assert!(GpuBaseline::tesla_k20().is_real_time());
+        assert!(GpuBaseline::tesla_k20().latency_ms <= 1000.0 / 30.0);
         let tk1 = GpuBaseline::tegra_k1();
-        assert!(!tk1.is_real_time());
         // "misses the real-time frame rate by a factor of 80"
         let factor = tk1.latency_ms / (1000.0 / 30.0);
         assert!((factor - 81.0).abs() < 2.0, "TK1 misses by {factor}×");

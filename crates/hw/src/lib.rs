@@ -57,5 +57,4 @@ pub mod model;
 pub mod pipeline;
 pub mod scratchpad;
 pub mod sim;
-pub mod tb;
 pub mod vcd;

@@ -133,16 +133,6 @@ impl ClusterPipeline {
         self
     }
 
-    /// The configuration being simulated.
-    pub fn config(&self) -> ClusterUnitConfig {
-        self.config
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
     /// Issues one pixel's 9 distance codes into the unit, advancing time
     /// to the issue cycle if the distance stage is still busy (the FSM
     /// stalls the scratchpad read). Returns the transaction id.

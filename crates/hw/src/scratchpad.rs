@@ -27,7 +27,7 @@ impl Protection {
     /// Check bits appended to a `data_bits`-wide word: 0 (none), 1
     /// (parity), or the Hamming `p` with `2^p >= data_bits + p + 1` plus
     /// one extra double-error-detect bit (SECDED) — 5 for 8 data bits.
-    pub fn check_bits(self, data_bits: u32) -> u32 {
+    pub(crate) fn check_bits(self, data_bits: u32) -> u32 {
         match self {
             Protection::Unprotected => 0,
             Protection::Parity => 1,
@@ -69,7 +69,7 @@ impl Scratchpad {
     /// # Panics
     ///
     /// Panics if `capacity_bytes` is zero.
-    pub fn new(name: &'static str, capacity_bytes: usize) -> Self {
+    pub(crate) fn new(name: &'static str, capacity_bytes: usize) -> Self {
         assert!(capacity_bytes > 0, "scratchpad capacity must be nonzero");
         Scratchpad {
             name,
@@ -83,71 +83,61 @@ impl Scratchpad {
 
     /// Selects the word-protection scheme (affects area and energy via
     /// [`Self::physical_bits_per_word`]).
-    pub fn with_protection(mut self, protection: Protection) -> Self {
+    pub(crate) fn with_protection(mut self, protection: Protection) -> Self {
         self.protection = protection;
         self
     }
 
-    /// The active protection scheme.
-    pub fn protection(&self) -> Protection {
-        self.protection
-    }
-
     /// Physical bits stored per 8-bit data word, including check bits.
-    pub fn physical_bits_per_word(&self) -> u32 {
+    pub(crate) fn physical_bits_per_word(&self) -> u32 {
         8 + self.protection.check_bits(8)
     }
 
     /// Records `n` detected-error retries; each is charged one extra read
     /// plus one corrective write at full physical word width.
-    pub fn record_retries(&mut self, n: u64) {
+    pub(crate) fn record_retries(&mut self, n: u64) {
         self.retries += n;
     }
 
     /// Detected-error retries so far.
-    pub fn retries(&self) -> u64 {
+    pub(crate) fn retries(&self) -> u64 {
         self.retries
     }
 
     /// The scratchpad's name (e.g. `"ch1"`, `"index"`).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
     /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    /// Capacity in pixels for a 1-byte-per-pixel channel.
-    pub fn capacity_pixels(&self) -> usize {
+    pub(crate) fn capacity_bytes(&self) -> usize {
         self.capacity_bytes
     }
 
     /// Records `n` byte reads.
-    pub fn record_reads(&mut self, n: u64) {
+    pub(crate) fn record_reads(&mut self, n: u64) {
         self.reads += n;
     }
 
     /// Records `n` byte writes.
-    pub fn record_writes(&mut self, n: u64) {
+    pub(crate) fn record_writes(&mut self, n: u64) {
         self.writes += n;
     }
 
     /// Byte reads so far.
-    pub fn reads(&self) -> u64 {
+    pub(crate) fn reads(&self) -> u64 {
         self.reads
     }
 
     /// Byte writes so far.
-    pub fn writes(&self) -> u64 {
+    pub(crate) fn writes(&self) -> u64 {
         self.writes
     }
 
     /// Access energy so far, in microjoules. Every access moves the full
     /// physical word (data + check bits), and each retry adds one read
     /// plus one corrective write.
-    pub fn energy_uj(&self) -> f64 {
+    pub(crate) fn energy_uj(&self) -> f64 {
         let accesses = self.reads + self.writes + 2 * self.retries;
         let width_factor = self.physical_bits_per_word() as f64 / 8.0;
         accesses as f64 * width_factor * model::E_SRAM_BYTE_PJ * 1e-6
@@ -155,7 +145,7 @@ impl Scratchpad {
 
     /// Macro area in mm² (calibrated per-kB constant, see
     /// [`model::SRAM_MM2_PER_KB`]), widened by the protection check bits.
-    pub fn area_mm2(&self) -> f64 {
+    pub(crate) fn area_mm2(&self) -> f64 {
         self.capacity_bytes as f64 / 1024.0
             * model::SRAM_MM2_PER_KB
             * (self.physical_bits_per_word() as f64 / 8.0)
@@ -188,16 +178,6 @@ impl ScratchpadSet {
         }
     }
 
-    /// Total on-chip capacity in bytes (the paper's Table 5 reports 20 kB
-    /// including the register files; the four SRAMs are 16 kB at the 4 kB
-    /// design point).
-    pub fn total_bytes(&self) -> usize {
-        self.ch1.capacity_bytes
-            + self.ch2.capacity_bytes
-            + self.ch3.capacity_bytes
-            + self.index.capacity_bytes
-    }
-
     /// Total SRAM area in mm².
     pub fn area_mm2(&self) -> f64 {
         self.ch1.area_mm2() + self.ch2.area_mm2() + self.ch3.area_mm2() + self.index.area_mm2()
@@ -211,7 +191,7 @@ impl ScratchpadSet {
     /// SRAM leakage/active power at full utilization, in milliwatts
     /// (paper §6.3 assumes full utilization), including the check-bit
     /// columns of protected members.
-    pub fn power_mw(&self) -> f64 {
+    pub(crate) fn power_mw(&self) -> f64 {
         [&self.ch1, &self.ch2, &self.ch3, &self.index]
             .iter()
             .map(|sp| {
@@ -223,17 +203,12 @@ impl ScratchpadSet {
     }
 
     /// Applies one protection scheme to all four memories.
-    pub fn with_protection(mut self, protection: Protection) -> Self {
+    pub(crate) fn with_protection(mut self, protection: Protection) -> Self {
         self.ch1 = self.ch1.with_protection(protection);
         self.ch2 = self.ch2.with_protection(protection);
         self.ch3 = self.ch3.with_protection(protection);
         self.index = self.index.with_protection(protection);
         self
-    }
-
-    /// Total detected-error retries across the four memories.
-    pub fn total_retries(&self) -> u64 {
-        self.ch1.retries + self.ch2.retries + self.ch3.retries + self.index.retries
     }
 }
 
@@ -243,8 +218,14 @@ mod tests {
 
     #[test]
     fn paper_design_point_is_16kb_of_sram() {
+        // Table 5 reports 20 kB including the register files; the four
+        // SRAMs are 16 kB at the 4 kB design point.
         let set = ScratchpadSet::new(4 * 1024);
-        assert_eq!(set.total_bytes(), 16 * 1024);
+        let total: usize = [&set.ch1, &set.ch2, &set.ch3, &set.index]
+            .iter()
+            .map(|sp| sp.capacity_bytes())
+            .sum();
+        assert_eq!(total, 16 * 1024);
     }
 
     #[test]
@@ -332,10 +313,9 @@ mod tests {
     fn set_protection_applies_to_all_members_and_scales_power() {
         let raw = ScratchpadSet::new(1024);
         let ecc = ScratchpadSet::new(1024).with_protection(Protection::Secded);
-        assert_eq!(ecc.ch2.protection(), Protection::Secded);
-        assert_eq!(ecc.index.protection(), Protection::Secded);
+        assert_eq!(ecc.ch2.protection, Protection::Secded);
+        assert_eq!(ecc.index.protection, Protection::Secded);
         assert!((ecc.power_mw() / raw.power_mw() - 13.0 / 8.0).abs() < 1e-9);
         assert!((ecc.area_mm2() / raw.area_mm2() - 13.0 / 8.0).abs() < 1e-9);
-        assert_eq!(ecc.total_retries(), 0);
     }
 }

@@ -60,14 +60,10 @@ impl Resolution {
     pub const TABLE4: [Resolution; 3] = [Self::FULL_HD, Self::HD720, Self::VGA];
 
     /// Pixel count.
-    pub fn pixels(&self) -> u64 {
+    pub(crate) fn pixels(&self) -> u64 {
         (self.width * self.height) as u64
     }
 }
-
-/// Pipeline latency of the color-conversion unit in cycles (LUT read,
-/// matrix MACs, PWL evaluate, encode).
-const COLOR_CONV_LATENCY: f64 = 10.0;
 
 /// The frame-level analytic simulator.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,11 +158,6 @@ impl FrameSimulator {
         self
     }
 
-    /// The configured core clock in GHz.
-    pub fn clock_ghz(&self) -> f64 {
-        self.clock_hz / 1e9
-    }
-
     /// The DVFS power-scaling factor relative to the 1.6 GHz / 0.72 V
     /// design point: `(f/f₀)·(V(f)/V₀)²`.
     pub fn dvfs_power_factor(&self) -> f64 {
@@ -175,14 +166,9 @@ impl FrameSimulator {
         f_ratio * v_ratio * v_ratio
     }
 
-    /// The configured per-channel buffer size in bytes.
-    pub fn buffer_bytes(&self) -> usize {
-        self.buffer_bytes_per_channel
-    }
-
     /// Realized superpixel count after grid rounding (matches
     /// `sslic_core::SeedGrid`).
-    pub fn realized_superpixels(&self) -> usize {
+    pub(crate) fn realized_superpixels(&self) -> usize {
         let n = self.resolution.pixels() as f64;
         let spacing = (n / self.superpixels as f64).sqrt();
         let cols = ((self.resolution.width as f64 / spacing).round() as usize).max(1);
@@ -234,7 +220,7 @@ impl FrameSimulator {
         let cc_tiles = n.div_ceil(tile_pixels);
         let color_ms = to_ms(
             (n.div_ceil(cores)) as f64
-                + cc_tiles.div_ceil(cores) as f64 * COLOR_CONV_LATENCY,
+                + cc_tiles.div_ceil(cores) as f64 * model::COLOR_CONV_LATENCY_CYCLES,
         );
 
         // 2. Cluster-update compute, tile-parallel across cores.
@@ -366,17 +352,6 @@ impl FrameReport {
         self.color_ms + self.assign_ms + self.center_ms + self.memory_ms
     }
 
-    /// The paper's "cluster update" aggregate: everything but color
-    /// conversion (§7 reports it as compute + memory).
-    pub fn cluster_update_ms(&self) -> f64 {
-        self.assign_ms + self.center_ms + self.memory_ms
-    }
-
-    /// Compute part of the cluster update (assignment + center update).
-    pub fn cluster_compute_ms(&self) -> f64 {
-        self.assign_ms + self.center_ms
-    }
-
     /// Sustained frame rate (Table 4's throughput row).
     pub fn fps(&self) -> f64 {
         1000.0 / self.total_ms()
@@ -430,10 +405,10 @@ mod tests {
             "memory {} vs 11.1",
             r.memory_ms
         );
+        let compute_ms = r.assign_ms + r.center_ms;
         assert!(
-            (r.cluster_compute_ms() - 20.3).abs() < 1.0,
-            "compute {} vs 20.3",
-            r.cluster_compute_ms()
+            (compute_ms - 20.3).abs() < 1.0,
+            "compute {compute_ms} vs 20.3"
         );
     }
 
@@ -549,7 +524,7 @@ mod tests {
         // §4.2's argument: DRAM reference energy dwarfs compute energy —
         // the reason the low-bandwidth PPA wins.
         let r = full_hd();
-        let compute_uj = r.avg_power_mw * r.cluster_compute_ms();
+        let compute_uj = r.avg_power_mw * (r.assign_ms + r.center_ms);
         assert!(r.dram_energy_uj > compute_uj, "DRAM energy must dominate");
     }
 

@@ -35,18 +35,42 @@ proptest! {
             state
         };
         let mut pipe = ClusterPipeline::new(config);
+        let mut want = Vec::new();
         for _ in 0..n {
+            // Near-tie vectors, the hard case for a priority-encoded
+            // minimum: every slot sits within 3 of a common base, and half
+            // the time one random slot dips just below the crowd.
+            let base = (next() % 256) as u32;
             let mut d = [0u32; 9];
             for v in &mut d {
-                *v = (next() % 256) as u32;
+                *v = base + (next() % 4) as u32;
             }
+            if next() % 2 == 0 {
+                d[(next() % 9) as usize] = base.saturating_sub(1);
+            }
+            let min = d.iter().copied().min().unwrap_or(u32::MAX);
+            want.push(d.iter().position(|&v| v == min).unwrap_or(0) as u8);
             pipe.issue(d);
         }
         let total = pipe.flush();
         let expected = (n - 1) * config.initiation_interval() as u64
             + config.latency_cycles() as u64;
         prop_assert_eq!(total, expected);
-        prop_assert_eq!(pipe.retired().len() as u64, n);
+        let retired = pipe.retired();
+        prop_assert_eq!(retired.len() as u64, n);
+        prop_assert!(
+            retired.windows(2).all(|w| w[0].id < w[1].id),
+            "retired out of issue order"
+        );
+        for (tx, &winner) in retired.iter().zip(&want) {
+            prop_assert!(
+                tx.winner == winner,
+                "transaction {}: winner {} != {}",
+                tx.id,
+                tx.winner,
+                winner
+            );
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub fn mean_color_image(img: &RgbImage, labels: &Plane<u32>) -> RgbImage {
 
 /// The deterministic palette color assigned to `label` by
 /// [`colorize_labels`].
-pub fn label_color(label: u32) -> Rgb {
+pub(crate) fn label_color(label: u32) -> Rgb {
     let mut v = (label as u64).wrapping_add(0x9e37_79b9);
     v = v.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     v ^= v >> 31;

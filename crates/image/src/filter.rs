@@ -11,7 +11,7 @@ pub fn box_blur(img: &RgbImage) -> RgbImage {
 }
 
 /// One 3×3 box-blur pass on a single plane.
-pub fn box_blur_plane(p: &Plane<u8>) -> Plane<u8> {
+pub(crate) fn box_blur_plane(p: &Plane<u8>) -> Plane<u8> {
     Plane::from_fn(p.width(), p.height(), |x, y| {
         let mut sum = 0u32;
         for dy in -1isize..=1 {

@@ -77,16 +77,6 @@ impl<T: Copy> Plane<T> {
         }
     }
 
-    /// Returns the sample at `(x, y)`, or `None` when out of bounds.
-    #[inline]
-    pub fn get(&self, x: usize, y: usize) -> Option<T> {
-        if x < self.width && y < self.height {
-            Some(self.data[y * self.width + x])
-        } else {
-            None
-        }
-    }
-
     /// Returns the sample at `(x, y)` clamping coordinates to the border.
     ///
     /// Useful for windowed operators (gradients, blurs) near edges.
@@ -155,12 +145,6 @@ impl<T> Plane<T> {
         self.data.len()
     }
 
-    /// Always `false`: planes have nonzero dimensions by construction.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Flat row-major view of the samples.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
@@ -186,25 +170,6 @@ impl<T> Plane<T> {
     /// Iterator over all samples in row-major order.
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.data.iter()
-    }
-
-    /// Mutable iterator over all samples in row-major order.
-    pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
-        self.data.iter_mut()
-    }
-
-    /// Consumes the plane, returning the underlying row-major buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
-    /// Iterator over `((x, y), &sample)` pairs in row-major order.
-    pub fn enumerate(&self) -> impl Iterator<Item = ((usize, usize), &T)> {
-        let w = self.width;
-        self.data
-            .iter()
-            .enumerate()
-            .map(move |(i, v)| ((i % w, i / w), v))
     }
 }
 
@@ -267,14 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn get_bounds_checked() {
-        let p = Plane::from_fn(3, 2, |x, y| (x + y) as u8);
-        assert_eq!(p.get(2, 1), Some(3));
-        assert_eq!(p.get(3, 1), None);
-        assert_eq!(p.get(2, 2), None);
-    }
-
-    #[test]
     fn get_clamped_replicates_border() {
         let p = Plane::from_fn(3, 2, |x, y| (10 * y + x) as i32);
         assert_eq!(p.get_clamped(-5, -5), 0);
@@ -295,14 +252,6 @@ mod tests {
     fn row_view_matches_indexing() {
         let p = Plane::from_fn(3, 3, |x, y| (y * 3 + x) as u16);
         assert_eq!(p.row(1), &[3, 4, 5]);
-    }
-
-    #[test]
-    fn enumerate_yields_coordinates() {
-        let p = Plane::from_fn(2, 2, |x, y| (x, y));
-        for ((x, y), &(vx, vy)) in p.enumerate() {
-            assert_eq!((x, y), (vx, vy));
-        }
     }
 
     #[test]
@@ -350,10 +299,9 @@ mod tests {
     }
 
     #[test]
-    fn into_vec_round_trips() {
+    fn from_vec_round_trips_as_slice() {
         let p = Plane::from_fn(2, 2, |x, y| x + 2 * y);
-        let v = p.clone().into_vec();
-        let q = Plane::from_vec(2, 2, v).unwrap();
+        let q = Plane::from_vec(2, 2, p.as_slice().to_vec()).unwrap();
         assert_eq!(p, q);
     }
 }

@@ -60,17 +60,6 @@ pub fn write_ppm<W: Write>(mut w: W, img: &RgbImage) -> Result<(), ImageError> {
     Ok(())
 }
 
-/// Writes a single-channel plane as a binary PGM (`P5`) stream.
-///
-/// # Errors
-///
-/// Returns [`ImageError::Io`] on write failure.
-pub fn write_pgm<W: Write>(mut w: W, plane: &Plane<u8>) -> Result<(), ImageError> {
-    write!(w, "P5\n{} {}\n255\n", plane.width(), plane.height())?;
-    w.write_all(plane.as_slice())?;
-    Ok(())
-}
-
 /// Reads a PPM stream — binary (`P6`) or ASCII (`P3`).
 ///
 /// A `&mut R` may be passed wherever a reader is expected.
@@ -279,6 +268,14 @@ fn parse_header(bytes: &[u8]) -> Result<(&str, usize, usize, usize, usize), Imag
 mod tests {
     use super::*;
     use crate::Rgb;
+
+    /// Writes a single-channel plane as a binary PGM (`P5`) stream: the
+    /// input the PGM reader tests parse.
+    fn write_pgm<W: Write>(mut w: W, plane: &Plane<u8>) -> Result<(), ImageError> {
+        write!(w, "P5\n{} {}\n255\n", plane.width(), plane.height())?;
+        w.write_all(plane.as_slice())?;
+        Ok(())
+    }
 
     #[test]
     fn ppm_round_trip() {

@@ -40,11 +40,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    /// Next 32 uniformly distributed bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform `f32` in `[0, 1)` with 24 bits of precision.
     pub fn next_f32(&mut self) -> f32 {
         (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)

@@ -102,7 +102,7 @@ impl RgbImage {
     ///
     /// Returns [`ImageError::Dimension`] if `data.len() != width * height * 3`
     /// or either dimension is zero.
-    pub fn from_raw(width: usize, height: usize, data: Vec<u8>) -> Result<Self, ImageError> {
+    pub(crate) fn from_raw(width: usize, height: usize, data: Vec<u8>) -> Result<Self, ImageError> {
         if width == 0 || height == 0 || data.len() != width * height * 3 {
             return Err(ImageError::Dimension {
                 expected: width * height * 3,

@@ -70,8 +70,6 @@ pub struct SyntheticBuilder {
     noise_sigma: f32,
     texture_amplitude: f32,
     illumination: f32,
-    warp_amplitude: f32,
-    blur_passes: usize,
     color_separation: f32,
 }
 
@@ -85,8 +83,6 @@ impl SyntheticBuilder {
             noise_sigma: 4.0,
             texture_amplitude: 10.0,
             illumination: 18.0,
-            warp_amplitude: 0.08,
-            blur_passes: 1,
             color_separation: 60.0,
         }
     }
@@ -124,20 +120,6 @@ impl SyntheticBuilder {
         self
     }
 
-    /// Boundary-warp amplitude as a fraction of the image diagonal.
-    /// `0.0` yields straight Voronoi edges. Default 0.08.
-    pub fn warp_amplitude(mut self, amp: f32) -> Self {
-        self.warp_amplitude = amp.max(0.0);
-        self
-    }
-
-    /// Number of 3×3 box-blur passes applied to the rendered image
-    /// (softens edges like camera optics). Default 1.
-    pub fn blur_passes(mut self, passes: usize) -> Self {
-        self.blur_passes = passes;
-        self
-    }
-
     /// Minimum pairwise RGB distance between region base colors.
     /// Default 60 (chromatically distinct regions). Small values create
     /// weak-contrast boundaries — the hard cases that make Berkeley-style
@@ -169,7 +151,8 @@ impl SyntheticBuilder {
             sample_separated_colors(self.regions, self.color_separation, &mut rng);
 
         // --- smooth coordinate warp (sum of random sinusoids) -------------
-        let warp = Warp::random(&mut rng, self.warp_amplitude * diag, w as f32, h as f32);
+        // Its amplitude, 8 % of the diagonal, bends the Voronoi edges.
+        let warp = Warp::random(&mut rng, 0.08 * diag, w as f32, h as f32);
 
         // --- ground truth ---------------------------------------------------
         let ground_truth = Plane::from_fn(w, h, |x, y| {
@@ -184,7 +167,7 @@ impl SyntheticBuilder {
             (ang.cos(), ang.sin())
         };
         let mut noise_rng = SplitMix64::seed_from_u64(self.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut img = RgbImage::from_fn(w, h, |x, y| {
+        let img = RgbImage::from_fn(w, h, |x, y| {
             let region = ground_truth[(x, y)] as usize;
             let base = colors[region];
             let t = self.texture_amplitude
@@ -199,12 +182,9 @@ impl SyntheticBuilder {
             Rgb::from(px)
         });
 
-        for _ in 0..self.blur_passes {
-            img = box_blur(&img);
-        }
-
+        // One 3×3 box-blur pass softens the edges like camera optics.
         SyntheticImage {
-            rgb: img,
+            rgb: box_blur(&img),
             ground_truth,
             region_count: self.regions,
         }
@@ -299,11 +279,6 @@ impl SyntheticDataset {
     /// Number of images in the corpus.
     pub fn len(&self) -> usize {
         self.images.len()
-    }
-
-    /// Whether the corpus is empty.
-    pub fn is_empty(&self) -> bool {
-        self.images.is_empty()
     }
 
     /// Iterator over the corpus images.
@@ -504,7 +479,6 @@ mod tests {
             .noise_sigma(0.0)
             .texture_amplitude(0.0)
             .illumination(0.0)
-            .blur_passes(0)
             .build();
         // Mean color per region should be pairwise well separated.
         let mut sums = [[0f64; 3]; 4];
@@ -534,50 +508,6 @@ mod tests {
                 assert!(d > 20.0, "regions {i} and {j} too similar: {d}");
             }
         }
-    }
-
-    #[test]
-    fn zero_warp_gives_straight_voronoi() {
-        let img = SyntheticImage::builder(60, 60)
-            .regions(3)
-            .seed(2)
-            .warp_amplitude(0.0)
-            .build();
-        // Sanity: the label map is a plain Voronoi partition — each region
-        // is connected. Check via flood fill count == region count present.
-        let present: std::collections::HashSet<u32> =
-            img.ground_truth.iter().copied().collect();
-        let mut visited = Plane::filled(60, 60, false);
-        let mut components = 0;
-        for y in 0..60 {
-            for x in 0..60 {
-                if visited[(x, y)] {
-                    continue;
-                }
-                components += 1;
-                let label = img.ground_truth[(x, y)];
-                let mut stack = vec![(x, y)];
-                visited[(x, y)] = true;
-                while let Some((cx, cy)) = stack.pop() {
-                    for (nx, ny) in [
-                        (cx.wrapping_sub(1), cy),
-                        (cx + 1, cy),
-                        (cx, cy.wrapping_sub(1)),
-                        (cx, cy + 1),
-                    ] {
-                        if nx < 60
-                            && ny < 60
-                            && !visited[(nx, ny)]
-                            && img.ground_truth[(nx, ny)] == label
-                        {
-                            visited[(nx, ny)] = true;
-                            stack.push((nx, ny));
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(components, present.len(), "plain voronoi cells are connected");
     }
 
     #[test]
@@ -613,7 +543,6 @@ mod tests {
         let a = SyntheticDataset::with_geometry(4, 42, 32, 24);
         let b = SyntheticDataset::with_geometry(4, 42, 32, 24);
         assert_eq!(a.len(), 4);
-        assert!(!a.is_empty());
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.rgb, y.rgb);
         }
@@ -625,13 +554,11 @@ mod tests {
             .seed(7)
             .noise_sigma(0.0)
             .texture_amplitude(0.0)
-            .blur_passes(0)
             .build();
         let noisy = SyntheticImage::builder(64, 48)
             .seed(7)
             .noise_sigma(12.0)
             .texture_amplitude(0.0)
-            .blur_passes(0)
             .build();
         let var = |img: &RgbImage| -> f64 {
             let n = img.pixel_count() as f64;

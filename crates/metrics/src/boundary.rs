@@ -2,7 +2,7 @@ use sslic_image::Plane;
 
 /// Marks every boundary pixel of a label map: a pixel whose label differs
 /// from its right or bottom 4-neighbour (1-pixel-wide internal contours).
-pub fn boundary_map(labels: &Plane<u32>) -> Plane<bool> {
+pub(crate) fn boundary_map(labels: &Plane<u32>) -> Plane<bool> {
     let (w, h) = (labels.width(), labels.height());
     Plane::from_fn(w, h, |x, y| {
         let l = labels[(x, y)];
@@ -47,7 +47,7 @@ pub fn boundary_recall(labels: &Plane<u32>, ground_truth: &Plane<u32>, tolerance
 /// # Panics
 ///
 /// Panics if the maps disagree on geometry.
-pub fn boundary_precision(
+pub(crate) fn boundary_precision(
     labels: &Plane<u32>,
     ground_truth: &Plane<u32>,
     tolerance: usize,

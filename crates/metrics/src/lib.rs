@@ -5,8 +5,7 @@
 //!
 //! * [`undersegmentation_error`] — how much computed superpixels "bleed"
 //!   across ground-truth region boundaries (lower is better). The corrected
-//!   Neubert–Protzel variant is available as
-//!   [`corrected_undersegmentation_error`].
+//!   Neubert–Protzel variant is reported by [`MetricSuite`].
 //! * [`boundary_recall`] — the fraction of ground-truth boundary pixels
 //!   that lie within a small tolerance of a computed superpixel boundary
 //!   (higher is better).
@@ -36,10 +35,7 @@ mod overlap;
 mod suite;
 mod variation;
 
-pub use boundary::{boundary_map, boundary_precision, boundary_recall};
-pub use overlap::{
-    achievable_segmentation_accuracy, compactness, corrected_undersegmentation_error,
-    undersegmentation_error,
-};
-pub use suite::{MeanStd, MetricSuite};
+pub use boundary::boundary_recall;
+pub use overlap::{achievable_segmentation_accuracy, compactness, undersegmentation_error};
+pub use suite::MetricSuite;
 pub use variation::explained_variation;

@@ -77,7 +77,7 @@ pub fn undersegmentation_error(labels: &Plane<u32>, ground_truth: &Plane<u32>) -
 /// # Panics
 ///
 /// Panics if the maps disagree on geometry.
-pub fn corrected_undersegmentation_error(
+pub(crate) fn corrected_undersegmentation_error(
     labels: &Plane<u32>,
     ground_truth: &Plane<u32>,
 ) -> f64 {

@@ -3,9 +3,11 @@
 
 use sslic_image::{Plane, RgbImage};
 
+use crate::boundary::boundary_precision;
+use crate::overlap::corrected_undersegmentation_error;
 use crate::{
-    achievable_segmentation_accuracy, boundary_precision, boundary_recall, compactness,
-    corrected_undersegmentation_error, explained_variation, undersegmentation_error,
+    achievable_segmentation_accuracy, boundary_recall, compactness, explained_variation,
+    undersegmentation_error,
 };
 
 /// All segmentation-quality metrics for one label map.
@@ -79,46 +81,6 @@ impl std::fmt::Display for MetricSuite {
     }
 }
 
-/// Mean and sample standard deviation of a metric over a corpus — what a
-/// results table should report alongside the mean when the corpus is
-/// small.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeanStd {
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (0 for fewer than two samples).
-    pub std: f64,
-    /// Sample count.
-    pub n: usize,
-}
-
-impl MeanStd {
-    /// Computes mean ± std over the values.
-    pub fn from_values(values: &[f64]) -> Self {
-        let n = values.len();
-        if n == 0 {
-            return MeanStd {
-                mean: 0.0,
-                std: 0.0,
-                n: 0,
-            };
-        }
-        let mean = values.iter().sum::<f64>() / n as f64;
-        let std = if n < 2 {
-            0.0
-        } else {
-            (values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n as f64 - 1.0)).sqrt()
-        };
-        MeanStd { mean, std, n }
-    }
-}
-
-impl std::fmt::Display for MeanStd {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:.4} ± {:.4}", self.mean, self.std)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,23 +110,6 @@ mod tests {
         let gt = Plane::filled(8, 8, 0u32);
         let suite = MetricSuite::evaluate(&gt, &gt, None, 2);
         assert_eq!(suite.explained_variation, None);
-    }
-
-    #[test]
-    fn mean_std_of_known_values() {
-        let m = MeanStd::from_values(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.mean, 2.5);
-        assert!((m.std - 1.2909944).abs() < 1e-6);
-        assert_eq!(m.n, 4);
-        assert!(m.to_string().contains("2.5000"));
-    }
-
-    #[test]
-    fn mean_std_degenerate_cases() {
-        assert_eq!(MeanStd::from_values(&[]).n, 0);
-        let one = MeanStd::from_values(&[7.0]);
-        assert_eq!(one.mean, 7.0);
-        assert_eq!(one.std, 0.0);
     }
 
     #[test]

@@ -14,15 +14,15 @@
 
 /// Sentinel for "this event is not band-scoped" (run- or step-level
 /// events, and every hardware-model event).
-pub const NO_BAND: u32 = u32::MAX;
+pub(crate) const NO_BAND: u32 = u32::MAX;
 
 /// The logical coordinates of one observed moment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LogicalClock {
     /// Center-update step (sub-iteration for S-SLIC), starting at 0.
     pub iteration: u32,
-    /// Row band of the banded parallel layer, [`NO_BAND`] when the event
-    /// is not band-scoped.
+    /// Row band of the banded parallel layer, `u32::MAX` when the event is
+    /// not band-scoped.
     pub band: u32,
     /// Modeled accelerator cycle count (0 for pure-software events).
     pub hw_cycle: u64,
@@ -68,11 +68,6 @@ impl LogicalClock {
         self.hw_cycle = hw_cycle;
         self
     }
-
-    /// True when the stamp names a row band.
-    pub fn has_band(&self) -> bool {
-        self.band != NO_BAND
-    }
 }
 
 #[cfg(test)]
@@ -82,10 +77,9 @@ mod tests {
     #[test]
     fn constructors_set_the_named_dimension() {
         assert_eq!(LogicalClock::step(3).iteration, 3);
-        assert!(!LogicalClock::step(3).has_band());
+        assert_eq!(LogicalClock::step(3).band, NO_BAND);
         let b = LogicalClock::band(2, 7);
         assert_eq!((b.iteration, b.band), (2, 7));
-        assert!(b.has_band());
         assert_eq!(LogicalClock::cycle(99).hw_cycle, 99);
         assert_eq!(LogicalClock::step(1).with_cycle(5).hw_cycle, 5);
     }
@@ -100,6 +94,6 @@ mod tests {
     fn zero_is_the_origin() {
         assert_eq!(LogicalClock::ZERO.iteration, 0);
         assert_eq!(LogicalClock::ZERO.hw_cycle, 0);
-        assert!(!LogicalClock::ZERO.has_band());
+        assert_eq!(LogicalClock::ZERO.band, NO_BAND);
     }
 }

@@ -25,7 +25,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable lowercase name used by the sinks.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             EventKind::SpanBegin => "span_begin",
             EventKind::SpanEnd => "span_end",
@@ -51,17 +51,9 @@ pub enum Value {
 
 impl Value {
     /// The unsigned payload, if this is a [`Value::U64`].
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Value::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a [`Value::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -109,7 +101,7 @@ pub struct Event {
 
 impl Event {
     /// Looks up an attribute by key.
-    pub fn attr(&self, key: &str) -> Option<&Value> {
+    pub(crate) fn attr(&self, key: &str) -> Option<&Value> {
         self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
@@ -134,7 +126,7 @@ mod tests {
             attrs: vec![("pixels", Value::U64(10)), ("tag", Value::from("x"))],
         };
         assert_eq!(e.attr_u64("pixels"), 10);
-        assert_eq!(e.attr("tag").and_then(Value::as_str), Some("x"));
+        assert_eq!(e.attr("tag"), Some(&Value::Str("x".into())));
         assert_eq!(e.attr_u64("missing"), 0);
     }
 

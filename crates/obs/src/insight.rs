@@ -322,7 +322,7 @@ pub fn render_collapsed(a: &Analysis) -> String {
 // --- bench trajectory -----------------------------------------------------
 
 /// Schema tag of the committed perf seeds.
-pub const BENCH_SCHEMA: &str = "sslic-bench-seed-v1";
+pub(crate) const BENCH_SCHEMA: &str = "sslic-bench-seed-v1";
 
 /// One workload row of a bench seed.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -40,16 +40,8 @@ impl Json {
         }
     }
 
-    /// The value as `i64`, if it is a signed integer token.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The value as `f64`, if it is any number token.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(raw) => raw.parse().ok(),
             _ => None,

@@ -6,12 +6,12 @@
 //! deterministic mode), a metrics registry (monotonic counters, gauges,
 //! fixed-boundary histograms), and pluggable render sinks:
 //!
-//! * [`sink::to_jsonl`] — one JSON object per line, byte-diffable by CI;
-//! * [`sink::to_chrome_trace`] — Chrome trace-event format, loadable in
+//! * [`Recorder::to_jsonl`] — one JSON object per line, byte-diffable by CI;
+//! * [`Recorder::to_chrome_trace`] — Chrome trace-event format, loadable in
 //!   Perfetto or `chrome://tracing`.
 //!
-//! The determinism contract: with a [`Recorder`] in
-//! [`Determinism::Deterministic`] mode, the rendered trace bytes are a
+//! The determinism contract: with a [`Recorder`] in deterministic mode
+//! ([`Recorder::deterministic`]), the rendered trace bytes are a
 //! pure function of the workload — identical across repeated runs and
 //! across worker-thread counts. The engine guarantees this by emitting
 //! only at serial synchronization points in a fixed order; this crate
@@ -25,7 +25,7 @@
 //! [`RunReport::from_json`] via the built-in no-panic [`json`] parser.
 //!
 //! On top of those primitives sit two analysis layers. [`telemetry`]
-//! adds log2-bucketed [`LatencyHistogram`]s with deterministic integer
+//! adds log2-bucketed [`telemetry::LatencyHistogram`]s with deterministic integer
 //! percentile estimation and a Prometheus text-exposition renderer over
 //! the registry. [`insight`] reads the artifacts back — JSONL
 //! traces, report lines, bench seeds — and renders span attribution
@@ -34,22 +34,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
-pub mod event;
+pub(crate) mod clock;
+pub(crate) mod event;
 pub mod insight;
 pub mod json;
 pub mod metrics;
-pub mod recorder;
-pub mod report;
+pub(crate) mod recorder;
+pub(crate) mod report;
 pub mod sink;
 pub mod telemetry;
 
-pub use clock::{LogicalClock, NO_BAND};
+pub use clock::LogicalClock;
 pub use event::{Event, EventKind, Value};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use recorder::{Determinism, Recorder};
+pub use recorder::Recorder;
 pub use report::{
     HistogramSnapshot, PhaseNanos, ReportCounters, ReportFleet, ReportRecovery, RunReport,
-    TrafficEntry, RUN_REPORT_SCHEMA,
+    TrafficEntry,
 };
-pub use telemetry::{render_prometheus, LatencyHistogram};

@@ -27,7 +27,7 @@ pub struct Histogram {
 impl Histogram {
     /// Creates an empty histogram. Boundaries are sorted and deduplicated;
     /// an empty boundary list yields a single catch-all bucket.
-    pub fn new(boundaries: &[u64]) -> Self {
+    pub(crate) fn new(boundaries: &[u64]) -> Self {
         let mut b = boundaries.to_vec();
         b.sort_unstable();
         b.dedup();
@@ -41,7 +41,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, v: u64) {
+    pub(crate) fn observe(&mut self, v: u64) {
         let idx = self.boundaries.partition_point(|&b| b < v);
         if let Some(bucket) = self.buckets.get_mut(idx) {
             *bucket = bucket.saturating_add(1);
@@ -52,7 +52,7 @@ impl Histogram {
 
     /// Zeroes every bucket, the count, and the sum, keeping the boundary
     /// layout. Allocation-free.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for bucket in self.buckets.iter_mut() {
             *bucket = 0;
         }
@@ -61,12 +61,12 @@ impl Histogram {
     }
 
     /// The upper boundaries (exclusive of the final overflow bucket).
-    pub fn boundaries(&self) -> &[u64] {
+    pub(crate) fn boundaries(&self) -> &[u64] {
         &self.boundaries
     }
 
     /// Per-bucket observation counts (`boundaries().len() + 1` entries).
-    pub fn buckets(&self) -> &[u64] {
+    pub(crate) fn buckets(&self) -> &[u64] {
         &self.buckets
     }
 
@@ -76,7 +76,7 @@ impl Histogram {
     }
 
     /// Saturating sum of all observed values.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 }
@@ -109,7 +109,7 @@ impl MetricsRegistry {
     /// Records `v` into the histogram `name`, registering it with
     /// `boundaries` on first use (later boundary arguments are ignored —
     /// boundaries are fixed at registration).
-    pub fn histogram_observe(&mut self, name: &str, boundaries: &[u64], v: u64) {
+    pub(crate) fn histogram_observe(&mut self, name: &str, boundaries: &[u64], v: u64) {
         self.histograms
             .entry(name.to_string())
             .or_insert_with(|| Histogram::new(boundaries))
@@ -140,17 +140,17 @@ impl MetricsRegistry {
     }
 
     /// All counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// All gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 }

@@ -18,7 +18,7 @@ use crate::sink;
 
 /// Whether a trace may contain wall-clock durations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Determinism {
+pub(crate) enum Determinism {
     /// Logical clocks only: every duration attribute is forced to 0, so
     /// the trace bytes are a pure function of the workload. This is the
     /// mode CI byte-diffs.
@@ -44,14 +44,16 @@ pub struct Recorder {
 
 impl Recorder {
     /// A recorder in the given mode.
-    pub fn new(mode: Determinism) -> Self {
+    pub(crate) fn new(mode: Determinism) -> Self {
         Recorder {
             mode,
             inner: Mutex::new(Inner::default()),
         }
     }
 
-    /// A deterministic-mode recorder (see [`Determinism::Deterministic`]).
+    /// A deterministic-mode recorder: logical clocks only, and every
+    /// duration attribute forced to 0, so the trace bytes are a pure
+    /// function of the workload.
     pub fn deterministic() -> Self {
         Self::new(Determinism::Deterministic)
     }
@@ -59,11 +61,6 @@ impl Recorder {
     /// A wall-clock-mode recorder.
     pub fn wallclock() -> Self {
         Self::new(Determinism::Wallclock)
-    }
-
-    /// The recording mode.
-    pub fn mode(&self) -> Determinism {
-        self.mode
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -146,11 +143,6 @@ impl Recorder {
         self.lock().metrics.counter_add(name, v);
     }
 
-    /// Sets a gauge.
-    pub fn gauge_set(&self, name: &str, v: i64) {
-        self.lock().metrics.gauge_set(name, v);
-    }
-
     /// Records a histogram observation (boundaries fixed at first use).
     pub fn histogram_observe(&self, name: &str, boundaries: &[u64], v: u64) {
         self.lock().metrics.histogram_observe(name, boundaries, v);
@@ -210,11 +202,9 @@ mod tests {
     fn metrics_ride_along() {
         let r = Recorder::deterministic();
         r.counter_add("ops", 5);
-        r.gauge_set("occupancy", 3);
         r.histogram_observe("sizes", &[10], 4);
         let m = r.metrics();
         assert_eq!(m.counter("ops"), 5);
-        assert_eq!(m.gauge("occupancy"), Some(3));
         assert_eq!(m.histogram("sizes").map(|h| h.count()), Some(1));
     }
 

@@ -13,7 +13,7 @@ use crate::metrics::MetricsRegistry;
 use crate::sink::escape_json;
 
 /// Schema tag written into every report.
-pub const RUN_REPORT_SCHEMA: &str = "sslic-run-report-v2";
+pub(crate) const RUN_REPORT_SCHEMA: &str = "sslic-run-report-v2";
 
 /// Mirror of the engine's per-frame `RecoveryReport` (plain struct for
 /// the same acyclicity reason as [`ReportCounters`]).
@@ -169,7 +169,7 @@ impl ReportCounters {
 pub struct PhaseNanos {
     /// Phase name (`color_conversion`, `init`, …).
     pub name: String,
-    /// Elapsed nanoseconds; 0 under [`crate::Determinism::Deterministic`].
+    /// Elapsed nanoseconds; 0 from a deterministic-mode recorder.
     pub nanos: u64,
 }
 

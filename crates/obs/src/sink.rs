@@ -58,7 +58,7 @@ fn attrs_json(attrs: &[(&'static str, Value)]) -> String {
 /// Renders events as JSON lines: one self-contained JSON object per line,
 /// in sequence order. This is the format the CI determinism gate
 /// byte-diffs.
-pub fn to_jsonl(events: &[Event]) -> String {
+pub(crate) fn to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for e in events {
         let band = if e.clock.band == NO_BAND {
@@ -96,7 +96,7 @@ fn chrome_tid(e: &Event) -> u64 {
 /// Timestamps are the recorder sequence numbers — logical microseconds —
 /// so the rendered timeline shows causal order, not wall time, and the
 /// bytes are stable across runs.
-pub fn to_chrome_trace(events: &[Event]) -> String {
+pub(crate) fn to_chrome_trace(events: &[Event]) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     for (i, e) in events.iter().enumerate() {
         if i > 0 {

@@ -16,7 +16,7 @@ use crate::metrics::{Histogram, MetricsRegistry};
 /// Upper bucket boundaries at successive powers of two:
 /// `[2^min_exp, 2^(min_exp+1), …, 2^max_exp]`. Exponents are clamped to
 /// 63 and a reversed range yields the single boundary `2^min_exp`.
-pub fn log2_boundaries(min_exp: u32, max_exp: u32) -> Vec<u64> {
+pub(crate) fn log2_boundaries(min_exp: u32, max_exp: u32) -> Vec<u64> {
     let lo = min_exp.min(63);
     let hi = max_exp.min(63).max(lo);
     let mut out = Vec::with_capacity((hi - lo + 1) as usize);
@@ -60,17 +60,13 @@ impl LatencyHistogram {
         self.inner.count()
     }
 
-    /// Saturating sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.inner.sum()
-    }
-
     /// The wrapped fixed-boundary histogram.
     pub fn histogram(&self) -> &Histogram {
         &self.inner
     }
 
-    /// Deterministic percentile estimate; see [`percentile`].
+    /// Deterministic percentile estimate: the smallest bucket upper bound
+    /// whose cumulative count reaches `pct` % of the observations.
     pub fn percentile(&self, pct: u64) -> Option<u64> {
         percentile(&self.inner, pct)
     }
@@ -86,7 +82,7 @@ impl LatencyHistogram {
 /// estimate as the last boundary (the histogram's measurable ceiling),
 /// or `u64::MAX` for a boundary-less histogram. Returns `None` for an
 /// empty histogram or `pct > 100`.
-pub fn percentile(h: &Histogram, pct: u64) -> Option<u64> {
+pub(crate) fn percentile(h: &Histogram, pct: u64) -> Option<u64> {
     let count = h.count();
     if count == 0 || pct > 100 {
         return None;
@@ -115,7 +111,7 @@ pub fn percentile(h: &Histogram, pct: u64) -> Option<u64> {
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): every other character becomes `_`, and a
 /// leading digit gains a `_` prefix. Any label suffix (`{…}`) the key may
 /// carry is preserved untouched — see [`label`].
-pub fn sanitize_metric_name(name: &str) -> String {
+pub(crate) fn sanitize_metric_name(name: &str) -> String {
     let (base, labels) = split_labels(name);
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in base.chars().enumerate() {
@@ -140,26 +136,12 @@ pub fn sanitize_metric_name(name: &str) -> String {
 
 /// Escapes a label value per the exposition spec: backslash, the double
 /// quote, and line feed.
-pub fn escape_label_value(v: &str) -> String {
+pub(crate) fn escape_label_value(v: &str) -> String {
     let mut out = String::with_capacity(v.len());
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Escapes HELP text per the exposition spec: backslash and line feed
-/// (quotes are legal there).
-pub fn escape_help(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
             c => out.push(c),
         }
@@ -243,7 +225,7 @@ fn sample_line(out: &mut String, base: &str, labels: Option<&str>, extra: Option
 
 /// Renders a [`MetricsRegistry`] in the Prometheus text exposition format
 /// (version 0.0.4): counters, then gauges, then histograms, each in
-/// registry (name) order, names sanitized via [`sanitize_metric_name`].
+/// registry (name) order, names sanitized to the metric-name grammar.
 /// Registry keys may carry a `{label="value"}` suffix (see [`label`]);
 /// histogram `le` labels are spliced into it. The output is a pure
 /// function of the registry contents.
@@ -369,7 +351,7 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.percentile(50), Some(8));
         h.reset();
-        assert_eq!((h.count(), h.sum()), (0, 0));
+        assert_eq!((h.count(), h.histogram().sum()), (0, 0));
         assert_eq!(h.percentile(50), None);
         assert_eq!(h.histogram().boundaries(), &[4, 8, 16, 32, 64]);
     }
@@ -428,8 +410,7 @@ fleet_latency_count 3
     }
 
     #[test]
-    fn help_escaping_per_spec() {
-        assert_eq!(escape_help("a\\b\nc\"d"), "a\\\\b\\nc\"d");
+    fn label_escaping_per_spec() {
         assert_eq!(escape_label_value("a\\b\nc\"d"), "a\\\\b\\nc\\\"d");
     }
 }
