@@ -259,6 +259,20 @@ for threads in 1 4; do
     cmp "results/kernel-ds/seg720-scalar-$threads.labels.pgm" \
         "results/kernel-ds/seg720-swar-$threads.labels.pgm"
 done
+# serve-qvga-mux's geometry: K = 600 over 320x240 at P = 2 puts 5 or 6
+# subset members in a grid-cell run, so every run ends in a two-lane tail
+# group.
+./target/release/sslic dataset results/kernel-ds/qvga --count 1 --width 320 --height 240 >/dev/null
+for threads in 1 4; do
+    for kernel in scalar swar; do
+        ./target/release/sslic segment results/kernel-ds/qvga/000.ppm \
+            --superpixels 600 --iterations 5 --algo hw8 --kernel "$kernel" \
+            --subsets 2 --threads "$threads" \
+            --out "results/kernel-ds/segqvga-$kernel-$threads" >/dev/null
+    done
+    cmp "results/kernel-ds/segqvga-scalar-$threads.labels.pgm" \
+        "results/kernel-ds/segqvga-swar-$threads.labels.pgm"
+done
 # SLIC-CPA's window scan runs band by band: at 1280x720 and K = 600 an
 # 81-row window spans four or five of the 22-23-row bands, where the
 # 64x48 pins only ever see bands of one or two rows.

@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 /// The regular seed grid SLIC initializes its cluster centers on, and the
 /// static pixel → 9-nearest-centers mapping the pixel-perspective
 /// architecture precomputes (paper §4.3: "The image is statically split
@@ -149,6 +151,16 @@ impl SeedGrid {
         out
     }
 
+    /// The clusters of the grid rows within one row of those of the
+    /// non-empty pixel rows `rows`: every label a pixel-perspective step
+    /// can give a pixel of `rows`, since a pixel's home cluster and nine
+    /// candidates lie within one grid row of its own.
+    pub(crate) fn clusters_near_rows(&self, rows: &Range<usize>) -> Range<usize> {
+        let top = self.cell_of_pixel(0, rows.start).1.saturating_sub(1);
+        let bottom = (self.cell_of_pixel(0, rows.end - 1).1 + 1).min(self.rows - 1);
+        top * self.cols..(bottom + 1) * self.cols
+    }
+
     /// The 9 candidate cluster indices for a pixel.
     #[inline]
     pub fn nine_neighbors_of_pixel(&self, x: usize, y: usize) -> [usize; 9] {
@@ -233,6 +245,34 @@ mod tests {
                 let home = home_cluster_of_pixel(&g, x, y);
                 let nine = g.nine_neighbors_of_pixel(x, y);
                 assert!(nine.contains(&home));
+            }
+        }
+    }
+
+    #[test]
+    fn clusters_near_rows_hold_every_candidate_of_those_rows() {
+        for (w, h, k) in [
+            (1, 1, 1),
+            (1, 9, 3),
+            (37, 23, 12),
+            (64, 48, 20),
+            (320, 240, 600),
+        ] {
+            let g = SeedGrid::new(w, h, k);
+            for start in 0..h {
+                for end in start + 1..=h.min(start + 9) {
+                    let near = g.clusters_near_rows(&(start..end));
+                    assert!(near.end <= g.cluster_count());
+                    for y in start..end {
+                        for x in 0..w {
+                            let nine = g.nine_neighbors_of_pixel(x, y);
+                            assert!(
+                                nine.iter().all(|k| near.contains(k)),
+                                "{w}x{h}, K {k}, rows {start}..{end}, pixel ({x}, {y})"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

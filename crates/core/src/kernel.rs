@@ -26,10 +26,10 @@
 //! code reaches `c` (`+∞` past the top code). [`SwarKernel`] precomputes
 //! that threshold table by binary search over f64 *bit patterns*
 //! (order-isomorphic to the non-negative reals) with the scalar quantizer
-//! as the oracle. Each pixel then pays one `sqrt`, for the code of its
-//! minimum `V`, and its winner is the first candidate whose `V` is below
-//! that code's upper threshold — the scalar first-wins strict-`<` argmin
-//! over codes.
+//! as the oracle, and buckets it by the high bits of those patterns, so a
+//! pixel reads the threshold of its minimum `V` with no `sqrt`. Its winner
+//! is the first candidate whose `V` is below that threshold — the scalar
+//! first-wins strict-`<` argmin over codes.
 //!
 //! # Dispatch resolution
 //!
@@ -45,6 +45,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use sslic_color::Lab8Image;
+use sslic_fixed::Quantizer;
 
 use crate::distance::{ClusterCodes, QuantKernel};
 use crate::params::ParamError;
@@ -146,6 +147,217 @@ fn biased_deltas(packed: u64, center: u8) -> u64 {
     packed + (256 - center as u16) as u64 * LANE_ONES
 }
 
+/// Byte cap on a threshold table's bucket entries, at every distance
+/// width: widths whose one-threshold buckets would not fit search a
+/// coarser bucket's thresholds instead (see [`CodeThresholds`]).
+const BUCKET_CAP_BYTES: usize = 64 << 10;
+
+/// `vb[c]`, the smallest non-negative f64 `V` with `encode(sqrt(V)) ≥ c`,
+/// for every code `c ≤ max_code`, then `+∞` (no `V` reaches
+/// `max_code + 1`). `vb[0]` is 0.0 and the table is sorted. Each threshold
+/// is found by binary search over f64 bit patterns (monotone-isomorphic to
+/// non-negative f64 ordering) with the scalar `encode(sqrt(V))` as the
+/// oracle, so every comparison against it reproduces a scalar comparison
+/// exactly.
+fn code_thresholds(q: &Quantizer) -> Vec<f64> {
+    let code_of = |bits: u64| q.encode(f64::from_bits(bits).sqrt());
+    let max_code = q.max_code();
+    let mut vb = Vec::with_capacity(max_code as usize + 2);
+    vb.push(0.0f64);
+    let mut prev = 0u64; // bit pattern of vb[c - 1]
+    for c in 1..=max_code {
+        if code_of(prev) >= c {
+            // The previous threshold already reaches this code (codes
+            // can be skipped when the quantizer step is coarse).
+            vb.push(f64::from_bits(prev));
+            continue;
+        }
+        // Invariant: code_of(lo) < c ≤ code_of(hi); the least
+        // satisfying bit pattern is found in ≤ 64 oracle calls.
+        let mut lo = prev;
+        let mut hi = f64::INFINITY.to_bits();
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if code_of(mid) >= c {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        vb.push(f64::from_bits(hi));
+        prev = hi;
+    }
+    vb.push(f64::INFINITY);
+    vb
+}
+
+/// The code threshold of a lane minimum without a `sqrt`:
+/// [`CodeThresholds::above`]`(v)` is `vb[code(v) + 1]` for the table of
+/// [`code_thresholds`], which is the smallest threshold strictly above `v`.
+///
+/// Non-negative f64s order like their bit patterns, so `v` falls in the
+/// bucket named by the high bits of `v.to_bits()` (its exponent and top
+/// mantissa bits), clamped to the buckets from the one holding the first
+/// threshold to the one holding the last finite threshold. Within a bucket
+/// the answer changes only at the thresholds inside it. Construction picks
+/// the coarsest bucket width at which no bucket holds two thresholds, when
+/// those buckets fit [`BUCKET_CAP_BYTES`]; a lookup is then one read of
+/// the bucket's `[split, above]` and one select. A width that does not fit
+/// takes the finest buckets that do, and a lookup searches its bucket's
+/// thresholds in a fixed number of branch-free steps.
+///
+/// The sorted thresholds are allocated before the bucket entries and kept
+/// for the kernel's life: a builder that freed its threshold list after
+/// allocating the entries, with nothing else changed, raised camera-720p's
+/// peak RSS by 3.5 MiB, a heap-placement effect.
+#[derive(Debug, Clone)]
+struct CodeThresholds {
+    /// Right shift from a bit pattern to its bucket number.
+    shift: u32,
+    /// The bucket number of bucket 0, the one holding the first
+    /// threshold. Lower patterns clamp into bucket 0, higher ones than
+    /// bucket `last` into bucket `last`.
+    base: u64,
+    /// The last bucket, which holds the last finite threshold.
+    last: usize,
+    /// Branch-free search steps per lookup: 0 when no bucket holds two
+    /// thresholds, and enough for the fullest bucket otherwise.
+    steps: u32,
+    /// The distinct thresholds in ascending order, `+∞` last: `vb`
+    /// without its leading 0.0 and its repeats.
+    sorted: Vec<f64>,
+    /// The bucket entries, in one allocation. With no steps, each
+    /// bucket's `[split, above]` as f64 bit patterns: the first threshold
+    /// above the bucket's lowest pattern, and the threshold after it. With
+    /// steps, each bucket's index of that first threshold in `sorted`.
+    table: Vec<u64>,
+}
+
+impl CodeThresholds {
+    fn new(q: &Quantizer) -> CodeThresholds {
+        // A skipped code repeats its neighbour's threshold; the buckets
+        // need each value once. `vb[0]` is 0.0 and every later threshold
+        // is positive.
+        let mut sorted = code_thresholds(q);
+        sorted.dedup();
+        sorted.remove(0);
+        // One bucket per binade (shift 52) always fits: f64 has 2047.
+        let mut fits = (52, Self::layout(&sorted, 52));
+        for shift in (0..=52).rev() {
+            let (base, last, fullest) = Self::layout(&sorted, shift);
+            let buckets = last + 1;
+            if fullest <= 1 && buckets <= BUCKET_CAP_BYTES / 16 {
+                return Self::build(sorted, shift, base, last, 0);
+            }
+            if buckets > BUCKET_CAP_BYTES / 8 {
+                break;
+            }
+            fits = (shift, (base, last, fullest));
+            if fullest <= 1 {
+                break;
+            }
+        }
+        let (shift, (base, last, fullest)) = fits;
+        let steps = usize::BITS - fullest.leading_zeros();
+        Self::build(sorted, shift, base, last, steps)
+    }
+
+    /// The buckets of `sorted` (ascending, ending in `+∞`) at bucket width
+    /// `shift`: bucket 0's number, the last bucket, and the most thresholds
+    /// inside one bucket. A threshold at a bucket's lowest pattern changes
+    /// the answer only between buckets, so it is inside none.
+    fn layout(sorted: &[f64], shift: u32) -> (u64, usize, usize) {
+        let finite = &sorted[..sorted.len() - 1];
+        let base = finite[0].to_bits() >> shift;
+        let last = ((finite[finite.len() - 1].to_bits() >> shift) - base) as usize;
+        let bucket = |bits: u64| ((bits >> shift).saturating_sub(base) as usize).min(last);
+        let (mut fullest, mut run, mut current) = (0, 0, usize::MAX);
+        for bits in finite.iter().map(|t| t.to_bits()) {
+            let b = bucket(bits);
+            if bucket(bits - 1) != b {
+                continue;
+            }
+            run = if b == current { run + 1 } else { 1 };
+            current = b;
+            fullest = fullest.max(run);
+        }
+        (base, last, fullest)
+    }
+
+    fn build(sorted: Vec<f64>, shift: u32, base: u64, last: usize, steps: u32) -> CodeThresholds {
+        let inf = f64::INFINITY.to_bits();
+        let per_bucket = if steps == 0 { 2 } else { 1 };
+        let mut table = Vec::with_capacity(per_bucket * (last + 1));
+        // `first`: the first threshold above bucket `i`'s lowest pattern
+        // (0 for bucket 0, which takes every pattern below it). `sorted`
+        // ends in `+∞`, above every finite pattern, so the walk stops.
+        let mut first = 0;
+        for i in 0..=last {
+            let lowest = if i == 0 {
+                0
+            } else {
+                (base + i as u64) << shift
+            };
+            while sorted[first].to_bits() <= lowest {
+                first += 1;
+            }
+            if steps == 0 {
+                table.push(sorted[first].to_bits());
+                table.push(sorted.get(first + 1).map_or(inf, |t| t.to_bits()));
+            } else {
+                table.push(first as u64);
+            }
+        }
+        CodeThresholds {
+            shift,
+            base,
+            last,
+            steps,
+            sorted,
+            table,
+        }
+    }
+
+    /// The smallest threshold strictly above `v ≥ 0`: `vb[code(v) + 1]`,
+    /// `+∞` at the top code. With no steps a bucket holds at most one
+    /// threshold, which one select resolves; otherwise at most
+    /// `2^steps − 1`, and `steps` halvings count those `≤ v`.
+    #[inline]
+    fn above(&self, v: f64) -> f64 {
+        let bits = v.to_bits();
+        let i = ((bits >> self.shift).saturating_sub(self.base) as usize).min(self.last);
+        if self.steps == 0 {
+            let (split, above) = (self.table[2 * i], self.table[2 * i + 1]);
+            return f64::from_bits(if bits < split { split } else { above });
+        }
+        self.search(i, bits)
+    }
+
+    /// [`Self::above`] for tables with search steps: `bits`' bucket `i`.
+    /// Past the end, `sorted` reads as `+∞`.
+    #[inline(never)]
+    fn search(&self, i: usize, bits: u64) -> f64 {
+        let at = |k: usize| self.sorted.get(k).map_or(f64::INFINITY, |t| *t);
+        let v = f64::from_bits(bits);
+        let mut k = self.table[i] as usize;
+        for r in (0..self.steps).rev() {
+            let next = k + (1 << r);
+            if at(next - 1) <= v {
+                k = next;
+            }
+        }
+        at(k)
+    }
+
+    /// The bytes of the bucket entries, the part [`BUCKET_CAP_BYTES`]
+    /// caps.
+    #[cfg(test)]
+    fn bucket_bytes(&self) -> usize {
+        let per_bucket = if self.steps == 0 { 16 } else { 8 };
+        (self.last + 1) * per_bucket
+    }
+}
+
 /// Precomputed tables of the SWAR assign kernel. Built once, at session
 /// construction, when the configuration qualifies, then shared immutably
 /// across bands — steady-state frames never touch the heap for it.
@@ -163,14 +375,8 @@ pub(crate) struct SwarKernel {
     /// `isq[i] = (i − 256)²` as f64 — the a/b channel terms. Exact
     /// integers (≤ 255² < 2⁵³), so identical to the scalar `da * da`.
     isq: Box<[f64; 512]>,
-    /// `vb[c]` = smallest non-negative f64 `V` with
-    /// `encode(sqrt(V)) ≥ c`, for every code `c ≤ max_code`, then `+∞`
-    /// (no `V` reaches `max_code + 1`). `vb[0]` is 0.0; the table is
-    /// sorted.
-    vb: Vec<f64>,
-    /// `1 / step` of the distance quantizer: `sqrt(V) · inv_step`
-    /// rounds to within one code of `encode(sqrt(V))`.
-    inv_step: f64,
+    /// The code threshold above each lane minimum.
+    thresholds: CodeThresholds,
     /// Eq. 5 spatial weight `m²/S²`, bit-identical to the scalar
     /// kernel's f64 copy.
     m2_over_s2: f64,
@@ -178,11 +384,7 @@ pub(crate) struct SwarKernel {
 
 impl SwarKernel {
     /// Builds the lane mask, squared-delta LUTs, and the code-threshold
-    /// table from the session's scalar quantized kernel. The threshold
-    /// for each code is found by binary search over f64 bit patterns
-    /// (monotone-isomorphic to non-negative f64 ordering) with the
-    /// scalar `encode(sqrt(V))` as the oracle, so every comparison the
-    /// SWAR kernel makes reproduces a scalar comparison exactly.
+    /// table from the session's scalar quantized kernel.
     pub(crate) fn new(qk: &QuantKernel) -> SwarKernel {
         const L_SCALE: f64 = 100.0 / 255.0;
         let shift = qk.chan_shift();
@@ -195,60 +397,12 @@ impl SwarKernel {
             let d = i as f64 - 256.0;
             d * d
         }));
-
-        let q = qk.quantizer();
-        let code_of = |bits: u64| q.encode(f64::from_bits(bits).sqrt());
-        let max_code = q.max_code();
-        let mut vb = Vec::with_capacity(max_code as usize + 2);
-        vb.push(0.0f64);
-        let mut prev = 0u64; // bit pattern of vb[c - 1]
-        for c in 1..=max_code {
-            if code_of(prev) >= c {
-                // The previous threshold already reaches this code (codes
-                // can be skipped when the quantizer step is coarse).
-                vb.push(f64::from_bits(prev));
-                continue;
-            }
-            // Invariant: code_of(lo) < c ≤ code_of(hi); the least
-            // satisfying bit pattern is found in ≤ 64 oracle calls.
-            let mut lo = prev;
-            let mut hi = f64::INFINITY.to_bits();
-            while hi - lo > 1 {
-                let mid = lo + (hi - lo) / 2;
-                if code_of(mid) >= c {
-                    hi = mid;
-                } else {
-                    lo = mid;
-                }
-            }
-            vb.push(f64::from_bits(hi));
-            prev = hi;
-        }
-        vb.push(f64::INFINITY);
-
         SwarKernel {
             chan_mask: lane * LANE_ONES,
             lsq,
             isq,
-            vb,
-            inv_step: 1.0 / q.step(),
+            thresholds: CodeThresholds::new(qk.quantizer()),
             m2_over_s2: qk.m2_over_s2(),
-        }
-    }
-
-    /// The distance code of `v`, `encode(sqrt(v))`: the largest `c` with
-    /// `vb[c] ≤ v`. The rounded guess `sqrt(v) · inv_step` is within one
-    /// code of it, so one step against the table lands on it exactly.
-    #[inline]
-    fn code(&self, v: f64) -> usize {
-        let max = self.vb.len() - 2;
-        let guess = ((v.sqrt() * self.inv_step + 0.5) as usize).min(max);
-        if self.vb[guess + 1] <= v {
-            guess + 1
-        } else if self.vb[guess] > v {
-            guess - 1
-        } else {
-            guess
         }
     }
 
@@ -262,11 +416,11 @@ impl SwarKernel {
     /// walk down from it is a select per candidate, with no data-dependent
     /// branch.
     #[inline]
-    fn resolve(&self, vs: &[[f64; LANES]; 9], vmin: &[f64; LANES]) -> [usize; LANES] {
-        let t: [f64; LANES] = std::array::from_fn(|j| self.vb[self.code(vmin[j]) + 1]);
-        let mut win = [8usize; LANES];
+    fn resolve<const N: usize>(&self, vs: &[[f64; N]; 9], vmin: &[f64; N]) -> [usize; N] {
+        let t: [f64; N] = std::array::from_fn(|j| self.thresholds.above(vmin[j]));
+        let mut win = [8usize; N];
         for i in (0..8).rev() {
-            for j in 0..LANES {
+            for j in 0..N {
                 if vs[i][j] < t[j] {
                     win[j] = i;
                 }
@@ -279,11 +433,11 @@ impl SwarKernel {
     /// whose subset members are `first, first + step, …`: one cursor over
     /// the members, carried across the row's grid-cell runs. The pixels of
     /// one run share their 9-candidate set and are gathered four at a
-    /// time into SWAR lanes, and the per-pixel argmin labels go into
-    /// `srow`, the row of the band stripe. Pixels outside the subset or
-    /// skipped by preemption keep their stripe value, exactly like the
-    /// scalar loop. Returns the number of pixels assigned (the scalar
-    /// loop's `assigned` counter).
+    /// time into SWAR lanes, and a run's last one or two members into two
+    /// lanes; the per-pixel argmin labels go into `srow`, the row of the
+    /// band stripe. Pixels outside the subset or skipped by preemption
+    /// keep their stripe value, exactly like the scalar loop. Returns the
+    /// number of pixels assigned (the scalar loop's `assigned` counter).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assign_row(
         &self,
@@ -331,34 +485,40 @@ impl SwarKernel {
                     n += 1;
                     x += step;
                 }
-                self.scan_group(lrow, arow, brow, &gx, n, y, &nine, codes, srow);
+                if n > 2 {
+                    self.scan_group(lrow, arow, brow, &gx, n, y, &nine, codes, srow);
+                } else {
+                    let pair = [gx[0], gx[1]];
+                    self.scan_group(lrow, arow, brow, &pair, n, y, &nine, codes, srow);
+                }
                 assigned += n as u64;
             }
         }
         assigned
     }
 
-    /// Scans the 9 candidates for up to four gathered pixels at once, in
-    /// two phases. Phase 1 evaluates `V` for all nine candidates in all
-    /// four lanes, with no branch, and keeps each lane's minimum; lanes
-    /// `n..LANES` of a partial group hold stale packs and are computed
-    /// but never read back. Phase 2 ([`Self::resolve`]) turns each lane's
+    /// Scans the 9 candidates for up to `N ≤ 4` gathered pixels at once,
+    /// in two phases. Phase 1 evaluates `V` for all nine candidates in all
+    /// `N` lanes, with no branch, and keeps each lane's minimum; lanes
+    /// `n..N` of a partial group hold stale packs and are computed but
+    /// never read back. Phase 2 ([`Self::resolve`]) turns each lane's
     /// minimum into one code threshold and picks the first candidate
     /// below it.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn scan_group(
+    fn scan_group<const N: usize>(
         &self,
         lrow: &[u8],
         arow: &[u8],
         brow: &[u8],
-        gx: &[usize; LANES],
+        gx: &[usize; N],
         n: usize,
         y: usize,
         nine: &[usize; 9],
         codes: &[ClusterCodes],
         srow: &mut [u32],
     ) {
+        const { assert!(N <= LANES, "a group fills at most the four packed lanes") };
         let mut lb = [0u8; LANES];
         let mut ab = [0u8; LANES];
         let mut bb = [0u8; LANES];
@@ -373,8 +533,8 @@ impl SwarKernel {
         let pl = pack4(lb) & self.chan_mask;
         let pa = pack4(ab) & self.chan_mask;
         let pb = pack4(bb) & self.chan_mask;
-        let mut vs = [[0f64; LANES]; 9];
-        let mut vmin = [f64::INFINITY; LANES];
+        let mut vs = [[0f64; N]; 9];
+        let mut vmin = [f64::INFINITY; N];
         for (i, &k) in nine.iter().enumerate() {
             let c = &codes[k];
             // Center codes are truncated 8-bit values, so `as u8` is
@@ -384,7 +544,7 @@ impl SwarKernel {
             let db = biased_deltas(pb, c.b as u8);
             let dy = (y as i32 - c.y) as f64;
             let dy2 = dy * dy;
-            for j in 0..LANES {
+            for j in 0..N {
                 // Biased lanes lie in [1, 511], so `& 511` keeps them
                 // unchanged and proves the table index in range.
                 let sh = 16 * j as u32;
@@ -469,11 +629,13 @@ mod tests {
     }
 
     /// The (m, S) pairs the table tests sweep: the paper default, small
-    /// and large spatial weights, a non-integer S, and a large grid step.
-    const M_S: [(f32, f32); 5] = [
+    /// and large spatial weights, the grid steps of a 320×240 and a
+    /// 1280×720 frame at K = 600, and a large grid step.
+    const M_S: [(f32, f32); 6] = [
         (10.0, 20.0),
         (1.0, 4.0),
         (40.0, 8.0),
+        (10.0, 11.43),
         (10.0, 39.19),
         (25.0, 60.0),
     ];
@@ -481,62 +643,120 @@ mod tests {
     #[test]
     fn threshold_table_is_sorted_and_starts_at_zero() {
         let qk = QuantKernel::new(8, 8, 10.0, 20.0);
-        let sk = SwarKernel::new(&qk);
-        assert_eq!(sk.vb[0], 0.0);
-        assert!(sk.vb.windows(2).all(|w| w[0] <= w[1]));
+        let vb = code_thresholds(qk.quantizer());
+        assert_eq!(vb[0], 0.0);
+        assert!(vb.windows(2).all(|w| w[0] <= w[1]));
         // One threshold per code, then the +∞ that no V reaches.
-        assert_eq!(sk.vb.len(), qk.quantizer().max_code() as usize + 2);
-        assert_eq!(sk.vb.last(), Some(&f64::INFINITY));
+        assert_eq!(vb.len(), qk.quantizer().max_code() as usize + 2);
+        assert_eq!(vb.last(), Some(&f64::INFINITY));
     }
 
     #[test]
     fn thresholds_replay_the_scalar_code_comparison() {
-        // For a sweep of V values, the code helper must equal the scalar
-        // `encode(sqrt(v))`, and `vb` must bracket it: `v' < vb[c]`
-        // exactly when `code(v') < c`.
+        // For a sweep of V values, `vb` must bracket the scalar
+        // `encode(sqrt(v))`: `v' < vb[c]` exactly when `code(v') < c`.
         let qk = QuantKernel::new(8, 8, 10.0, 20.0);
-        let sk = SwarKernel::new(&qk);
+        let vb = code_thresholds(qk.quantizer());
         let code = |v: f64| qk.quantizer().encode(v.sqrt());
         let mut v = 0.0f64;
         while v < 200_000.0 {
             let c = code(v);
-            assert_eq!(sk.code(v), c as usize, "v = {v}");
             // A value strictly below the threshold has a strictly
             // smaller code; a value at/above it does not.
             if c > 0 {
-                let below = f64::from_bits(sk.vb[c as usize].to_bits() - 1);
+                let below = f64::from_bits(vb[c as usize].to_bits() - 1);
                 assert!(code(below) < c, "v = {v}");
             }
-            assert!(code(sk.vb[c as usize]) >= c, "v = {v}");
+            assert!(code(vb[c as usize]) >= c, "v = {v}");
+            assert!(code(vb[c as usize + 1].min(f64::MAX)) > c || c == qk.quantizer().max_code());
             v = v * 1.17 + 0.73;
         }
     }
 
     #[test]
-    fn direct_threshold_equals_the_table_search_at_every_boundary() {
-        // The binary search the direct index replaced is the oracle: for
-        // every table entry, the f64 patterns either side of it, 0 and
-        // f64::MAX, the direct index plus its one fix-up step must pick
-        // the same code, starting from a guess at most one code off.
+    fn threshold_lookup_equals_the_code_table_at_every_boundary() {
+        // The sqrt-based code the lookup replaced is the oracle: at every
+        // threshold and every bucket's lowest pattern, the f64 patterns
+        // either side of each, 0 and f64::MAX, the lookup must return
+        // `vb[encode(sqrt(v)) + 1]`. Every width stays under the cap, and
+        // the 8-bit tables need no search step.
         for distance_bits in 1..=16u8 {
+            for (m, s) in M_S {
+                let qk = QuantKernel::new(8, distance_bits, m, s);
+                let q = qk.quantizer();
+                let vb = code_thresholds(q);
+                let t = CodeThresholds::new(q);
+                let at = format!("bits {distance_bits}, m {m}, S {s}");
+                assert!(t.bucket_bytes() <= BUCKET_CAP_BYTES, "{at}");
+                if distance_bits <= 8 {
+                    assert_eq!(t.steps, 0, "{at}");
+                }
+                let lowest = (1..=t.last as u64).map(|i| (t.base + i) << t.shift);
+                let boundaries = vb[1..vb.len() - 1]
+                    .iter()
+                    .map(|b| b.to_bits())
+                    .chain(lowest);
+                let probes = boundaries
+                    .flat_map(|bits| [bits - 1, bits, bits + 1])
+                    .chain([0, f64::MAX.to_bits()]);
+                for bits in probes {
+                    let v = f64::from_bits(bits);
+                    let want = vb[q.encode(v.sqrt()) as usize + 1];
+                    assert_eq!(t.above(v).to_bits(), want.to_bits(), "{at}, v {v:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_lane_groups_equal_their_four_lane_lanes() {
+        // A run's last one or two members go through a two-lane group:
+        // each must get the label the same pixel gets in a four-lane
+        // group, and a stale lane must write nothing.
+        let mut rng = sslic_image::prng::SplitMix64::seed_from_u64(27);
+        let (w, h) = (48usize, 16usize);
+        let grid = SeedGrid::new(w, h, 12);
+        for distance_bits in [4u8, 8, 12] {
             for channel_bits in [4u8, 8] {
                 for (m, s) in M_S {
-                    let sk = SwarKernel::new(&QuantKernel::new(channel_bits, distance_bits, m, s));
-                    let max = sk.vb.len() - 2;
-                    let probes = sk.vb[..=max].iter().flat_map(|b| {
-                        let bits = b.to_bits();
-                        [bits.saturating_sub(1), bits, bits + 1].map(f64::from_bits)
-                    });
-                    for v in probes.chain([0.0, f64::MAX]) {
-                        let exact = sk.vb[1..=max].partition_point(|&b| b <= v);
-                        let at =
-                            format!("bits {distance_bits}/{channel_bits}, m {m}, S {s}, v {v:e}");
-                        assert_eq!(sk.code(v), exact, "{at}");
-                        let guess = ((v.sqrt() * sk.inv_step + 0.5) as usize).min(max);
-                        assert!(
-                            guess.abs_diff(exact) <= 1,
-                            "{at}: guess {guess}, exact {exact}"
-                        );
+                    let qk = QuantKernel::new(channel_bits, distance_bits, m, s);
+                    let sk = SwarKernel::new(&qk);
+                    let byte = |rng: &mut sslic_image::prng::SplitMix64| rng.below(256) as u8;
+                    for _ in 0..200 {
+                        let lab8 = Lab8Image::from_fn(w, h, |_, _| [0; 3].map(|_| byte(&mut rng)));
+                        let codes: Vec<ClusterCodes> = (0..grid.cluster_count())
+                            .map(|_| ClusterCodes {
+                                l: qk.truncate_channel(byte(&mut rng)),
+                                a: qk.truncate_channel(byte(&mut rng)),
+                                b: qk.truncate_channel(byte(&mut rng)),
+                                x: rng.below(w as u64 + 8) as i32 - 4,
+                                y: rng.below(h as u64 + 8) as i32 - 4,
+                            })
+                            .collect();
+                        let y = rng.below(h as u64) as usize;
+                        let nine = grid.nine_neighbors_of_pixel(rng.below(w as u64) as usize, y);
+                        let [lrow, arow, brow] = [&lab8.l, &lab8.a, &lab8.b].map(|p| p.row(y));
+                        let gx: [usize; LANES] =
+                            std::array::from_fn(|_| rng.below(w as u64) as usize);
+                        let mut four = vec![u32::MAX; w];
+                        sk.scan_group(lrow, arow, brow, &gx, LANES, y, &nine, &codes, &mut four);
+                        for n in 1..=2 {
+                            let stale = rng.below(w as u64) as usize;
+                            let pair = [gx[0], if n == 2 { gx[1] } else { stale }];
+                            let mut two = vec![u32::MAX; w];
+                            sk.scan_group(lrow, arow, brow, &pair, n, y, &nine, &codes, &mut two);
+                            for (x, &label) in two.iter().enumerate() {
+                                let want = if pair[..n].contains(&x) {
+                                    four[x]
+                                } else {
+                                    u32::MAX
+                                };
+                                assert_eq!(
+                                    label, want,
+                                    "bits {distance_bits}/{channel_bits}, x {x}"
+                                );
+                            }
+                        }
                     }
                 }
             }
@@ -550,16 +770,18 @@ mod tests {
         // `encode(sqrt(v))` is strictly below the best so far. Columns
         // sit on and either side of the table boundaries (dense ties and
         // values one ulp from a code change), all equal, entirely at the
-        // top code (the +∞ threshold), or uniformly random.
+        // top code (the +∞ threshold), or uniformly random, through
+        // four-lane and two-lane groups.
         let mut rng = sslic_image::prng::SplitMix64::seed_from_u64(20);
         for distance_bits in 1..=16u8 {
             for (m, s) in M_S {
                 let qk = QuantKernel::new(8, distance_bits, m, s);
                 let sk = SwarKernel::new(&qk);
                 let q = qk.quantizer();
-                let max = sk.vb.len() - 2;
+                let vb = code_thresholds(q);
+                let max = vb.len() - 2;
                 let near = |c: usize, ulps: u64| {
-                    let bits = sk.vb[c.min(max)].to_bits();
+                    let bits = vb[c.min(max)].to_bits();
                     f64::from_bits(match ulps {
                         0 => bits.saturating_sub(1),
                         1 => bits,
@@ -577,7 +799,7 @@ mod tests {
                     }
                 }
                 // Entirely at the top code, where every candidate ties.
-                let top = [sk.vb[max], near(max, 2), sk.vb[max] * 4.0, f64::MAX];
+                let top = [vb[max], near(max, 2), vb[max] * 4.0, f64::MAX];
                 columns.push(std::array::from_fn(|i| top[i % 4]));
                 columns.push([f64::MAX; 9]);
                 // Random draws: near a few neighbouring boundaries, so the
@@ -588,26 +810,14 @@ mod tests {
                     columns.push(std::array::from_fn(|_| {
                         near(base + rng.below(3) as usize, rng.below(3))
                     }));
-                    let span = 2.0 * sk.vb[max].max(1.0);
+                    let span = 2.0 * vb[max].max(1.0);
                     columns.push(std::array::from_fn(|_| rng.next_f64() * span));
                 }
                 for group in columns.chunks(LANES) {
-                    let mut vs = [[0f64; LANES]; 9];
-                    let mut vmin = [f64::INFINITY; LANES];
-                    for (j, col) in group.iter().enumerate() {
-                        for i in 0..9 {
-                            vs[i][j] = col[i];
-                            vmin[j] = vmin[j].min(col[i]);
-                        }
-                    }
-                    // Lanes beyond a short last group repeat lane 0.
-                    for j in group.len()..LANES {
-                        for lanes in &mut vs {
-                            lanes[j] = lanes[0];
-                        }
-                        vmin[j] = vmin[0];
-                    }
+                    let (vs, vmin) = gather::<LANES>(group);
                     let win = sk.resolve(&vs, &vmin);
+                    let (vs, vmin) = gather::<2>(&group[..group.len().min(2)]);
+                    let pair = sk.resolve(&vs, &vmin);
                     for (j, col) in group.iter().enumerate() {
                         let code = |v: f64| q.encode(v.sqrt());
                         let mut best = 0;
@@ -620,9 +830,30 @@ mod tests {
                             win[j], best,
                             "bits {distance_bits}, m {m}, S {s}, column {col:?}"
                         );
+                        if j < 2 {
+                            assert_eq!(
+                                pair[j], best,
+                                "two lanes: bits {distance_bits}, column {col:?}"
+                            );
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// The lanes of `group`'s columns, and each lane's minimum; lanes
+    /// beyond a short group repeat lane 0.
+    fn gather<const N: usize>(group: &[[f64; 9]]) -> ([[f64; N]; 9], [f64; N]) {
+        let mut vs = [[0f64; N]; 9];
+        let mut vmin = [f64::INFINITY; N];
+        for j in 0..N {
+            let col = &group[if j < group.len() { j } else { 0 }];
+            for i in 0..9 {
+                vs[i][j] = col[i];
+                vmin[j] = vmin[j].min(col[i]);
+            }
+        }
+        (vs, vmin)
     }
 }

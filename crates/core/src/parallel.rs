@@ -24,8 +24,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Upper bound on the number of row bands. Small enough that per-band
-/// sigma accumulators stay cheap (`bands × K × 48` bytes per update step),
-/// large enough that up to ~8 workers load-balance on uniform-cost rows.
+/// sigma accumulators stay cheap (`bands × K × 48` bytes held; a PPA step
+/// zeroes and folds only each band's clusters within one grid row of its
+/// rows, SLIC-CPA all `K`), large enough that up to ~8 workers
+/// load-balance on uniform-cost rows.
 const MAX_BANDS: usize = 32;
 
 /// The fixed horizontal band decomposition for an image of `height` rows:
@@ -85,9 +87,10 @@ fn run_band_contained<C, S>(
 ) -> u64 {
     // AssertUnwindSafe: the slot is per-band scratch that the session
     // re-derives (stripes are rewritten at every attempt's init, sigma
-    // files zero on entry to every dispatch), so observing a half-written
-    // slot after a caught panic is exactly the "poisoned band" state the
-    // guards are built to flag — never silently trusted.
+    // files zero their band's clusters on entry to every dispatch), so
+    // observing a half-written slot after a caught panic is exactly the
+    // "poisoned band" state the guards are built to flag — never silently
+    // trusted.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         kernel(cmd, band, rows, slot);
     }));

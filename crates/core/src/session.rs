@@ -297,14 +297,31 @@ struct FrameCtx {
 /// Pre-allocated per-band output slot, reused across every dispatch of
 /// the session: the band's label stripe (it holds the band's labels for a
 /// whole attempt), SLIC-CPA's distance stripe (empty in PPA sessions), the
-/// band's private sigma register file, and its counter partials, one for
-/// the assignment and one for the sums.
+/// band's private sigma register file and the clusters of it that the
+/// band sums into, and its counter partials, one for the assignment and
+/// one for the sums.
 struct BandSlot {
     stripe: Vec<u32>,
     dist: Vec<f32>,
     sigma: Vec<[f64; 6]>,
+    /// The clusters the band's labels can name ([`band_sums`]): each
+    /// dispatch zeroes only these sigma entries, and the fold adds only
+    /// these.
+    sums: Range<usize>,
     assign: RunCounters,
     update: RunCounters,
+}
+
+/// The clusters the labels of band `rows` can name, fixed per session. A
+/// PPA stripe label is a home label or one of its pixel's nine
+/// candidates, so it lies in the grid rows next to the band's rows. A
+/// SLIC-CPA window can reach a pixel from any cluster.
+fn band_sums(grid: &SeedGrid, rows: &Range<usize>, window_scan: bool) -> Range<usize> {
+    if window_scan {
+        0..grid.cluster_count()
+    } else {
+        grid.clusters_near_rows(rows)
+    }
 }
 
 /// Borrowed distance-datapath view over a [`FrameCtx`]: the scalar
@@ -376,9 +393,7 @@ fn assign_band(ctx: &FrameCtx, rows: Range<usize>, slot: &mut BandSlot) {
         _ => None,
     };
     let dist = DistCtx::of(ctx);
-    for acc in slot.sigma.iter_mut() {
-        *acc = [0.0; 6];
-    }
+    slot.sigma[slot.sums.clone()].fill([0.0; 6]);
     let mut assigned = 0u64;
     let mut summed = 0u64;
     for y in rows.clone() {
@@ -443,9 +458,7 @@ fn scan_band(ctx: &FrameCtx, rows: Range<usize>, slot: &mut BandSlot) {
     let radius = ctx.grid.spacing().ceil() as isize; // 2S×2S window
     let dist = DistCtx::of(ctx);
     slot.dist.fill(f32::INFINITY);
-    for acc in slot.sigma.iter_mut() {
-        *acc = [0.0; 6];
-    }
+    slot.sigma[slot.sums.clone()].fill([0.0; 6]);
     let mut visits = 0u64;
     let mut improvements = 0u64;
     for (k, c) in ctx.clusters.iter().enumerate() {
@@ -595,6 +608,16 @@ pub struct SegmenterSession {
     sigma_mismatch: u64,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// A `(pixel index, label)` that every attempt's init on this thread
+    /// writes into the pixel's stripe entry: a corruption for the guard
+    /// tests to plant.
+    static PLANTED_LABEL: std::cell::Cell<Option<(usize, u32)>> = const {
+        std::cell::Cell::new(None)
+    };
+}
+
 impl std::fmt::Debug for SegmenterSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SegmenterSession")
@@ -678,6 +701,7 @@ impl SegmenterSession {
                     stripe: vec![0u32; rows.len() * width],
                     dist: vec![f32::INFINITY; dist_len],
                     sigma: vec![[0f64; 6]; k],
+                    sums: band_sums(&grid, rows, window_scan),
                     assign: RunCounters::default(),
                     update: RunCounters::default(),
                 }
@@ -1106,6 +1130,14 @@ impl SegmenterSession {
                 write_home_rows(&self.grid, &self.column_cells, rows.start, stripe);
             }
         });
+        #[cfg(test)]
+        if let Some((pixel, label)) = PLANTED_LABEL.get() {
+            for (b, rows) in self.pool.bands().iter().enumerate() {
+                if rows.contains(&(pixel / w)) {
+                    self.pool.slot(b).stripe[pixel - rows.start * w] = label;
+                }
+            }
+        }
         if attempt == 0 {
             // Checkpoint: the post-init state of attempt 0 is
             // last-known-good by construction — a guard-verified previous
@@ -1445,14 +1477,16 @@ impl SegmenterSession {
         // group the same way — per band, row-major within a band — no
         // matter how many workers executed the bands, which is what makes
         // the result bit-identical across thread counts despite float
-        // non-associativity.
-        for acc in self.fold_sigma.iter_mut() {
-            *acc = [0.0; 6];
-        }
+        // non-associativity. Each band adds only the clusters its labels
+        // can name: an entry outside them would add +0.0, which leaves
+        // every sum (never -0.0) unchanged.
+        self.fold_sigma.fill([0.0; 6]);
         self.band_counters.clear();
         for b in 0..self.pool.band_count() {
             let slot = self.pool.slot(b);
-            for (acc, part) in self.fold_sigma.iter_mut().zip(&slot.sigma) {
+            let sums = slot.sums.clone();
+            let (folds, parts) = (&mut self.fold_sigma[sums.clone()], &slot.sigma[sums]);
+            for (acc, part) in folds.iter_mut().zip(parts) {
                 for (a, p) in acc.iter_mut().zip(part) {
                     *a += p;
                 }
@@ -1816,19 +1850,42 @@ mod tests {
         assert!(far[0] < near, "{far:?} vs {near} at x = -5");
     }
 
+    #[test]
+    fn a_label_outside_its_band_sums_trips_the_sigma_guard() {
+        // Every cluster freezes at step 0, so step 1 assigns no pixel but
+        // still sums subset 1 under its stripe labels. Pixel (1, 0) is in
+        // subset 1 and in band 0, whose labels lie in grid rows 0-1 of 6:
+        // planted there, cluster 47's label is added to an entry band 0
+        // neither zeroes nor folds, so only the count guard can see it.
+        let seg = Segmenter::sslic_ppa(params(48, 2), 2).with_preemption(f32::INFINITY);
+        let img = &frames(1)[0];
+        let mut session = seg.session(64, 48);
+        let clean = session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+        assert_eq!(clean.status(), SegmentationStatus::Ok);
+        assert!(!session.pool.slot(0).sums.contains(&47));
+        PLANTED_LABEL.set(Some((1, 47)));
+        session.reset();
+        let planted = session.run(SegmentRequest::Rgb(&img.rgb), &RunOptions::new());
+        PLANTED_LABEL.set(None);
+        assert_eq!(planted.status(), SegmentationStatus::Degraded);
+        assert_eq!(planted.recovery().guards_fired, 1);
+    }
+
     /// One band's output of a step: its label stripe, distance stripe,
-    /// sigma partial and both counter partials.
+    /// sigma partial, the clusters that partial covers, and both counter
+    /// partials.
     struct BandOut {
         stripe: Vec<u32>,
         dist: Vec<f32>,
         sigma: Vec<[f64; 6]>,
+        sums: Range<usize>,
         assign: RunCounters,
         update: RunCounters,
     }
 
     /// Runs `ctx`'s band kernel over every band of the frame, each slot
     /// starting from `labels`, and from garbage distances and sigma files,
-    /// so a band that fails to reset either shows.
+    /// so a band that fails to reset either (within its sums) shows.
     fn run_bands(ctx: &FrameCtx, labels: &[u32]) -> Vec<BandOut> {
         let w = ctx.grid.width();
         band_rows(ctx.grid.height())
@@ -1841,6 +1898,7 @@ mod tests {
                     stripe,
                     dist: vec![-1.0; dist_len],
                     sigma: vec![[f64::NAN; 6]; ctx.clusters.len()],
+                    sums: band_sums(&ctx.grid, &rows, ctx.window_scan),
                     assign: RunCounters::default(),
                     update: RunCounters::default(),
                 };
@@ -1849,6 +1907,7 @@ mod tests {
                     stripe: slot.stripe,
                     dist: slot.dist,
                     sigma: slot.sigma,
+                    sums: slot.sums,
                     assign: slot.assign,
                     update: slot.update,
                 }
@@ -1994,6 +2053,22 @@ mod tests {
         (ctx, before)
     }
 
+    /// Labels a PPA stripe can hold, drawn at random: each pixel's home
+    /// label or one of its nine candidates (the home label is the middle
+    /// candidate), as attempt init and every PPA step write them.
+    fn reachable_labels(grid: &SeedGrid, seed: u64) -> Vec<u32> {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let (w, h) = (grid.width(), grid.height());
+        let mut labels = Vec::with_capacity(w * h);
+        for y in 0..h {
+            for x in 0..w {
+                let nine = grid.nine_neighbors_of_pixel(x, y);
+                labels.push(nine[rng.below(9) as usize] as u32);
+            }
+        }
+        labels
+    }
+
     fn sigma_bits(sigma: &[[f64; 6]]) -> Vec<[u64; 6]> {
         sigma.iter().map(|acc| acc.map(f64::to_bits)).collect()
     }
@@ -2012,21 +2087,24 @@ mod tests {
             seed in any::<u64>(),
         ) {
             // Summing the labels a dispatch left in the stripes, unfused,
-            // must give every band's sigma partial bit for bit, with the
-            // same counters: for both PPA kernels and the CPA window scan.
+            // must give every band's sigma partial bit for bit over the
+            // clusters the band sums, with the same counters: for both PPA
+            // kernels and the CPA window scan. PPA stripes start from
+            // labels a PPA stripe can hold; a CPA stripe can hold any.
             let strategy = [
                 SubsetStrategy::Interleaved,
                 SubsetStrategy::Checkerboard,
                 SubsetStrategy::Bands,
             ][usize::from(strategy)];
-            let (ctx, before) =
+            let (ctx, any) =
                 random_step(w, h, subsets, strategy, superpixels, quantized, seed);
+            let reachable = reachable_labels(&ctx.grid, !seed);
             let swar = ctx.kernel.as_ref().map(|qk| Arc::new(SwarKernel::new(qk)));
             let ppa = [None].into_iter().chain(swar.map(Some)).map(|swar| (swar, false));
             let mut scalar_labels = None;
             for (swar, window_scan) in ppa.chain([(None, true)]) {
                 let ctx = FrameCtx { swar: swar.clone(), window_scan, ..ctx.clone() };
-                let fused = run_bands(&ctx, &before);
+                let fused = run_bands(&ctx, if window_scan { &any } else { &reachable });
                 let stripes: Vec<u32> = fused.iter().flat_map(|out| out.stripe.clone()).collect();
                 let oracle = update_band(&ctx, &stripes);
                 let case = format!(
@@ -2037,9 +2115,16 @@ mod tests {
                 );
                 let mut summed = 0;
                 for (b, (got, want)) in fused.iter().zip(&oracle).enumerate() {
+                    let sums = got.sums.clone();
                     prop_assert!(
-                        sigma_bits(&got.sigma) == sigma_bits(&want.0),
+                        sigma_bits(&got.sigma[sums.clone()]) == sigma_bits(&want.0[sums.clone()]),
                         "band {} sigma: {}", b, case
+                    );
+                    // The oracle sums every label: none may fall outside.
+                    let (below, above) = (&want.0[..sums.start], &want.0[sums.end..]);
+                    prop_assert!(
+                        below.iter().chain(above).all(|acc| *acc == [0.0; 6]),
+                        "band {} sums a label outside {:?}: {}", b, sums, case
                     );
                     prop_assert_eq!(got.update, want.1);
                     summed += got.update.sigma_updates;
