@@ -284,6 +284,15 @@ done
 cmp results/kernel-ds/cpa720-1.labels.pgm results/kernel-ds/cpa720-4.labels.pgm
 rm -rf results/kernel-ds
 
+echo "==> paper tables (the analytic hw model's tables and ablations regenerate byte for byte)"
+# These six reports are pure functions of the analytic accelerator model:
+# no wall clock and no engine run. The artifact gate below pins them to
+# their committed bytes, so a change to the hw schedule that moves a paper
+# number fails CI unless the report is committed with it.
+for bin in table3 table4 table5 fig6 ablation_dma ablation_hw; do
+    ./target/release/"$bin" > "results/$bin.txt"
+done
+
 echo "==> bench trajectory (insight bench must see no counter regression across PR seeds)"
 ./target/release/sslic insight bench BENCH_7.json BENCH_8.json BENCH_9.json \
     BENCH_10.json > results/bench-trajectory.txt

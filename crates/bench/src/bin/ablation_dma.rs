@@ -21,15 +21,7 @@ fn main() {
     );
     rule(70);
     for kb in [1usize, 2, 4, 8, 16, 32] {
-        let s = TileSchedule::new(
-            1920 * 1080,
-            (kb * 1024) as u64,
-            1.0,
-            7.0,
-            8.64,
-            5.0,
-            50.0,
-        );
+        let s = TileSchedule::new(1920 * 1080, (kb * 1024) as u64, 1.0);
         let serial = model::cycles_to_ms(s.serial_cycles());
         let overlap = model::cycles_to_ms(s.double_buffered_cycles());
         // Doubling the four channel buffers costs one extra ScratchpadSet.

@@ -1,37 +1,36 @@
-//! Functional tile-level simulator of the S-SLIC accelerator.
+//! Functional simulator of the S-SLIC accelerator.
 //!
 //! Unlike the analytic [`crate::sim::FrameSimulator`], this module pushes
-//! actual pixels through the architecture of Figure 4, reproducing the FSM
+//! actual pixels through the architecture of Figure 4, following the FSM
 //! schedule of §4.3:
 //!
-//! 1. **Color conversion** — tiles of RGB stream from external memory into
-//!    the channel scratchpads, through the LUT conversion unit, and back
-//!    as 8-bit L, a, b.
+//! 1. **Color conversion** — RGB streams from external memory into the
+//!    channel scratchpads, through the LUT conversion unit, and back as
+//!    8-bit L, a, b.
 //! 2. **Static initialization** — the pixel → 9-closest-centers tiling is
 //!    precomputed (the paper stores it in external memory; here it is the
 //!    [`sslic_core::SeedGrid`]), and the initial centers sample the seed
 //!    pixels.
-//! 3. **Cluster update** — per iteration, tiles stream through the Cluster
-//!    Update Unit: 9 distance codes per pixel, the 9:1 minimum, the
-//!    6-field sigma accumulation, and the index write-back.
+//! 3. **Cluster update** — per step, the pixels of that step's S-SLIC
+//!    subset stream through the Cluster Update Unit: 9 distance codes per
+//!    pixel, the 9:1 minimum, the 6-field sigma accumulation, and the
+//!    index write-back.
 //! 4. **Center update** — the sigma registers are averaged with rounded
 //!    integer division into new center codes.
 //!
-//! The distance datapath is shared with the software model
-//! ([`sslic_core::QuantKernel`]), but the centers are not: the software
-//! engine averages decoded `f32` values, while this simulator divides
-//! integer sigma sums with rounded division. The label maps therefore agree
-//! closely, not exactly. `tests/hw_equivalence.rs` compares this simulator
-//! with `Segmenter::sslic_ppa(...).with_distance_mode(DistanceMode::quantized(8))`
-//! (seed perturbation and connectivity disabled) on 96×72 frames and
-//! requires ≥ 99.5 % agreement there. The bound does not hold in general:
-//! at 640×480 (K = 900, 9 steps, 1 KiB buffers) seed 9 agrees on 99.318 %
-//! of pixels, and the differing pixels are not confined to half-LSB
-//! rounding ties. ROADMAP.md item 1 makes the two models agree exactly.
+//! Every cycle and DRAM byte comes from the streaming schedule that
+//! `FrameSimulator` charges too, so the two models agree exactly on one
+//! configuration. This module adds only what a run observes: its fault
+//! hooks' retry bursts and the scratchpad accesses of each step's subset.
+//!
+//! The distance datapath is shared with the software engine
+//! ([`sslic_core::QuantKernel`]), but the centers are not: the engine
+//! averages decoded `f32` values, this simulator divides integer sigma sums
+//! with rounded division. Their label maps agree closely, not exactly
+//! (`tests/hw_equivalence.rs`; ROADMAP.md item 1).
 
 use sslic_color::hw::HwColorConverter;
-use sslic_core::subsample::{SubsetPartition, SubsetStrategy};
-use sslic_core::{ClusterCodes, QuantKernel, SeedGrid};
+use sslic_core::{ClusterCodes, QuantKernel};
 use sslic_fixed::rounded_div;
 use sslic_image::{Plane, RgbImage};
 use sslic_obs::{LogicalClock, Recorder, Value};
@@ -40,10 +39,11 @@ use crate::cluster::ClusterUnitConfig;
 use crate::dram::{DramModel, DramTraffic};
 use crate::faults::MemFaults;
 use crate::model;
+use crate::schedule::Schedule;
 use crate::scratchpad::{Protection, ScratchpadSet};
 
-/// DRAM burst charged per detected-error re-fetch (one minimum-size
-/// transfer of the memory model).
+/// Bytes of the DRAM burst charged per detected-error re-fetch (one
+/// minimum-size transfer of the memory model).
 const RETRY_BURST_BYTES: u64 = 32;
 
 /// Configuration of the functional accelerator.
@@ -120,10 +120,11 @@ impl Accelerator {
     /// [`Self::process`] with an observability recorder attached: the FSM
     /// phases emit spans stamped with the modeled cycle counter, each
     /// streaming step emits a `hw.dma.stream` traffic event and a
-    /// `hw.stall` estimate (DMA cycles not hidden behind compute), and the
-    /// scratchpads report occupancy counters. The simulator is serial, so
-    /// the emission schedule — and a deterministic-mode trace — is a pure
-    /// function of the frame. Recording never changes the run output.
+    /// `hw.stall` what-if (the DMA cycles a double-buffered stream could
+    /// not hide behind compute), and the scratchpads report occupancy
+    /// counters. The simulator is serial, so the emission schedule — and a
+    /// deterministic-mode trace — is a pure function of the frame.
+    /// Recording never changes the run output.
     pub fn process_traced(&self, img: &RgbImage, recorder: &Recorder) -> AcceleratorRun {
         self.process_impl(img, None, Some(recorder))
     }
@@ -149,10 +150,9 @@ impl Accelerator {
         let cfg = &self.config;
         let (w, h) = (img.width(), img.height());
         let n = (w * h) as u64;
-        let tile_pixels = cfg.buffer_bytes_per_channel as u64;
-        let tiles = n.div_ceil(tile_pixels);
+        let schedule = Schedule::new(w, h, cfg.superpixels, cfg.subsets, cfg.buffer_bytes_per_channel);
+        let (grid, partition) = (&schedule.grid, &schedule.partition);
 
-        let mut traffic = DramTraffic::default();
         let mut scratchpads =
             ScratchpadSet::new(cfg.buffer_bytes_per_channel).with_protection(cfg.protection);
         let mut retry_bursts = 0u64;
@@ -169,8 +169,7 @@ impl Accelerator {
                     ("width", Value::U64(w as u64)),
                     ("height", Value::U64(h as u64)),
                     ("superpixels", Value::U64(cfg.superpixels as u64)),
-                    ("tiles", Value::U64(tiles)),
-                    ("tile_pixels", Value::U64(tile_pixels)),
+                    ("tile_pixels", Value::U64(cfg.buffer_bytes_per_channel as u64)),
                 ],
             );
             rec.span_begin("hw.color", LogicalClock::cycle(0), Vec::new());
@@ -178,34 +177,12 @@ impl Accelerator {
 
         // --- Phase 1: color conversion -----------------------------------
         let lab8 = HwColorConverter::paper_default().convert_image(img);
-        for _ in 0..tiles {
-            traffic.read(3 * tile_pixels); // interleaved RGB in
-        }
-        // RGB lands in the channel memories, is read by the converter, and
-        // the Lab result is written back (paper §4.3), then spilled out.
-        scratchpads.ch1.record_writes(2 * n);
-        scratchpads.ch1.record_reads(2 * n);
-        scratchpads.ch2.record_writes(2 * n);
-        scratchpads.ch2.record_reads(2 * n);
-        scratchpads.ch3.record_writes(2 * n);
-        scratchpads.ch3.record_reads(2 * n);
-        for _ in 0..tiles {
-            traffic.write(3 * tile_pixels); // planar Lab out
-        }
-        let color_cycles = n as f64 + tiles as f64 * model::COLOR_CONV_LATENCY_CYCLES;
+        let mut traffic = schedule.color_traffic();
+        let color_cycles = schedule.color_cycles(1);
 
         if let Some(rec) = recorder {
             let clock = LogicalClock::cycle(color_cycles as u64);
-            rec.instant(
-                "hw.dma.stream",
-                clock,
-                vec![
-                    ("phase", Value::from("color")),
-                    ("read_bytes", Value::U64(traffic.bytes_read)),
-                    ("written_bytes", Value::U64(traffic.bytes_written)),
-                    ("bursts", Value::U64(traffic.bursts)),
-                ],
-            );
+            dma_stream(rec, clock, "color", &traffic);
             rec.span_end(
                 "hw.color",
                 clock,
@@ -214,7 +191,6 @@ impl Accelerator {
         }
 
         // --- Phase 2: static initialization ------------------------------
-        let grid = SeedGrid::new(w, h, cfg.superpixels);
         let kernel = QuantKernel::new(8, cfg.distance_bits, cfg.compactness, grid.spacing());
         let mut centers: Vec<ClusterCodes> = (0..grid.cluster_count())
             .map(|k| {
@@ -238,7 +214,6 @@ impl Accelerator {
                 *label = home;
             }
         }
-        let partition = SubsetPartition::new(w, h, cfg.subsets, SubsetStrategy::Interleaved);
 
         // --- Phases 3 & 4: cluster + center updates ----------------------
         let mut assign_cycles = 0.0f64;
@@ -249,9 +224,9 @@ impl Accelerator {
             for s in sigma.iter_mut() {
                 *s = [0; 6];
             }
-            let step_pixels = partition.subset_len(subset) as u64;
+            let step_pixels = schedule.step_pixels(step);
+            let step_traffic = schedule.step_traffic(step);
             let step_start_cycles = color_cycles + assign_cycles + center_cycles;
-            let step_traffic = traffic;
             if let Some(rec) = recorder {
                 rec.span_begin(
                     "hw.step",
@@ -263,43 +238,20 @@ impl Accelerator {
                 );
             }
 
-            // Stream tiles: Lab + index in, index out.
-            for _ in 0..tiles {
-                traffic.read(3 * tile_pixels); // L, a, b
-                traffic.read(2 * tile_pixels); // index in
-                traffic.write(2 * tile_pixels); // index out
-            }
-            scratchpads.ch1.record_writes(n);
-            scratchpads.ch2.record_writes(n);
-            scratchpads.ch3.record_writes(n);
-            scratchpads.index.record_writes(n * 2);
-
+            traffic += step_traffic;
             for y in 0..h {
                 let Some((first, stride)) = partition.row_members(y, subset) else {
                     continue;
                 };
                 for x in (first..w).step_by(stride) {
                     let mut px = lab8.pixel(x, y);
-                    scratchpads.ch1.record_reads(1);
-                    scratchpads.ch2.record_reads(1);
-                    scratchpads.ch3.record_reads(1);
                     if let Some(f) = faults.as_deref_mut() {
                         let addr = (y * w + x) as u64;
-                        let reads = [
-                            f.channel_read(step, 0, addr, px[0]),
-                            f.channel_read(step, 1, addr, px[1]),
-                            f.channel_read(step, 2, addr, px[2]),
-                        ];
-                        px = [reads[0].value, reads[1].value, reads[2].value];
-                        let pads = [
-                            &mut scratchpads.ch1,
-                            &mut scratchpads.ch2,
-                            &mut scratchpads.ch3,
-                        ];
-                        for (pad, read) in pads.into_iter().zip(&reads) {
+                        for (c, pad) in scratchpads.channels_mut().into_iter().enumerate() {
+                            let read = f.channel_read(step, c as u8, addr, px[c]);
+                            px[c] = read.value;
                             if read.retried {
                                 pad.record_retries(1);
-                                traffic.read(RETRY_BURST_BYTES);
                                 retry_bursts += 1;
                             }
                         }
@@ -315,7 +267,6 @@ impl Accelerator {
                         }
                     }
                     labels[(x, y)] = best as u32;
-                    scratchpads.index.record_writes(2);
                     // Six-field sigma update: codes and coordinates.
                     let acc = &mut sigma[best];
                     acc[0] += px[0] as i64;
@@ -326,7 +277,7 @@ impl Accelerator {
                     acc[5] += 1;
                 }
             }
-            assign_cycles += cfg.cluster_config.iteration_cycles(step_pixels, tile_pixels);
+            assign_cycles += schedule.assign_cycles(step, &cfg.cluster_config, 1);
 
             // Center update: rounded integer division per field.
             let mut updated = 0u64;
@@ -344,27 +295,17 @@ impl Accelerator {
                 };
                 updated += 1;
             }
-            center_cycles += updated as f64 * model::CENTER_UPDATE_CYCLES_PER_SP;
+            center_cycles += schedule.center_cycles();
 
             if let Some(rec) = recorder {
                 let end_cycles = color_cycles + assign_cycles + center_cycles;
                 let clock = LogicalClock::step(step).with_cycle(end_cycles as u64);
-                let read = traffic.bytes_read - step_traffic.bytes_read;
-                let written = traffic.bytes_written - step_traffic.bytes_written;
-                let bursts = traffic.bursts - step_traffic.bursts;
-                rec.instant(
-                    "hw.dma.stream",
-                    clock,
-                    vec![
-                        ("phase", Value::from("cluster_update")),
-                        ("read_bytes", Value::U64(read)),
-                        ("written_bytes", Value::U64(written)),
-                        ("bursts", Value::U64(bursts)),
-                    ],
-                );
-                // Stall estimate: DMA cycles the double-buffered streaming
-                // cannot hide behind this step's compute.
-                let dma_cycles = DramModel::default().transfer_cycles(read + written, bursts);
+                dma_stream(rec, clock, "cluster_update", &step_traffic);
+                // What-if stall: the DMA cycles a double-buffered stream
+                // (`crate::dma`) could not hide behind this step's compute.
+                // The model itself charges memory in series.
+                let dma_cycles = DramModel::default()
+                    .transfer_cycles(step_traffic.total_bytes(), step_traffic.bursts);
                 let compute_cycles = end_cycles - step_start_cycles;
                 let stall_cycles = (dma_cycles - compute_cycles).max(0.0);
                 rec.instant(
@@ -384,6 +325,17 @@ impl Accelerator {
             }
         }
 
+        // Scratchpad accesses of the stream. Color conversion writes and
+        // reads each channel byte twice (RGB in, Lab back, paper §4.3);
+        // each step fills the channels and the index with its subset, reads
+        // the channels and writes each member's 2-byte label.
+        let streamed: u64 = (0..cfg.iterations).map(|step| schedule.step_pixels(step)).sum();
+        for pad in scratchpads.channels_mut() {
+            pad.record_writes(2 * n + streamed);
+            pad.record_reads(2 * n + streamed);
+        }
+        scratchpads.index.record_writes(2 * 2 * streamed);
+
         // Final index readout: the label map leaves through the index
         // memory, so each word passes the fault/protection filter once
         // more; any out-of-range survivor is repaired to the pixel's home
@@ -397,7 +349,6 @@ impl Accelerator {
                     scratchpads.index.record_reads(2);
                     if read.retried {
                         scratchpads.index.record_retries(1);
-                        traffic.read(RETRY_BURST_BYTES);
                         retry_bursts += 1;
                     }
                     *label = read.value;
@@ -409,6 +360,12 @@ impl Accelerator {
             }
         }
 
+        // Each detected-error re-fetch is one minimum-size DRAM burst.
+        traffic += DramTraffic {
+            bytes_read: retry_bursts * RETRY_BURST_BYTES,
+            bytes_written: 0,
+            bursts: retry_bursts,
+        };
         let dram = DramModel::default();
         let memory_cycles = dram.transfer_cycles(traffic.total_bytes(), traffic.bursts);
         let dram_energy_uj = dram.transfer_energy_uj(traffic.total_bytes());
@@ -437,16 +394,10 @@ impl Accelerator {
             rec.counter_add("hw.dram.bytes_read", traffic.bytes_read);
             rec.counter_add("hw.dram.bytes_written", traffic.bytes_written);
             rec.counter_add("hw.dram.bursts", traffic.bursts);
-            rec.counter_add("hw.retry_bursts", retry_bursts);
-            rec.counter_add("hw.label_repairs", label_repairs);
             rec.span_end(
                 "hw.frame",
                 clock,
-                vec![
-                    ("memory_cycles", Value::U64(memory_cycles as u64)),
-                    ("retry_bursts", Value::U64(retry_bursts)),
-                    ("label_repairs", Value::U64(label_repairs)),
-                ],
+                vec![("memory_cycles", Value::U64(memory_cycles as u64))],
             );
         }
 
@@ -464,6 +415,20 @@ impl Accelerator {
             label_repairs,
         }
     }
+}
+
+/// Emits one `hw.dma.stream` traffic event.
+fn dma_stream(rec: &Recorder, clock: LogicalClock, phase: &'static str, traffic: &DramTraffic) {
+    rec.instant(
+        "hw.dma.stream",
+        clock,
+        vec![
+            ("phase", Value::from(phase)),
+            ("read_bytes", Value::U64(traffic.bytes_read)),
+            ("written_bytes", Value::U64(traffic.bytes_written)),
+            ("bursts", Value::U64(traffic.bursts)),
+        ],
+    );
 }
 
 /// The output of [`Accelerator::process`]: the label map plus full
@@ -497,14 +462,12 @@ pub struct AcceleratorRun {
 }
 
 impl AcceleratorRun {
-    /// Total modeled cycles (phases serialized, as the FSM runs them).
-    pub(crate) fn total_cycles(&self) -> f64 {
-        self.color_cycles + self.assign_cycles + self.center_cycles + self.memory_cycles
-    }
-
-    /// Total modeled frame time in milliseconds.
+    /// Total modeled frame time in milliseconds (phases serialized, as the
+    /// FSM runs them).
     pub fn total_ms(&self) -> f64 {
-        model::cycles_to_ms(self.total_cycles())
+        model::cycles_to_ms(
+            self.color_cycles + self.assign_cycles + self.center_cycles + self.memory_cycles,
+        )
     }
 
     /// Scratchpad access energy in µJ.

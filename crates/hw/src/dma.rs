@@ -1,18 +1,22 @@
 //! Tile DMA scheduling: serial versus double-buffered transfer/compute
 //! overlap.
 //!
-//! The paper's frame model (and Figure 6) charges memory time *in series*
-//! with compute — consistent with its "memory access takes 35% of total
-//! execution time" accounting. A natural microarchitectural extension is
-//! **double buffering**: while the Cluster Update Unit processes tile `i`
-//! from one scratchpad bank, the DMA prefetches tile `i+1` into the other.
-//! Per-tile time then becomes `max(compute, transfer)` instead of
-//! `compute + transfer`, hiding memory behind compute whenever the
-//! buffers are large enough to amortize the 50-cycle burst latency.
+//! Both accelerator models charge memory time *in series* with compute,
+//! consistent with the paper's "memory access takes 35% of total execution
+//! time" accounting. A natural microarchitectural extension is **double
+//! buffering**: while the Cluster Update Unit processes tile `i` from one
+//! scratchpad bank, the DMA prefetches tile `i+1` into the other. Per-tile
+//! time then becomes `max(compute, transfer)` instead of `compute +
+//! transfer`, hiding memory behind compute whenever the buffers are large
+//! enough to amortize the 50-cycle burst latency.
 //!
-//! [`TileSchedule`] computes both timelines for a frame; the
-//! `ablation_dma` bench charts how the Figure 6 curve would shift — the
-//! area cost being a second set of channel buffers.
+//! [`TileSchedule`] computes both timelines for a cluster-update pass whose
+//! tiles move what the models' streaming schedule charges (7 B per pixel in
+//! 5 bursts). The `ablation_dma` bench charts how the Figure 6 curve would
+//! shift — the area cost being a second set of channel buffers.
+
+use crate::dram::DramModel;
+use crate::schedule::step_traffic;
 
 /// Per-frame tile-streaming timing under a given schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,43 +30,22 @@ pub struct TileSchedule {
 }
 
 impl TileSchedule {
-    /// Builds the schedule for a frame of `pixels` pixels processed in
-    /// `tile_pixels`-pixel tiles, with the compute and DRAM rates given in
-    /// cycles.
-    ///
-    /// * `compute_cycles_per_pixel` — the Cluster Update Unit initiation
-    ///   interval (1 for `9-9-6`).
-    /// * `bytes_per_pixel` — tile payload (Lab in + index in/out ≈ 7 B at
-    ///   8-bit channels).
-    /// * `effective_bytes_per_cycle` — sustained DRAM bandwidth.
-    /// * `bursts_per_tile × latency` — fixed per-tile latency charge.
+    /// Builds the schedule for a pass over `pixels` pixels processed in
+    /// `tile_pixels`-pixel tiles at `compute_cycles_per_pixel` (the Cluster
+    /// Update Unit's initiation interval: 1 for `9-9-6`).
     ///
     /// # Panics
     ///
-    /// Panics if `tile_pixels` or rates are zero.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        pixels: u64,
-        tile_pixels: u64,
-        compute_cycles_per_pixel: f64,
-        bytes_per_pixel: f64,
-        effective_bytes_per_cycle: f64,
-        bursts_per_tile: f64,
-        burst_latency: f64,
-    ) -> Self {
+    /// Panics if `tile_pixels` is zero or the compute rate is not
+    /// positive.
+    pub fn new(pixels: u64, tile_pixels: u64, compute_cycles_per_pixel: f64) -> Self {
         assert!(tile_pixels > 0, "tile size must be nonzero");
-        assert!(
-            compute_cycles_per_pixel > 0.0 && effective_bytes_per_cycle > 0.0,
-            "rates must be positive"
-        );
-        let tiles = pixels.div_ceil(tile_pixels);
-        let compute_per_tile = tile_pixels as f64 * compute_cycles_per_pixel;
-        let transfer_per_tile = tile_pixels as f64 * bytes_per_pixel / effective_bytes_per_cycle
-            + bursts_per_tile * burst_latency;
+        assert!(compute_cycles_per_pixel > 0.0, "compute rate must be positive");
+        let tile = step_traffic(tile_pixels, tile_pixels);
         TileSchedule {
-            tiles,
-            compute_per_tile,
-            transfer_per_tile,
+            tiles: pixels.div_ceil(tile_pixels),
+            compute_per_tile: tile_pixels as f64 * compute_cycles_per_pixel,
+            transfer_per_tile: DramModel::default().transfer_cycles(tile.total_bytes(), tile.bursts),
         }
     }
 
@@ -93,17 +76,8 @@ mod tests {
     use super::*;
 
     fn paper_tile(tile_pixels: u64) -> TileSchedule {
-        // Full-HD cluster-update pass: 1 cy/px compute, 7 B/px payload,
-        // 8.64 B/cy effective bandwidth, 5 bursts × 50 cy per tile.
-        TileSchedule::new(
-            1920 * 1080,
-            tile_pixels,
-            1.0,
-            7.0,
-            8.64,
-            5.0,
-            50.0,
-        )
+        // Full-HD cluster-update pass at 1 cy/px compute.
+        TileSchedule::new(1920 * 1080, tile_pixels, 1.0)
     }
 
     #[test]
@@ -165,6 +139,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "tile size")]
     fn zero_tile_panics() {
-        let _ = TileSchedule::new(100, 0, 1.0, 7.0, 8.0, 5.0, 50.0);
+        let _ = TileSchedule::new(100, 0, 1.0);
     }
 }

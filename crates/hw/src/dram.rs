@@ -80,18 +80,6 @@ impl DramTraffic {
     pub fn total_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written
     }
-
-    /// Records a read of `bytes` in one burst.
-    pub(crate) fn read(&mut self, bytes: u64) {
-        self.bytes_read += bytes;
-        self.bursts += 1;
-    }
-
-    /// Records a write of `bytes` in one burst.
-    pub(crate) fn write(&mut self, bytes: u64) {
-        self.bytes_written += bytes;
-        self.bursts += 1;
-    }
 }
 
 impl std::ops::AddAssign for DramTraffic {
@@ -146,15 +134,19 @@ mod tests {
 
     #[test]
     fn traffic_accumulates() {
-        let mut t = DramTraffic::default();
-        t.read(100);
-        t.write(50);
-        let mut u = DramTraffic::default();
-        u.read(25);
-        t += u;
+        let mut t = DramTraffic {
+            bytes_read: 100,
+            bytes_written: 50,
+            bursts: 2,
+        };
+        t += DramTraffic {
+            bytes_read: 25,
+            bytes_written: 10,
+            bursts: 1,
+        };
         assert_eq!(t.bytes_read, 125);
-        assert_eq!(t.bytes_written, 50);
+        assert_eq!(t.bytes_written, 60);
         assert_eq!(t.bursts, 3);
-        assert_eq!(t.total_bytes(), 175);
+        assert_eq!(t.total_bytes(), 185);
     }
 }

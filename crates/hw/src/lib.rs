@@ -20,8 +20,8 @@
 //!   behind Figure 6 and Tables 4–5.
 //! * [`accel`] — [`accel::Accelerator`], a functional simulator that
 //!   actually pushes pixels through the FSM → color conversion →
-//!   cluster-update → center-update pipeline, tile by tile, producing a
-//!   label map plus cycle and traffic accounting.
+//!   cluster-update → center-update pipeline, producing a label map plus
+//!   the same cycle and traffic accounting as [`sim`].
 //! * [`gpu`] — the published Tesla K20 / Tegra K1 baselines of Table 5 and
 //!   the 28→16 nm normalization arithmetic.
 //!
@@ -55,6 +55,7 @@ pub mod floorplan;
 pub mod gpu;
 pub mod model;
 pub mod pipeline;
+mod schedule;
 pub mod scratchpad;
 pub mod sim;
 pub mod vcd;

@@ -178,6 +178,11 @@ impl ScratchpadSet {
         }
     }
 
+    /// The three channel memories.
+    pub(crate) fn channels_mut(&mut self) -> [&mut Scratchpad; 3] {
+        [&mut self.ch1, &mut self.ch2, &mut self.ch3]
+    }
+
     /// Total SRAM area in mm².
     pub fn area_mm2(&self) -> f64 {
         self.ch1.area_mm2() + self.ch2.area_mm2() + self.ch3.area_mm2() + self.index.area_mm2()

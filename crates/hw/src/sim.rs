@@ -2,18 +2,20 @@
 //! Tables 4–5.
 //!
 //! A frame is processed in four sequential components (the paper's §7
-//! decomposition):
+//! decomposition). Their cycles and traffic come from the crate's one
+//! streaming schedule, which the functional [`crate::accel::Accelerator`]
+//! charges too, so the two models agree exactly on one configuration:
 //!
 //! 1. **Color conversion** — one pixel per cycle through the LUT unit.
-//! 2. **Cluster-update compute** — `iterations` passes of the Cluster
-//!    Update Unit at its configuration's initiation interval, with
-//!    per-tile pipeline fill and sigma exchange.
+//! 2. **Cluster-update compute** — one pass per step of the 9-9-6 Cluster
+//!    Update Unit over the step's pixel subset, with per-tile pipeline
+//!    fill and sigma exchange.
 //! 3. **Center update** — the iterative divider walking all `K` sigma
-//!    registers per iteration (resolution-independent; this is why the
+//!    registers per step (resolution-independent; this is why the
 //!    paper's VGA latency is nowhere near 6.7× faster than full HD).
 //! 4. **Memory** — all DRAM traffic at effective bandwidth plus a 50-cycle
-//!    latency per tile burst; shrinking the channel buffers multiplies the
-//!    bursts, which is the Figure 6 effect.
+//!    latency per burst, one burst per channel per tile; shrinking the
+//!    channel buffers multiplies the bursts, which is the Figure 6 effect.
 //!
 //! At the paper's design point (full HD, K = 5000, 9 iterations, 9-9-6
 //! unit, 4 kB buffers) the model reproduces §7's numbers: ≈1.3 ms color
@@ -23,6 +25,7 @@
 use crate::cluster::ClusterUnitConfig;
 use crate::dram::{DramModel, DramTraffic};
 use crate::model;
+use crate::schedule::Schedule;
 use crate::scratchpad::ScratchpadSet;
 
 /// An image geometry with a display name.
@@ -166,39 +169,17 @@ impl FrameSimulator {
         f_ratio * v_ratio * v_ratio
     }
 
-    /// Realized superpixel count after grid rounding (matches
-    /// `sslic_core::SeedGrid`).
-    pub(crate) fn realized_superpixels(&self) -> usize {
-        let n = self.resolution.pixels() as f64;
-        let spacing = (n / self.superpixels as f64).sqrt();
-        let cols = ((self.resolution.width as f64 / spacing).round() as usize).max(1);
-        let rows = ((self.resolution.height as f64 / spacing).round() as usize).max(1);
-        cols * rows
+    /// The accelerator schedule this configuration streams.
+    fn schedule(&self) -> Schedule {
+        let Resolution { width, height, .. } = self.resolution;
+        Schedule::new(width, height, self.superpixels, self.subsets, self.buffer_bytes_per_channel)
     }
 
     /// DRAM traffic for one frame: the RGB load and Lab store of color
     /// conversion, then per center-update step the subset's Lab reads and
     /// index read/write (2-byte indices for up to 64k superpixels).
     pub fn dram_traffic(&self) -> DramTraffic {
-        let n = self.resolution.pixels();
-        let tile = self.buffer_bytes_per_channel as u64;
-        let mut t = DramTraffic::default();
-        // Color conversion: interleaved RGB in, 3 Lab planes out, tile by
-        // tile.
-        let cc_tiles = n.div_ceil(tile);
-        t.bytes_read += 3 * n;
-        t.bytes_written += 3 * n;
-        t.bursts += cc_tiles * 4; // 1 RGB read + 3 Lab writes per tile
-        // Cluster update: per step, 1/P of the pixels stream through.
-        let step_pixels = n / self.subsets as u64;
-        let step_tiles = step_pixels.div_ceil(tile);
-        for _ in 0..self.iterations {
-            t.bytes_read += 3 * step_pixels; // L, a, b
-            t.bytes_read += 2 * step_pixels; // index read
-            t.bytes_written += 2 * step_pixels; // index write-back
-            t.bursts += step_tiles * 5;
-        }
-        t
+        self.schedule().traffic(self.iterations)
     }
 
     /// Runs the analytic model.
@@ -209,36 +190,27 @@ impl FrameSimulator {
     pub fn simulate(&self) -> FrameReport {
         assert!(self.superpixels > 0, "superpixel count must be nonzero");
         assert!(self.iterations > 0, "iteration count must be nonzero");
-        let n = self.resolution.pixels();
-        let tile_pixels = self.buffer_bytes_per_channel as u64;
-        let k = self.realized_superpixels() as u64;
+        let schedule = self.schedule();
         let cores = self.cores as u64;
         let to_ms = |cycles: f64| cycles / self.clock_hz * 1e3;
 
-        // 1. Color conversion: 1 px/cycle per core + per-tile pipeline
-        //    fill (tiles are distributed across cores).
-        let cc_tiles = n.div_ceil(tile_pixels);
-        let color_ms = to_ms(
-            (n.div_ceil(cores)) as f64
-                + cc_tiles.div_ceil(cores) as f64 * model::COLOR_CONV_LATENCY_CYCLES,
-        );
+        // 1. Color conversion, tile-parallel across cores.
+        let color_ms = to_ms(schedule.color_cycles(cores));
 
         // 2. Cluster-update compute, tile-parallel across cores.
-        let step_pixels = n / self.subsets as u64;
         let cluster_config = ClusterUnitConfig::c9_9_6();
-        let assign_ms = to_ms(
-            cluster_config.iteration_cycles(step_pixels.div_ceil(cores), tile_pixels)
-                * self.iterations as f64,
-        );
+        let assign_cycles: f64 = (0..self.iterations)
+            .map(|step| schedule.assign_cycles(step, &cluster_config, cores))
+            .sum();
+        let assign_ms = to_ms(assign_cycles);
 
         // 3. Center update (resolution independent, serial).
-        let center_ms =
-            to_ms(k as f64 * self.iterations as f64 * model::CENTER_UPDATE_CYCLES_PER_SP);
+        let center_ms = to_ms(schedule.center_cycles() * self.iterations as f64);
 
         // 4. Memory: the DRAM channel is shared and its timing is set by
         //    the device, not the core clock, so this term uses the design
         //    clock regardless of DVFS.
-        let traffic = self.dram_traffic();
+        let traffic = schedule.traffic(self.iterations);
         let dram = DramModel::default();
         let memory_ms = dram.transfer_ms(traffic.total_bytes(), traffic.bursts);
 
@@ -250,7 +222,7 @@ impl FrameSimulator {
         // Power: per-unit peak × utilization (the paper's method), scaled
         // by the DVFS factor; compute units replicate per core.
         let total_ms = color_ms + assign_ms + center_ms + memory_ms;
-        let cluster_peak = cluster_config.power_mw(step_pixels.max(1));
+        let cluster_peak = cluster_config.power_mw(schedule.step_pixels(0).max(1));
         let dvfs = self.dvfs_power_factor();
         let cores_f = self.cores as f64;
         let power = PowerBreakdown {
@@ -272,7 +244,7 @@ impl FrameSimulator {
 
         FrameReport {
             resolution: self.resolution,
-            superpixels: k as usize,
+            superpixels: schedule.grid.cluster_count(),
             buffer_bytes: self.buffer_bytes_per_channel,
             color_ms,
             assign_ms,
@@ -530,8 +502,7 @@ mod tests {
 
     #[test]
     fn realized_superpixels_near_target() {
-        let sim = FrameSimulator::paper_default(Resolution::FULL_HD);
-        let k = sim.realized_superpixels();
+        let k = full_hd().superpixels;
         assert!((4500..=5500).contains(&k), "realized K = {k}");
     }
 

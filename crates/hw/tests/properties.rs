@@ -114,15 +114,7 @@ proptest! {
         tile_kb in 1u64..64,
         compute in 1u64..4,
     ) {
-        let s = TileSchedule::new(
-            1920 * 1080,
-            tile_kb * 1024,
-            compute as f64,
-            7.0,
-            8.64,
-            5.0,
-            50.0,
-        );
+        let s = TileSchedule::new(1920 * 1080, tile_kb * 1024, compute as f64);
         let sp = s.overlap_speedup();
         prop_assert!((1.0..=2.0 + 1e-9).contains(&sp), "speedup {sp}");
     }

@@ -373,23 +373,43 @@ pub(crate) fn test_exempt_flags(tokens: &[Token]) -> Vec<bool> {
             i = j;
             continue;
         }
-        // Exempt the attribute plus the item it annotates: up to a `;`
-        // at item level, or through the matching `}` of its first block.
+        // Exempt the attribute plus the item it annotates: through a `;`
+        // or `,` outside every bracket (a `,` also outside generic `<…>`),
+        // or through the matching `}` of its first block. A struct field
+        // or struct-literal field may instead end at the enclosing list's
+        // closer, which belongs to the list and stays unexempted.
         let mut k = j;
-        let mut brace_depth = 0usize;
+        let mut depth = 0usize;
+        let mut generics = 0usize;
         while k < tokens.len() {
-            let t = &tokens[k];
-            if t.is_punct('{') {
-                brace_depth += 1;
-            } else if t.is_punct('}') {
-                brace_depth -= 1;
-                if brace_depth == 0 {
+            match tokens[k].kind {
+                TokenKind::Punct('(' | '[' | '{') => depth += 1,
+                TokenKind::Punct(c @ (')' | ']' | '}')) => {
+                    if depth == 0 {
+                        break;
+                    }
+                    depth -= 1;
+                    if depth == 0 && c == '}' {
+                        k += 1;
+                        break;
+                    }
+                }
+                TokenKind::Punct('<') if depth == 0 => generics += 1,
+                // `->` and `=>` are arrows, not closers.
+                TokenKind::Punct('>')
+                    if depth == 0 && !(tokens[k - 1].is_punct('-') || tokens[k - 1].is_punct('=')) =>
+                {
+                    generics = generics.saturating_sub(1);
+                }
+                TokenKind::Punct(';') if depth == 0 => {
                     k += 1;
                     break;
                 }
-            } else if t.is_punct(';') && brace_depth == 0 {
-                k += 1;
-                break;
+                TokenKind::Punct(',') if depth == 0 && generics == 0 => {
+                    k += 1;
+                    break;
+                }
+                _ => {}
             }
             k += 1;
         }

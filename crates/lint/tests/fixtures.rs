@@ -92,6 +92,20 @@ fn no_panic_rule_fires_on_each_panic_flavor() {
 }
 
 #[test]
+fn test_gated_fields_end_at_their_enclosing_brace() {
+    // A gated field with no trailing comma ends at the `}` of its struct or
+    // struct literal; the exempt region must stop there, so the library
+    // code after each one is still checked.
+    let src = fixture("test_gated_fields.rs");
+    let findings = check_file("crates/core/src/whatever.rs", &src);
+    assert_eq!(
+        findings.iter().map(|f| (f.rule, f.line)).collect::<Vec<_>>(),
+        vec![("no-panic", 14), ("no-panic", 24)],
+        "{findings:?}"
+    );
+}
+
+#[test]
 fn no_panic_rule_ignores_tests_benches_and_bins() {
     let src = fixture("unwrap_in_lib.rs");
     for path in [

@@ -1,6 +1,7 @@
 //! Drive both hardware models: the analytic frame simulator at the
-//! paper's full-HD design point, and the functional tile-level simulator
-//! on an actual image — showing they tell one consistent story.
+//! paper's full-HD design point, and the functional simulator on an actual
+//! image, next to the analytic model's traffic for the same configuration
+//! (both charge one streaming schedule, so the two lines must match).
 //!
 //! ```text
 //! cargo run --release --example hardware_sim
@@ -70,10 +71,24 @@ fn main() {
         "  cycles: color {:.0} + assign {:.0} + centers {:.0} + memory {:.0}",
         run.color_cycles, run.assign_cycles, run.center_cycles, run.memory_cycles
     );
+    let analytic = FrameSimulator::paper_default(Resolution {
+        width: 320,
+        height: 240,
+        name: "320x240",
+    })
+    .with_superpixels(config.superpixels)
+    .with_iterations(config.iterations)
+    .with_subsets(config.subsets)
+    .with_buffer_bytes(config.buffer_bytes_per_channel)
+    .dram_traffic();
+    for (model, traffic) in [("functional", run.traffic), ("analytic", analytic)] {
+        println!(
+            "  {model:>10} DRAM traffic: {} B read, {} B written, {} bursts",
+            traffic.bytes_read, traffic.bytes_written, traffic.bursts
+        );
+    }
     println!(
-        "  DRAM {:.2} MB in {} bursts; scratchpad energy {:.1} uJ, DRAM energy {:.1} uJ",
-        run.traffic.total_bytes() as f64 / 1e6,
-        run.traffic.bursts,
+        "  scratchpad energy {:.1} uJ, DRAM energy {:.1} uJ",
         run.sram_energy_uj(),
         run.dram_energy_uj
     );

@@ -4,13 +4,15 @@
 //! `cargo test --workspace`.
 
 use sslic::core::{DistanceMode, RunOptions, SegmentRequest, Segmenter, SlicParams};
+use sslic::hw::accel::{Accelerator, AcceleratorConfig};
 use sslic::hw::gpu::{efficiency_ratio, GpuBaseline};
 use sslic::hw::sim::{FrameSimulator, Resolution};
 use sslic::image::synthetic::SyntheticImage;
 use sslic::metrics::undersegmentation_error;
 
 /// Abstract: "uses pixel subsampling to reduce the memory bandwidth by
-/// 1.8×".
+/// 1.8×" — in the analytic model at full HD, and in the functional model
+/// pushing a small frame's pixels.
 #[test]
 fn claim_subsampling_reduces_bandwidth_1_8x() {
     let slic = FrameSimulator::paper_default(Resolution::FULL_HD)
@@ -21,6 +23,19 @@ fn claim_subsampling_reduces_bandwidth_1_8x() {
         .dram_traffic()
         .total_bytes() as f64;
     assert!((slic / sslic - 1.8).abs() < 0.1, "ratio {}", slic / sslic);
+
+    let img = SyntheticImage::builder(160, 120).seed(4).regions(6).build();
+    let functional = |subsets| {
+        Accelerator::new(AcceleratorConfig {
+            subsets,
+            ..AcceleratorConfig::new(150)
+        })
+        .process(&img.rgb)
+        .traffic
+        .total_bytes() as f64
+    };
+    let ratio = functional(1) / functional(2);
+    assert!((ratio - 1.8).abs() < 0.1, "functional ratio {ratio}");
 }
 
 /// Abstract/§7: real-time (30 fps) full-HD operation with ≥250× better
